@@ -80,8 +80,8 @@ int main() {
               static_cast<unsigned long long>(result.cycles),
               static_cast<unsigned long long>(result.channel_conflicts),
               static_cast<unsigned long long>(result.clobbered_reads));
-  for (int i = 0; i < 3; ++i)
-    std::printf("  consumer %d received %lld (expected %d)\n", i,
+  for (std::size_t i = 0; i < 3; ++i)
+    std::printf("  consumer %zu received %lld (expected %zu)\n", i,
                 static_cast<long long>(sim.segment_data(out)[i]), 100 + i);
   std::printf(
       "\nall transfers arrive intact over the shared wires: the receiving-\n"

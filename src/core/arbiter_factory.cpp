@@ -86,20 +86,12 @@ SystemArbiter make_system_arbiter(int n, const SystemArbiterSpec& spec) {
     return out;
   }
   switch (spec.kind) {
-    case ArbiterKind::kFlatFsm:
-      if (n <= 64) {
-        auto rr = std::make_unique<RoundRobinArbiter>(n, spec.rr);
-        out.rr = rr.get();
-        out.arbiter = std::move(rr);
-      } else {
-        RCARB_CHECK(spec.rr.max_hold_cycles == 0 && !spec.rr.harden,
-                    "the wide flat chain models neither preemption nor "
-                    "one-hot hardening; use <= 64 ports or a scalable kind");
-        auto fw = std::make_unique<FlatWideArbiter>(n);
-        out.flat_wide = fw.get();
-        out.arbiter = std::move(fw);
-      }
+    case ArbiterKind::kFlatFsm: {
+      auto rr = std::make_unique<RoundRobinArbiter>(n, spec.rr);
+      out.rr = rr.get();
+      out.arbiter = std::move(rr);
       break;
+    }
     case ArbiterKind::kHierarchical: {
       auto h = std::make_unique<HierarchicalArbiter>(n, spec.arity);
       out.hier = h.get();

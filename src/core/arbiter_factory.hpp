@@ -29,7 +29,7 @@ namespace rcarb::core {
 /// select_arbiter_kind pick from the port count and a timing budget.
 enum class ArbiterChoice : std::uint8_t {
   kAuto,          // resolve from (n, fmax budget) via the prechar cache
-  kFlatFsm,       // Fig. 5 chain (RoundRobinArbiter; FlatWideArbiter > 64)
+  kFlatFsm,       // Fig. 5 chain (RoundRobinArbiter)
   kHierarchical,  // tree-of-arbiters
   kPrefix,        // Kogge-Stone thermometer-mask
 };
@@ -82,7 +82,6 @@ struct SystemArbiter {
   SelfCheckingArbiter* sc = nullptr;
   HierarchicalArbiter* hier = nullptr;
   PrefixArbiter* prefix = nullptr;
-  FlatWideArbiter* flat_wide = nullptr;
 };
 
 /// The single construction path for system-layer arbiters (service engine

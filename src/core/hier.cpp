@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "core/structural.hpp"
 #include "support/check.hpp"
 #include "support/text.hpp"
 
@@ -320,79 +321,11 @@ void PrefixArbiter::inject_state_bit(int bit) {
       1ull << (static_cast<unsigned>(bit) & 63u);
 }
 
-// ---------------------------------------------------------- FlatWideArbiter
-
-FlatWideArbiter::FlatWideArbiter(int n) : Arbiter(WideTag{}, n) {
-  grant_.assign(word_count(n), 0);
-  req_scratch_.assign(word_count(n), 0);
-}
-
-void FlatWideArbiter::reset() {
-  pos_ = 0;
-  held_ = false;
-  std::fill(grant_.begin(), grant_.end(), 0);
-}
-
-std::string FlatWideArbiter::describe() const {
-  return "flat-rr-wide(n=" + std::to_string(n_) + ")";
-}
-
-int FlatWideArbiter::step_wide(const std::vector<std::uint64_t>& requests) {
-  const int g = step_wide_impl(requests);
-  notify_wide(requests, g);
-  return g;
-}
-
-int FlatWideArbiter::step_wide_impl(
-    const std::vector<std::uint64_t>& requests) {
-  RCARB_CHECK(requests.size() >= grant_.size(),
-              "request vector narrower than the arbiter");
-  std::fill(grant_.begin(), grant_.end(), 0);
-
-  // The Fig. 5 chain scans cyclically from the priority index; the holder
-  // sits at pos_, so while it keeps requesting it is re-found first (the
-  // Ci hold).  Scan words, masking bits below the start and past n.
-  const std::size_t words = grant_.size();
-  int g = -1;
-  for (std::size_t k = 0; k <= words && g < 0; ++k) {
-    // Pass 1 covers [pos_, n); pass 2 wraps to [0, pos_).
-    const std::size_t w = (static_cast<std::size_t>(pos_) / 64 + k) % words;
-    std::uint64_t r = requests[w];
-    if (k == 0) r &= ~0ull << (static_cast<unsigned>(pos_) & 63u);
-    if (w + 1 == words && (n_ & 63) != 0) r &= (1ull << (n_ & 63)) - 1;
-    if (k == words)
-      r &= (static_cast<unsigned>(pos_) & 63u) != 0
-               ? (1ull << (static_cast<unsigned>(pos_) & 63u)) - 1
-               : 0;
-    if (r != 0) g = static_cast<int>(w * 64) + std::countr_zero(r);
-  }
-
-  if (g >= 0) {
-    pos_ = g;
-    held_ = true;
-    grant_[static_cast<std::size_t>(g) >> 6] |=
-        1ull << (static_cast<unsigned>(g) & 63u);
-  } else if (held_) {
-    // Release to idle: the chain retires Ci -> F(i+1), rotating priority
-    // past the finished holder.
-    pos_ = (pos_ + 1) % n_;
-    held_ = false;
-  }
-  return g;
-}
-
-int FlatWideArbiter::do_step(std::uint64_t requests) {
-  std::fill(req_scratch_.begin(), req_scratch_.end(), 0);
-  req_scratch_[0] = requests;
-  return step_wide_impl(req_scratch_);
-}
-
 std::unique_ptr<Arbiter> make_scalable_arbiter(ArbiterKind kind, int n,
                                                int arity) {
   switch (kind) {
     case ArbiterKind::kFlatFsm:
-      if (n <= 64) return std::make_unique<RoundRobinArbiter>(n);
-      return std::make_unique<FlatWideArbiter>(n);
+      return std::make_unique<RoundRobinArbiter>(n);
     case ArbiterKind::kHierarchical:
       return std::make_unique<HierarchicalArbiter>(n, arity);
     case ArbiterKind::kPrefix:
@@ -594,36 +527,11 @@ aig::Aig build_flat_onehot_aig(int n) {
   for (std::size_t b = 0; b < 2 * un; ++b)
     state[b] = g.add_input(signal_name("state", b));
 
-  // The same rotating-priority-chain structure core/structural.cpp builds
-  // from explicit one-hot state codes, without its n <= 32 code-word cap:
-  // present[s] is directly state bit s (bit i = Fi, bit n+i = Ci).
-  std::vector<aig::Lit> at(un);
-  for (std::size_t i = 0; i < un; ++i)
-    at[i] = g.lor(state[i], state[un + i]);
-
-  std::vector<aig::Lit> reach(2 * un);
-  for (std::size_t t = 0; t < 2 * un; ++t) {
-    const std::size_t p = t % un;
-    aig::Lit carried = aig::kConstFalse;
-    if (t > 0) {
-      const std::size_t prev = (t - 1) % un;
-      carried = g.land(reach[t - 1], aig::lit_not(req[prev]));
-    }
-    reach[t] = g.lor(at[p], carried);
-  }
-
-  std::vector<aig::Lit> grant(un);
-  for (std::size_t j = 0; j < un; ++j)
-    grant[j] = g.land(req[j], reach[j + un]);
-
-  const aig::Lit any_req = g.lor_many(req);
-  std::vector<aig::Lit> next_state(2 * un);
-  for (std::size_t j = 0; j < un; ++j) {
-    const std::size_t c_prev = un + (j + un - 1) % un;
-    next_state[j] = g.land(aig::lit_not(any_req),
-                           g.lor(state[j], state[c_prev]));
-    next_state[un + j] = grant[j];
-  }
+  // The Fig. 5 chain with the state bits themselves as the recognizers
+  // (bit i = Fi, bit n+i = Ci), without build_round_robin_aig's n <= 32
+  // code-word cap.
+  std::vector<aig::Lit> grant, next_state;
+  build_round_robin_chain(g, req, state, grant, next_state);
 
   for (std::size_t b = 0; b < 2 * un; ++b)
     g.add_output("ns" + std::to_string(b), next_state[b]);

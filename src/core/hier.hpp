@@ -163,38 +163,9 @@ class PrefixArbiter final : public Arbiter {
   std::vector<std::uint64_t> req_scratch_;
 };
 
-/// Behavioral width-unlimited flat Fig. 5 chain: the same grant sequence
-/// as RoundRobinArbiter (scan cyclically from the priority index, hold
-/// while the holder requests, rotate past the holder on an idle release)
-/// without the one-hot state register and its SEU/preemption machinery.
-/// Exists so the wide service layers can run the flat baseline at
-/// N > 64; its netlist twin is build_flat_onehot_aig.
-class FlatWideArbiter final : public Arbiter {
- public:
-  explicit FlatWideArbiter(int n);
-  void reset() override;
-  [[nodiscard]] std::string describe() const override;
-
-  int step_wide(const std::vector<std::uint64_t>& requests) override;
-  [[nodiscard]] const std::vector<std::uint64_t>& last_grant_words() const {
-    return grant_;
-  }
-
- protected:
-  int do_step(std::uint64_t requests) override;
-
- private:
-  int step_wide_impl(const std::vector<std::uint64_t>& requests);
-  int pos_ = 0;        // priority index (the Fi/Ci chain position)
-  bool held_ = false;  // in a Ci state: pos_ granted last cycle
-  std::vector<std::uint64_t> grant_;
-  std::vector<std::uint64_t> req_scratch_;
-};
-
 /// Behavioral factory over the kind.  kFlatFsm returns the Fig. 5
-/// RoundRobinArbiter up to 64 ports and the FlatWideArbiter chain past
-/// that; every kind accepts up to kMaxWideInputs.  `arity` only affects
-/// kHierarchical.
+/// RoundRobinArbiter; every kind accepts up to kMaxWideInputs.  `arity`
+/// only affects kHierarchical.
 [[nodiscard]] std::unique_ptr<Arbiter> make_scalable_arbiter(ArbiterKind kind,
                                                              int n,
                                                              int arity = 4);
@@ -215,8 +186,9 @@ class FlatWideArbiter final : public Arbiter {
 [[nodiscard]] aig::Aig build_prefix_aig(int n);
 
 /// Width-unlimited flat Fig. 5 chain (one-hot, 2n state bits: bit i = Fi,
-/// bit n+i = Ci), the same structure core/structural.cpp builds for
-/// n <= 32 from explicit state codes.  Reset: F0 (bit 0).
+/// bit n+i = Ci): build_round_robin_chain (core/structural.hpp) over the
+/// state bits, node for node build_round_robin_aig's one-hot netlist.
+/// Reset: F0 (bit 0).
 [[nodiscard]] aig::Aig build_flat_onehot_aig(int n);
 
 /// Reset vector matching the kind's AIG state-bit layout.

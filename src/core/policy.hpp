@@ -37,8 +37,9 @@ enum class Policy : std::uint8_t {
 /// deassert Req) when the grant is immediate.
 inline constexpr int kProtocolOverheadCycles = 2;
 
-/// Largest request-vector width of the wide (vector-request) arbiters in
-/// core/hier.hpp.  Ordinary word-request arbiters stay capped at 64.
+/// Largest request-vector width of the wide (vector-request) arbiters:
+/// RoundRobinArbiter and the core/hier.hpp kinds.  The other policies stay
+/// capped at 64.
 inline constexpr int kMaxWideInputs = 4096;
 
 /// Observation hook over the request/grant wire traffic of one arbiter.
@@ -81,8 +82,8 @@ class Arbiter {
   /// One clock cycle over a words-encoded request vector (bit i of word
   /// i/64 = port i).  The base implementation serves word-width arbiters
   /// by forwarding to step() (and CHECK-fails past 64 ports); the wide
-  /// arbiters in core/hier.hpp override it, notify observers through
-  /// on_step_wide, and accept up to kMaxWideInputs.
+  /// arbiters (RoundRobinArbiter, core/hier.hpp) override it, notify
+  /// observers through on_step_wide, and accept up to kMaxWideInputs.
   virtual int step_wide(const std::vector<std::uint64_t>& requests);
 
   /// Attaches (or detaches, with nullptr) a borrowed observer.
@@ -128,15 +129,22 @@ struct RoundRobinOptions {
   bool harden = false;
 };
 
-/// Fig. 5 round-robin arbiter.  The 2N states Ci/Fi live in an explicit
-/// one-hot register (bit i = Fi, bit n+i = Ci) so single-event upsets can
-/// be injected and the hardened recovery modeled bit-exactly against the
-/// synthesized netlist.
+/// Fig. 5 round-robin arbiter at every width up to kMaxWideInputs.  The 2N
+/// states Ci/Fi live in an explicit one-hot register — (n + 63) / 64 words
+/// of Fi one-hots and as many of Ci one-hots, bit i%64 of word i/64 for
+/// port i — so single-event upsets can be injected and the hardened
+/// recovery modeled bit-exactly against the synthesized netlist.  One
+/// masked count-trailing-zeros scan, cyclic from the priority index, picks
+/// the grant on the legal, multi-hot and preemption paths alike.
 class RoundRobinArbiter final : public Arbiter {
  public:
   explicit RoundRobinArbiter(int n, RoundRobinOptions options = {});
   void reset() override;
   [[nodiscard]] std::string describe() const override;
+
+  /// Up to 64 ports this is the base forwarding to step() (word observer
+  /// hook); past 64 it steps the full vector and fires on_step_wide.
+  int step_wide(const std::vector<std::uint64_t>& requests) override;
 
   /// Exposed for FSM-equivalence tests: current state as "Ci"/"Fi" text.
   /// Requires a legal (exactly one-hot) register.
@@ -147,26 +155,33 @@ class RoundRobinArbiter final : public Arbiter {
   [[nodiscard]] std::uint64_t state_bits() const;
 
   /// The state register as separate words (f = Fi one-hots, c = Ci
-  /// one-hots) — the full-width form of state_bits(), valid for every
-  /// n <= 64.  The self-checking wrapper compares/votes these so its
-  /// replicas are not capped at 32 ports.
+  /// one-hots) — the form the self-checking wrapper compares and votes.
+  /// Requires n <= 64.
   struct StateWords {
     std::uint64_t f = 0;
     std::uint64_t c = 0;
     [[nodiscard]] bool operator==(const StateWords&) const = default;
   };
-  [[nodiscard]] StateWords state_words() const { return {f_bits_, c_bits_}; }
+  [[nodiscard]] StateWords state_words() const;
 
   /// True when the register holds exactly one hot bit.
   [[nodiscard]] bool state_legal() const;
 
-  /// SEU injection: XOR one bit of the state register (0 <= bit < 2n).
+  /// SEU injection: XOR one bit of the state register (0 <= bit < 2n:
+  /// bit i = Fi, bit n+i = Ci).
   void inject_bit_flip(int bit);
 
-  /// Every grant asserted by the last step().  Legal states assert at most
-  /// one; an unhardened multi-hot register can assert several (the
-  /// mutual-exclusion violation a fault campaign must surface).
-  [[nodiscard]] std::uint64_t last_grant_mask() const { return grant_mask_; }
+  /// Every grant asserted by the last step(), words-encoded.  Legal states
+  /// assert at most one; an unhardened multi-hot register can assert
+  /// several (the mutual-exclusion violation a fault campaign must
+  /// surface).
+  [[nodiscard]] const std::vector<std::uint64_t>& last_grant_words() const {
+    return grant_;
+  }
+  /// Ports 0..63 of last_grant_words() — all of it up to 64 ports.
+  [[nodiscard]] std::uint64_t last_grant_mask() const { return grant_[0]; }
+  /// Number of grants asserted by the last step, at any width.
+  [[nodiscard]] int last_grant_count() const;
 
   /// Illegal-state recoveries performed so far (hardened mode only).
   [[nodiscard]] std::uint64_t recoveries() const { return recoveries_; }
@@ -175,20 +190,16 @@ class RoundRobinArbiter final : public Arbiter {
   int do_step(std::uint64_t requests) override;
 
  private:
-  /// Fig. 5 transition from the single state (i, in_c): returns the
-  /// successor state and sets `granted` (-1 = none).
-  struct NextState {
-    int index;
-    bool in_c;
-  };
-  [[nodiscard]] NextState step_one_state(int i, bool in_c,
-                                         std::uint64_t requests,
-                                         int* granted) const;
+  /// The Fig. 5 transition over (n + 63) / 64 request words.
+  int step_words(const std::uint64_t* requests);
+  /// The transition of an unhardened multi-hot register.
+  int step_multi_hot(const std::uint64_t* requests);
 
   RoundRobinOptions options_;
-  std::uint64_t f_bits_ = 1;   // one-hot among F0..F(n-1); reset = F0
-  std::uint64_t c_bits_ = 0;   // one-hot among C0..C(n-1)
-  std::uint64_t grant_mask_ = 0;
+  std::vector<std::uint64_t> f_bits_;  // one-hot among F0..F(n-1); reset F0
+  std::vector<std::uint64_t> c_bits_;  // one-hot among C0..C(n-1)
+  std::vector<std::uint64_t> grant_;
+  std::vector<std::uint64_t> req_scratch_;  // step() past 64 ports
   std::uint64_t recoveries_ = 0;
   int held_cycles_ = 0;
 };

@@ -12,10 +12,22 @@
 // gap is quantified by bench_encoding_ablation.
 #pragma once
 
+#include <vector>
+
 #include "aig/aig.hpp"
 #include "synth/encoding.hpp"
 
 namespace rcarb::core {
+
+/// The factored Fig. 5 chain, the one body behind build_round_robin_aig
+/// (n <= 32, any encoding) and build_flat_onehot_aig (core/hier.hpp: one-hot
+/// at any width).  `present` holds one recognizer per state, F0..F{n-1}
+/// then C0..C{n-1}, for the n = req.size() requests; fills the n grant
+/// literals and the 2n per-state next-state literals in the same order.
+void build_round_robin_chain(aig::Aig& g, const std::vector<aig::Lit>& req,
+                             const std::vector<aig::Lit>& present,
+                             std::vector<aig::Lit>& grant,
+                             std::vector<aig::Lit>& next_state);
 
 /// Builds the combinational AIG of the N-input round-robin arbiter under
 /// `encoding`.  AIG inputs: req0..req{n-1}, then state bits state0..; AIG

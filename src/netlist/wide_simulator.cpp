@@ -40,7 +40,7 @@ SoaNetlist::SoaNetlist(const Netlist& nl)
     const std::uint32_t num_rows = rows_begin[p + 1] - rows_begin[p];
     for (std::uint32_t r = 0; r < num_rows; ++r)
       row_splat[rows_begin[p] + r] =
-          ((mask[p] >> r) & 1u) ? ~std::uint64_t{0} : 0;
+          ((std::uint32_t{mask[p]} >> r) & 1u) ? ~std::uint64_t{0} : 0;
   }
 
   const std::vector<std::vector<std::uint32_t>> by_net = nl.lut_fanouts();

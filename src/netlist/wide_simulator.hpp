@@ -1,10 +1,12 @@
 // Width-generic wide-lane netlist simulation: 64 to 512 scenarios per pass.
 //
-// WideLaneSimulator generalizes the 64-lane LaneSimulator to lane words of
-// 1..8 uint64s (64..512 lanes): net values live in a structure-of-arrays
-// layout (one contiguous row of `words()` uint64s per net, LUT descriptors
-// in flat topo-ordered arrays), and the per-LUT mux-tree fold runs on one
-// of three kernels selected at runtime:
+// WideLaneSimulator packs 64..512 independent scenarios ("lanes") of one
+// netlist into lane words of 1..8 uint64s, bit l%64 of word l/64 = lane l,
+// and advances all of them per LUT visit: 64 Monte Carlo fault-campaign
+// replicas per word, or 64 request patterns.  Net values live in a
+// structure-of-arrays layout (one contiguous row of `words()` uint64s per
+// net, LUT descriptors in flat topo-ordered arrays), and the per-LUT
+// mux-tree fold runs on one of three kernels selected at runtime:
 //
 //   * portable — std::uint64_t[W] arithmetic the compiler auto-vectorizes;
 //     works at every width and on every architecture (the only kernel on
@@ -20,9 +22,11 @@
 // lane never observes another lane's bits, and the cross-width test suite
 // pins scalar vs 64/256/512-lane checksums to exact equality.
 //
-// Unlike LaneSimulator's original rule, register pokes do *not* schedule a
-// full topo resettle in event-driven mode: the poked DFF's fanout cone
-// seeds the dirty heap, exactly as a clock() edge would for that q net.
+// Settle strategies and two-phase clocking match netlist::Simulator lane
+// by lane (the scalar engine is the oracle the lockstep tests compare
+// against).  Register pokes do *not* schedule a full topo resettle in
+// event-driven mode: the poked DFF's fanout cone seeds the dirty set,
+// exactly as a clock() edge would for that q net.
 #pragma once
 
 #include <cstdint>

@@ -105,9 +105,9 @@ struct SimOptions {
   /// stuck-at masking and watchdog force-release — exactly what the
   /// behavioral arbiter steps on) into SimResult::request_trace.  The
   /// recorded stream can be replayed against the synthesized netlist of
-  /// the same arbiter, e.g. 64 SEU replicas at a time in a
-  /// netlist::LaneSimulator.  Off by default: costs one store per arbiter
-  /// per cycle when on, nothing when off.
+  /// the same arbiter, e.g. 64 SEU replicas at a time in a 64-lane
+  /// netlist::WideLaneSimulator.  Off by default: costs one store per
+  /// arbiter per cycle when on, nothing when off.
   bool record_request_trace = false;
 
   // ---- Overload control (open-loop service frontend, src/service). ----

@@ -350,8 +350,7 @@ class Engine {
         ++rs.arbiter.error_net_trips;
         strike(r, degrade::StrikeSource::kSelfCheckError);
       }
-    } else if (st.arb.rr != nullptr &&
-               std::popcount(st.arb.rr->last_grant_mask()) > 1) {
+    } else if (st.arb.rr != nullptr && st.arb.rr->last_grant_count() > 1) {
       // Unprotected multi-hot register: several grants at once drive the
       // single-ported datapath.  Whatever is in flight is served to
       // completion and worth nothing — the silent-corruption failure mode

@@ -189,7 +189,7 @@ struct SaturationRig {
       b.segment_to_bank[static_cast<std::size_t>(k)] = k;
       b.bank_names.push_back("B" + std::to_string(k));
     }
-    b.num_banks = banks;
+    b.num_banks = static_cast<std::size_t>(banks);
   }
 };
 

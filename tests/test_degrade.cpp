@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <map>
 #include <vector>
@@ -41,6 +43,17 @@ struct ScParam {
   int n;
   CheckMode mode;
 };
+
+// gtest names each case after the bytes of its parameter. Print them the
+// way its default printer does, but with zeros for the padding: left as
+// it is, the padding holds whatever the stack held, so the names changed
+// from build to build and from run to run.
+void PrintTo(const ScParam& p, std::ostream* os) {
+  unsigned char bytes[sizeof(ScParam)] = {};
+  std::memcpy(bytes + offsetof(ScParam, n), &p.n, sizeof p.n);
+  std::memcpy(bytes + offsetof(ScParam, mode), &p.mode, sizeof p.mode);
+  ::testing::internal::PrintBytesInObjectTo(bytes, sizeof bytes, os);
+}
 
 void replay(SelfCheckingArbiter& a, const std::vector<std::uint64_t>& w) {
   for (const std::uint64_t req : w) a.step(req);
@@ -178,7 +191,9 @@ TEST_P(SelfCheckModel, EverySingleBitUpsetRecoversOrRaisesErrorInOneClock) {
           // the transition function itself (e.g. a two-hot state whose
           // extra bit dies at the edge), so only the detection count is
           // guaranteed there.
-          if (mode == CheckMode::kDuplicate) ASSERT_GE(a.resyncs(), 1u);
+          if (mode == CheckMode::kDuplicate) {
+            ASSERT_GE(a.resyncs(), 1u);
+          }
           ASSERT_GE(a.error_cycles(), 1u);
           // One clock later the arbiter is clean again.
           a.step(all);
@@ -688,7 +703,7 @@ struct TwoPhysRig {
       prods.push_back(graph.add_task("p" + std::to_string(c), prod, 1));
       conss.push_back(graph.add_task("q" + std::to_string(c), cons, 1));
     }
-    for (int c = 0; c < 4; ++c)
+    for (std::size_t c = 0; c < 4; ++c)
       graph.add_channel("ch" + std::to_string(c), 16, prods[c],
                         conss[c]);
     tasks = prods;
@@ -730,7 +745,7 @@ TEST(DegradeEndToEnd, StuckChannelRemergesOntoTheSurvivor) {
   EXPECT_EQ(r.channel_conflicts, 0u)
       << "movers and the survivor's own traffic must share one arbiter";
   EXPECT_EQ(r.protocol_violations, 0u);
-  for (int c = 0; c < 4; ++c)
+  for (tg::SegmentId c = 0; c < 4; ++c)
     EXPECT_EQ(sim.segment_data(c), ref.segment_data(c))
         << "consumer " << c << " saw wrong data";
 }

@@ -22,7 +22,8 @@ TEST(Reference, ImpulseHasFlatSpectrum) {
 TEST(Reference, ConstantHasDcOnly) {
   const auto spectrum = dft4(std::array<std::int64_t, 4>{3, 3, 3, 3});
   EXPECT_EQ(spectrum[0], (Complex64{12, 0}));
-  for (int k = 1; k < 4; ++k) EXPECT_EQ(spectrum[k], (Complex64{0, 0}));
+  for (std::size_t k = 1; k < 4; ++k)
+    EXPECT_EQ(spectrum[k], (Complex64{0, 0}));
 }
 
 TEST(Reference, KnownVector) {
@@ -38,13 +39,13 @@ TEST(Reference, LinearityOfRealDft) {
   Rng rng(5);
   for (int trial = 0; trial < 50; ++trial) {
     std::array<std::int64_t, 4> a, b, sum;
-    for (int i = 0; i < 4; ++i) {
+    for (std::size_t i = 0; i < 4; ++i) {
       a[i] = rng.next_in(-100, 100);
       b[i] = rng.next_in(-100, 100);
       sum[i] = a[i] + b[i];
     }
     const auto sa = dft4(a), sb = dft4(b), ss = dft4(sum);
-    for (int k = 0; k < 4; ++k) {
+    for (std::size_t k = 0; k < 4; ++k) {
       EXPECT_EQ(ss[k].re, sa[k].re + sb[k].re);
       EXPECT_EQ(ss[k].im, sa[k].im + sb[k].im);
     }
@@ -58,9 +59,9 @@ TEST(Reference, ComplexDftMatchesDirectSummation) {
     for (auto& v : x) v = {rng.next_in(-50, 50), rng.next_in(-50, 50)};
     const auto got = dft4(x);
     // Direct O(N^2) DFT with exact twiddles (1, -j, -1, j powers).
-    for (int k = 0; k < 4; ++k) {
+    for (std::size_t k = 0; k < 4; ++k) {
       std::int64_t re = 0, im = 0;
-      for (int n = 0; n < 4; ++n) {
+      for (std::size_t n = 0; n < 4; ++n) {
         switch ((n * k) % 4) {
           case 0: re += x[n].re; im += x[n].im; break;          // *1
           case 1: re += x[n].im; im -= x[n].re; break;          // *-j

@@ -3,9 +3,10 @@
 // kind (mutual exclusion + bounded waiting from every reachable state),
 // AIG equivalence of the width-unlimited flat chain against the Fig. 5
 // structural generator, behavioral-vs-netlist lockstep under matched
-// SEUs for all three kinds, pinned per-kind grant sequences, fuzzed wide
-// runs (N = 64/256, 10^5 cycles) asserting one-hot grants and no
-// starvation, and synthesis sanity of the scalable generator.
+// SEUs for all three kinds (the flat one also across 64-bit word edges),
+// pinned per-kind grant sequences, fuzzed wide runs (N = 64/256, 10^5
+// cycles) asserting one-hot grants and no starvation, and synthesis
+// sanity of the scalable generator.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -491,7 +492,7 @@ TEST_P(WideFuzz, OneHotGrantsAndNoStarvationOver1e5Cycles) {
   // Access the wide surface through the concrete types.
   auto* hier = dynamic_cast<HierarchicalArbiter*>(holder.get());
   auto* prefix = dynamic_cast<PrefixArbiter*>(holder.get());
-  auto* flat = dynamic_cast<core::FlatWideArbiter*>(holder.get());
+  auto* flat = dynamic_cast<RoundRobinArbiter*>(holder.get());
   ASSERT_TRUE(hier != nullptr || prefix != nullptr || flat != nullptr);
   auto step_wide = [&](const std::vector<std::uint64_t>& req) {
     return holder->step_wide(req);
@@ -584,30 +585,79 @@ INSTANTIATE_TEST_SUITE_P(
                                  : "");
     });
 
-// ========================================== flat wide == Fig. 5 FSM model
+// ============================== flat Fig. 5 arbiter == one-hot chain netlist
 
-TEST(FlatWide, MatchesTheWordWidthFsmAtEveryWidth) {
-  // FlatWideArbiter is the chain's behavioral model with the 64-port cap
-  // lifted; at word widths it must be grant-for-grant identical to the
-  // proven RoundRobinArbiter — through both the word entry (step) and the
-  // vector entry (step_wide) the service engine drives.
-  for (const int n : {1, 2, 7, 33, 64}) {
+TEST(FlatRoundRobin, MatchesTheOneHotNetlistAcrossWordBoundaries) {
+  // RoundRobinArbiter against the scalar-simulated netlist of
+  // build_flat_onehot_aig at widths around the 64-bit word edges, through
+  // the word entry (step: ports 0..63) and the vector entry (step_wide),
+  // with SEU flips leaving the register zero- or multi-hot.  Every grant
+  // wire must match, multi-grants included.
+  for (const int n : {63, 64, 65, 127, 128, 129, 200}) {
+    const int bits = 2 * n;
+    const synth::SynthResult syn = synth::finish_machine_synthesis(
+        core::build_flat_onehot_aig(n), n, bits,
+        core::scalable_reset_bits(ArbiterKind::kFlatFsm, n), {});
+    netlist::Simulator sim(syn.netlist);
     RoundRobinArbiter rr(n);
-    core::FlatWideArbiter fw(n);
-    const std::uint64_t mask = n == 64 ? ~0ull : (1ull << n) - 1;
-    Rng rng(9000 + static_cast<std::uint64_t>(n));
-    std::vector<std::uint64_t> word(1, 0);
-    for (int cyc = 0; cyc < 50'000; ++cyc) {
-      // Force empty vectors in regularly so the Ci -> F(i+1) retirement
-      // path is exercised at every width.
-      const std::uint64_t req =
-          cyc % 7 == 3 ? 0 : (rng.next_u64() & mask);
-      const int want = rr.step(req);
-      word[0] = req;
-      const int got = cyc % 2 == 0 ? fw.step(req) : fw.step_wide(word);
-      ASSERT_EQ(got, want) << "n=" << n << " cycle " << cyc;
-      ASSERT_EQ(fw.last_grant_words()[0], rr.last_grant_mask())
-          << "n=" << n << " cycle " << cyc;
+    std::vector<netlist::NetId> req_net, grant_net, state_net;
+    for (int i = 0; i < n; ++i) {
+      req_net.push_back(*syn.netlist.find_net("req" + std::to_string(i)));
+      grant_net.push_back(*syn.netlist.find_net("grant" + std::to_string(i)));
+    }
+    for (int b = 0; b < bits; ++b)
+      state_net.push_back(*syn.netlist.find_net("state" + std::to_string(b)));
+
+    const std::size_t words = static_cast<std::size_t>((n + 63) / 64);
+    std::vector<std::uint64_t> req(words, 0);
+    Rng rng(9100 + static_cast<std::uint64_t>(n));
+    for (int cyc = 0; cyc < 3000; ++cyc) {
+      if (cyc % 400 == 399) {
+        // Restart from F0 so a dead (zero-hot) register cannot end the
+        // coverage early.
+        rr.reset();
+        sim.reset();
+      }
+      if (cyc % 29 == 11) {
+        const int b = static_cast<int>(
+            rng.next_below(static_cast<std::uint64_t>(bits)));
+        rr.inject_bit_flip(b);
+        const netlist::NetId net = state_net[static_cast<std::size_t>(b)];
+        sim.poke_register(net, !sim.get(net));
+      }
+      // Idle vectors exercise the Ci -> F(i+1) retirement, sparse ones the
+      // scan wrapping across words, dense ones contention.
+      std::fill(req.begin(), req.end(), 0);
+      if (cyc % 7 != 3 && cyc % 3 == 0) {
+        for (int k = 0; k < 2; ++k) {
+          const auto p = rng.next_below(static_cast<std::uint64_t>(n));
+          req[p / 64] |= 1ull << (p % 64);
+        }
+      } else if (cyc % 7 != 3) {
+        for (std::uint64_t& w : req) w = rng.next_u64();
+      }
+      const bool word_entry = cyc % 2 == 0;
+      if (word_entry) std::fill(req.begin() + 1, req.end(), 0);
+      if (n % 64 != 0) req[words - 1] &= (1ull << (n % 64)) - 1;
+
+      for (int i = 0; i < n; ++i)
+        sim.set_input(req_net[static_cast<std::size_t>(i)],
+                      ((req[static_cast<std::size_t>(i) / 64] >> (i % 64)) &
+                       1) != 0);
+      sim.settle();
+      const int g = word_entry ? rr.step(req[0]) : rr.step_wide(req);
+      int lowest = -1;
+      for (int i = 0; i < n; ++i) {
+        const bool hw = sim.get(grant_net[static_cast<std::size_t>(i)]);
+        const bool beh = ((rr.last_grant_words()[static_cast<std::size_t>(
+                               i) / 64] >>
+                           (i % 64)) &
+                          1) != 0;
+        ASSERT_EQ(hw, beh) << "n=" << n << " grant" << i << " cycle " << cyc;
+        if (hw && lowest < 0) lowest = i;
+      }
+      ASSERT_EQ(g, lowest) << "n=" << n << " cycle " << cyc;
+      sim.clock();
     }
   }
 }
@@ -726,8 +776,8 @@ TEST(ArbiterFactory, BuildsTheMatchingSubclassWithTypedViews) {
   SystemArbiterSpec wide_spec;
   wide_spec.kind = ArbiterKind::kFlatFsm;
   auto wide = core::make_system_arbiter(128, wide_spec);
-  ASSERT_NE(wide.flat_wide, nullptr);
-  EXPECT_EQ(wide.rr, nullptr);
+  ASSERT_NE(wide.rr, nullptr) << "one flat class at every width";
+  EXPECT_EQ(wide.rr, wide.arbiter.get());
 
   SystemArbiterSpec hier_spec;
   hier_spec.kind = ArbiterKind::kHierarchical;
@@ -786,11 +836,18 @@ TEST(ArbiterFactory, BuildsTheMatchingSubclassWithTypedViews) {
   sc_hier.kind = ArbiterKind::kHierarchical;
   EXPECT_THROW((void)core::make_system_arbiter(16, sc_hier), CheckError);
 
-  // rr preemption/hardening have no wide-chain model: refuse, don't drop.
+  // rr preemption/hardening carry to every width: at 128 ports a holder
+  // of port 5 is preempted for port 100 after max_hold_cycles grants.
   core::SystemArbiterSpec held;
   held.rr.max_hold_cycles = 4;
   ASSERT_NE(core::make_system_arbiter(8, held).rr, nullptr);
-  EXPECT_THROW((void)core::make_system_arbiter(128, held), CheckError);
+  auto held128 = core::make_system_arbiter(128, held);
+  ASSERT_NE(held128.rr, nullptr);
+  const std::vector<std::uint64_t> two = {1ull << 5, 1ull << (100 - 64)};
+  std::vector<int> grants;
+  for (int cyc = 0; cyc < 6; ++cyc)
+    grants.push_back(held128.arbiter->step_wide(two));
+  EXPECT_EQ(grants, (std::vector<int>{5, 5, 5, 5, 100, 100}));
 
   // Non-round-robin policies ignore the kind machinery entirely.
   core::SystemArbiterSpec fifo;

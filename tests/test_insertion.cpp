@@ -258,8 +258,9 @@ TEST(Insertion, BoundaryOpsSplitBursts) {
       << "burst must not span the blocking recv";
   // Verify release precedes the recv.
   for (std::size_t i = 0; i < p.ops().size(); ++i)
-    if (p.ops()[i].code == OpCode::kRecv)
+    if (p.ops()[i].code == OpCode::kRecv) {
       EXPECT_EQ(p.ops()[i - 1].code, OpCode::kRelease);
+    }
   (void)o;
 }
 

@@ -1,9 +1,9 @@
-// Lockstep equivalence of the three simulation engines (scalar full-topo,
-// scalar event-driven, 64-lane full-topo, 64-lane event-driven) plus the
-// instrumentation contracts the perf work relies on: event-driven settles
-// skip clean LUTs, fault pokes fall back to the proven full pass, and no
-// name lookup happens inside a cycle loop that resolved its NetIds up
-// front.
+// Lockstep equivalence of the simulation engines (scalar full-topo,
+// scalar event-driven, 64-lane WideLaneSimulator full-topo and
+// event-driven) plus the instrumentation contracts the perf work relies
+// on: event-driven settles skip clean LUTs, fault pokes seed only the
+// poked register's fanout cone, and no name lookup happens inside a cycle
+// loop that resolved its NetIds up front.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,9 +12,9 @@
 #include "core/generator.hpp"
 #include "core/insertion.hpp"
 #include "core/policy.hpp"
-#include "netlist/lane_simulator.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/simulator.hpp"
+#include "netlist/wide_simulator.hpp"
 #include "rcsim/system_sim.hpp"
 #include "support/rng.hpp"
 #include "synth/flow.hpp"
@@ -23,7 +23,14 @@
 namespace rcarb::netlist {
 namespace {
 
-constexpr std::size_t kLanes = LaneSimulator::kLanes;
+constexpr std::size_t kLanes = 64;
+
+/// One 64-lane word of a net (bit l = lane l).
+std::uint64_t word_of(const WideLaneSimulator& sim, NetId net) {
+  std::uint64_t word = 0;
+  sim.get(net, &word);
+  return word;
+}
 
 /// Net ids every engine needs: requests, grants, and the state registers.
 struct Ports {
@@ -56,8 +63,8 @@ void lockstep(const Netlist& nl, int n, std::uint64_t seed, int cycles) {
   const Ports p = resolve_ports(nl, n);
   const std::vector<std::size_t> sampled = {0, 5, 31, 63};
 
-  LaneSimulator lane_event(nl, SettleMode::kEventDriven);
-  LaneSimulator lane_full(nl, SettleMode::kFullTopo);
+  WideLaneSimulator lane_event(nl, kLanes, SettleMode::kEventDriven);
+  WideLaneSimulator lane_full(nl, kLanes, SettleMode::kFullTopo);
   std::vector<Simulator> scalar_full, scalar_event;
   for (std::size_t s = 0; s < sampled.size(); ++s) {
     scalar_full.emplace_back(nl, SettleMode::kFullTopo);
@@ -75,8 +82,8 @@ void lockstep(const Netlist& nl, int n, std::uint64_t seed, int cycles) {
       std::uint64_t word = 0;
       for (std::size_t l = 0; l < kLanes; ++l)
         word |= ((lane_req[l] >> i) & 1) << l;
-      lane_event.set_input(p.req[static_cast<std::size_t>(i)], word);
-      lane_full.set_input(p.req[static_cast<std::size_t>(i)], word);
+      lane_event.set_input(p.req[static_cast<std::size_t>(i)], &word);
+      lane_full.set_input(p.req[static_cast<std::size_t>(i)], &word);
     }
     for (std::size_t s = 0; s < sampled.size(); ++s)
       for (int i = 0; i < n; ++i) {
@@ -94,7 +101,7 @@ void lockstep(const Netlist& nl, int n, std::uint64_t seed, int cycles) {
 
     // Outputs and registers must agree across every engine pair.
     for (NetId net : p.grant) {
-      ASSERT_EQ(lane_event.get(net), lane_full.get(net))
+      ASSERT_EQ(word_of(lane_event, net), word_of(lane_full, net))
           << "lane event vs full diverged on " << nl.net_name(net)
           << " at cycle " << cyc;
       for (std::size_t s = 0; s < sampled.size(); ++s) {
@@ -130,7 +137,7 @@ void lockstep(const Netlist& nl, int n, std::uint64_t seed, int cycles) {
       scalar_event[s].clock();
     }
     for (NetId net : p.state) {
-      ASSERT_EQ(lane_event.get(net), lane_full.get(net))
+      ASSERT_EQ(word_of(lane_event, net), word_of(lane_full, net))
           << "state diverged after clock, cycle " << cyc;
       for (std::size_t s = 0; s < sampled.size(); ++s)
         ASSERT_EQ(lane_event.get_lane(net, sampled[s]),
@@ -214,10 +221,10 @@ TEST(EventDriven, SkipsCleanLutsOnQuietInputs) {
   EXPECT_GT(event.event_settles(), 0u);
 
   // Same contract for the lane engine.
-  LaneSimulator lane_full(nl, SettleMode::kFullTopo);
-  LaneSimulator lane_event(nl, SettleMode::kEventDriven);
-  for (LaneSimulator* sim : {&lane_full, &lane_event}) {
-    sim->set_input(p.req[2], ~std::uint64_t{0});
+  WideLaneSimulator lane_full(nl, kLanes, SettleMode::kFullTopo);
+  WideLaneSimulator lane_event(nl, kLanes, SettleMode::kEventDriven);
+  for (WideLaneSimulator* sim : {&lane_full, &lane_event}) {
+    sim->set_input_all(p.req[2], true);
     for (int cyc = 0; cyc < 100; ++cyc) {
       sim->settle();
       sim->clock();
@@ -259,17 +266,19 @@ TEST(EventDriven, PokeSeedsTheFanoutConeNotAFullResettle) {
   for (NetId net : p.grant) EXPECT_EQ(event.get(net), full.get(net));
   for (NetId net : p.state) EXPECT_EQ(event.get(net), full.get(net));
 
-  LaneSimulator lane(nl, SettleMode::kEventDriven);
+  WideLaneSimulator lane(nl, kLanes, SettleMode::kEventDriven);
   const std::uint64_t lane_full_before = lane.full_settles();
   const std::uint64_t lane_evals_before = lane.luts_evaluated();
   lane.poke_register_lane(p.state[0], 17, !lane.get_lane(p.state[0], 17));
   EXPECT_EQ(lane.full_settles(), lane_full_before);
   EXPECT_LT(lane.luts_evaluated() - lane_evals_before, nl.num_luts());
-  LaneSimulator lane_full(nl, SettleMode::kFullTopo);
+  WideLaneSimulator lane_full(nl, kLanes, SettleMode::kFullTopo);
   lane_full.poke_register_lane(p.state[0], 17,
                                !lane_full.get_lane(p.state[0], 17));
-  for (NetId net : p.grant) EXPECT_EQ(lane.get(net), lane_full.get(net));
-  for (NetId net : p.state) EXPECT_EQ(lane.get(net), lane_full.get(net));
+  for (NetId net : p.grant)
+    EXPECT_EQ(word_of(lane, net), word_of(lane_full, net));
+  for (NetId net : p.state)
+    EXPECT_EQ(word_of(lane, net), word_of(lane_full, net));
 
   // Incremental settling continues after the poke.
   const std::uint64_t event_before = event.event_settles();
@@ -287,19 +296,19 @@ TEST(NameLookups, CycleLoopsWithResolvedIdsDoNoStringHashing) {
   const Ports p = resolve_ports(nl, 4);
 
   Simulator sim(nl);
-  LaneSimulator lane(nl);
+  WideLaneSimulator lane(nl, kLanes);
   Rng rng(55);
   for (int cyc = 0; cyc < 200; ++cyc) {
     const std::uint64_t req = rng.next_below(16);
     for (std::size_t i = 0; i < 4; ++i) {
       sim.set_input(p.req[i], (req >> i) & 1);
-      lane.set_input(p.req[i], ((req >> i) & 1) ? ~std::uint64_t{0} : 0);
+      lane.set_input_all(p.req[i], ((req >> i) & 1) != 0);
     }
     sim.settle();
     lane.settle();
     for (NetId net : p.grant) {
       (void)sim.get(net);
-      (void)lane.get(net);
+      (void)word_of(lane, net);
     }
     sim.clock();
     lane.clock();
@@ -310,7 +319,8 @@ TEST(NameLookups, CycleLoopsWithResolvedIdsDoNoStringHashing) {
 
   // The string overloads do count — the counter is live, not stubbed.
   (void)sim.get("grant0");
-  lane.set_input("req0", 0);
+  const std::uint64_t zero = 0;
+  lane.set_input("req0", &zero);
   EXPECT_EQ(sim.name_lookups(), 1u);
   EXPECT_EQ(lane.name_lookups(), 1u);
 }

@@ -244,7 +244,7 @@ TEST(MemoryMap, MergesWhenSegmentsExceedBanks) {
   const TaskId t = g.add_task("t", p, 10);
   const std::vector<int> pes{0};
   const MemoryMapResult r = map_memory(g, {t}, board::wildforce(), pes);
-  for (int s = 0; s < 6; ++s) EXPECT_GE(r.bank_of_segment[s], 0);
+  for (std::size_t s = 0; s < 6; ++s) EXPECT_GE(r.bank_of_segment[s], 0);
   EXPECT_GE(r.shared_banks, 1u) << "6 segments on 4 banks must share";
 }
 
@@ -287,7 +287,7 @@ TEST(MemoryMap, ContentionAwarePackingAvoidsHotBanks) {
   for (int i = 0; i < 8; ++i) pes[static_cast<std::size_t>(i)] = i % 4;
   const MemoryMapResult r = map_memory(g, tasks, board::wildforce(), pes);
   std::vector<int> per_bank(4, 0);
-  for (int s = 0; s < 8; ++s)
+  for (std::size_t s = 0; s < 8; ++s)
     ++per_bank[static_cast<std::size_t>(r.bank_of_segment[s])];
   for (int b = 0; b < 4; ++b)
     EXPECT_LE(per_bank[static_cast<std::size_t>(b)], 3);

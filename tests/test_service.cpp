@@ -399,7 +399,8 @@ TEST(ServiceEngine, ScalableKindsMatchFlatAggregatesAtWordWidths) {
 
 TEST(ServiceEngine, WidePortsServeThroughEveryKind) {
   // Past 64 ports the engine drives the arbiter via step_wide; all three
-  // kinds (flat through FlatWideArbiter) must carry a 256-port resource.
+  // kinds (flat through the width-generic RoundRobinArbiter) must carry a
+  // 256-port resource.
   for (const core::ArbiterChoice kind :
        {core::ArbiterChoice::kFlatFsm, core::ArbiterChoice::kHierarchical,
         core::ArbiterChoice::kPrefix}) {

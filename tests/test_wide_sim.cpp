@@ -12,7 +12,6 @@
 
 #include "core/generator.hpp"
 #include "fault/replica_batch.hpp"
-#include "netlist/lane_simulator.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/simulator.hpp"
 #include "netlist/wide_simulator.hpp"
