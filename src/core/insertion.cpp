@@ -39,30 +39,6 @@ using tg::Op;
 using tg::OpCode;
 using tg::TaskId;
 
-/// Arbitrated resource an op drives, or -1.  Receives do not drive the
-/// shared wires (the receiver register is local to the destination task).
-int driven_resource(const Op& op, const Binding& binding) {
-  switch (op.code) {
-    case OpCode::kLoad:
-    case OpCode::kStore: {
-      const auto seg = static_cast<std::size_t>(op.b);
-      RCARB_CHECK(seg < binding.segment_to_bank.size(),
-                  "op references segment outside the binding");
-      const int bank = binding.segment_to_bank[seg];
-      return bank < 0 ? -1 : binding.bank_resource(bank);
-    }
-    case OpCode::kSend: {
-      const auto ch = static_cast<std::size_t>(op.b);
-      RCARB_CHECK(ch < binding.channel_to_phys.size(),
-                  "op references channel outside the binding");
-      const int phys = binding.channel_to_phys[ch];
-      return phys < 0 ? -1 : binding.channel_resource(phys);
-    }
-    default:
-      return -1;
-  }
-}
-
 /// True if the op must terminate any held burst: control boundaries,
 /// blocking receives, and long computations.
 bool is_burst_boundary(const Op& op, const InsertionOptions& options) {
@@ -89,7 +65,7 @@ std::vector<TaskId> accessors_of(const tg::TaskGraph& graph,
   for (TaskId t = 0; t < graph.num_tasks(); ++t) {
     if (!active[t]) continue;
     for (const Op& op : graph.task(t).program.ops()) {
-      if (driven_resource(op, binding) == resource) {
+      if (binding.driven_resource(op) == resource) {
         out.push_back(t);
         break;
       }
@@ -221,7 +197,7 @@ InsertionResult insert_arbitration(const tg::TaskGraph& graph,
     };
 
     for (const Op& op : in.ops()) {
-      const int r = driven_resource(op, binding);
+      const int r = binding.driven_resource(op);
       const bool arbitrated =
           r >= 0 && needs_port[t][static_cast<std::size_t>(r)];
 

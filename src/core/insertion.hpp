@@ -21,6 +21,7 @@
 #include "core/arbiter_factory.hpp"
 #include "core/line_merge.hpp"
 #include "core/policy.hpp"
+#include "support/check.hpp"
 #include "taskgraph/taskgraph.hpp"
 
 namespace rcarb::core {
@@ -42,6 +43,29 @@ struct Binding {
   }
   [[nodiscard]] std::size_t num_resources() const {
     return num_banks + num_phys_channels;
+  }
+  /// Arbitrated resource an op drives, or -1.  Receives do not drive the
+  /// shared wires (the receiver register is local to the destination task).
+  [[nodiscard]] int driven_resource(const tg::Op& op) const {
+    switch (op.code) {
+      case tg::OpCode::kLoad:
+      case tg::OpCode::kStore: {
+        const auto seg = static_cast<std::size_t>(op.b);
+        RCARB_CHECK(seg < segment_to_bank.size(),
+                    "op references segment outside the binding");
+        const int bank = segment_to_bank[seg];
+        return bank < 0 ? -1 : bank_resource(bank);
+      }
+      case tg::OpCode::kSend: {
+        const auto ch = static_cast<std::size_t>(op.b);
+        RCARB_CHECK(ch < channel_to_phys.size(),
+                    "op references channel outside the binding");
+        const int phys = channel_to_phys[ch];
+        return phys < 0 ? -1 : channel_resource(phys);
+      }
+      default:
+        return -1;
+    }
   }
   [[nodiscard]] bool resource_is_bank(int resource) const {
     return resource >= 0 && resource < static_cast<int>(num_banks);

@@ -58,14 +58,6 @@ void StrikeTracker::clear(int resource) {
   recent_[static_cast<std::size_t>(resource)].clear();
 }
 
-const char* to_string(RepairPath p) {
-  switch (p) {
-    case RepairPath::kReconfigure: return "reconfigure";
-    case RepairPath::kRetire: return "retire";
-  }
-  return "?";
-}
-
 RepairPath repair_path_for(StrikeSource source) {
   switch (source) {
     case StrikeSource::kSelfCheckError:
@@ -93,6 +85,7 @@ ResourceSupervisor::Transition ResourceSupervisor::strike(
   Cell& cell = cells_[static_cast<std::size_t>(resource)];
   if (!opt_.enabled || !kth || cell.state != QuarantineState::kHealthy)
     return Transition::kNone;
+  cell = Cell{};
   cell.state = QuarantineState::kDraining;
   cell.path = repair_path_for(source);
   cell.deadline = cycle + opt_.drain_timeout;
@@ -107,15 +100,26 @@ ResourceSupervisor::Transition ResourceSupervisor::strike(
 
 ResourceSupervisor::Transition ResourceSupervisor::advance(
     int resource, std::uint64_t cycle, bool drained, int ports,
-    core::CheckMode mode) {
+    core::CheckMode mode, const RetirePlan* plan) {
   Cell& cell = cells_[static_cast<std::size_t>(resource)];
   switch (cell.state) {
     case QuarantineState::kDraining: {
-      const bool deadline = cycle >= cell.deadline;
-      if (!drained && !deadline) return Transition::kNone;
+      if (!drained) {
+        if (cycle < cell.deadline) return Transition::kNone;
+        cell.overdue = true;
+        return Transition::kDrainOverdue;
+      }
       QuarantineRecord& rec = records_[cell.record];
-      rec.drain_aborted = !drained;
+      rec.drain_aborted = cell.overdue;
       rec.drained_cycle = cycle;
+      if (plan != nullptr) {
+        cell.path = RepairPath::kRetire;
+        cell.target = plan->target;
+        if (!plan->feasible) {
+          rec.state = cell.state = QuarantineState::kCapacityExhausted;
+          return Transition::kRetired;
+        }
+      }
       rec.state = cell.state = QuarantineState::kReconfiguring;
       cell.deadline = cycle + arbiter_reconfig_cycles(opt_, ports, mode);
       return Transition::kDrained;
@@ -131,16 +135,16 @@ ResourceSupervisor::Transition ResourceSupervisor::advance(
         tracker_.clear(resource);
         return Transition::kRestored;
       }
-      // Retire: the load stays failed over.  The record names the
-      // lowest-index healthy survivor as the representative target (the
-      // service routes uniformly over every survivor).
-      for (std::size_t i = 0; i < cells_.size(); ++i) {
+      // Retire: the load stays failed over, onto the plan's target or else
+      // the lowest-index healthy survivor as the representative target
+      // (the service routes uniformly over every survivor).
+      for (std::size_t i = 0; i < cells_.size() && cell.target < 0; ++i) {
         if (static_cast<int>(i) == resource) continue;
-        if (cells_[i].state != QuarantineState::kHealthy) continue;
-        rec.remap_target = static_cast<int>(i);
-        break;
+        if (cells_[i].state == QuarantineState::kHealthy)
+          cell.target = static_cast<int>(i);
       }
-      rec.state = cell.state = rec.remap_target >= 0
+      rec.remap_target = cell.target;
+      rec.state = cell.state = cell.target >= 0
                                    ? QuarantineState::kRemapped
                                    : QuarantineState::kCapacityExhausted;
       return Transition::kRetired;
@@ -157,8 +161,8 @@ QuarantineState ResourceSupervisor::state(int resource) const {
   return cells_[static_cast<std::size_t>(resource)].state;
 }
 
-RepairPath ResourceSupervisor::path(int resource) const {
-  return cells_[static_cast<std::size_t>(resource)].path;
+const QuarantineRecord& ResourceSupervisor::record(int resource) const {
+  return records_[cells_[static_cast<std::size_t>(resource)].record];
 }
 
 int ResourceSupervisor::num_serving() const {

@@ -22,9 +22,9 @@
 //     the process-wide synthesis memo (PR 4), as a partial-reconfiguration
 //     write-time model.
 //
-// The supervisory controller itself lives in rcsim::SystemSimulator (it
-// needs the cycle loop); everything policy-shaped is here so tests and
-// benches can exercise it in isolation.
+//   * ResourceSupervisor — the one per-resource quarantine FSM, driven by
+//     both system engines: the open-loop service and rcsim's cycle loop,
+//     which hands it a bank or channel group-move plan when a drain ends.
 #pragma once
 
 #include <array>
@@ -143,29 +143,37 @@ enum class RepairPath : std::uint8_t {
                  // survivors for good (channel / bank failures)
 };
 
-[[nodiscard]] const char* to_string(RepairPath p);
-
 /// Maps strike evidence to the repair it implies: arbiter-side sources
 /// (self-check comparator, watchdog) reconfigure the arbiter region;
 /// resource-side sources (channel, bank) retire the resource.
 [[nodiscard]] RepairPath repair_path_for(StrikeSource source);
 
-/// Per-resource quarantine FSM driver for system layers outside rcsim
-/// (the service engine uses it; rcsim's inline supervisor predates it and
-/// carries bank/channel remap planning this one does not need).  Owns the
-/// strike tracker plus the per-resource state/deadline/record
-/// bookkeeping; the caller supplies the cycle loop, reports drain
-/// progress, and acts on the returned transitions (mask routing, abort
-/// in-flight slots, reset arbiters).
+/// A caller's own verdict on a drained resource (the retire-with-remap-
+/// plan hook): its load moves for good, onto `target`.
+struct RetirePlan {
+  bool feasible = true;  // false: no survivor can take the load
+  int target = -1;       // resource serving the load afterwards; the
+                         // resource itself for an in-place regeneration
+};
+
+/// Per-resource quarantine FSM shared by the system engines (the service
+/// and rcsim).  Owns the strike tracker plus the per-resource state,
+/// deadline and record bookkeeping; the caller supplies the cycle loop,
+/// reports drain progress, and acts on the returned transitions.  Engine
+/// differences are the caller's inputs, never options: the repair plan,
+/// when it reports the drain done, and whether it strikes a resource
+/// that is not serving.
 class ResourceSupervisor {
  public:
   enum class Transition : std::uint8_t {
-    kNone,         // no state change this call
-    kQuarantined,  // K-in-W classification: resource entered kDraining
-    kDrained,      // in-flight work gone (or deadline): kReconfiguring
-    kRestored,     // arbiter region rewritten: back to kHealthy
-    kRetired,      // unrepairable: kRemapped (load stays failed over), or
-                   // kCapacityExhausted when no healthy survivor remains
+    kNone,          // no state change this call
+    kQuarantined,   // K-in-W classification: resource entered kDraining
+    kDrainOverdue,  // drain_timeout passed with work still in flight: the
+                    // caller must abort it (the record's drain_aborted)
+    kDrained,       // in-flight work gone: kReconfiguring
+    kRestored,      // arbiter region rewritten: back to kHealthy
+    kRetired,       // unrepairable: kRemapped (load stays failed over), or
+                    // kCapacityExhausted when no survivor can take it
   };
 
   ResourceSupervisor() = default;
@@ -181,20 +189,23 @@ class ResourceSupervisor {
   Transition strike(int resource, std::uint64_t cycle, StrikeSource source);
 
   /// Advances a draining/reconfiguring resource one cycle.  `drained` is
-  /// the caller's "no in-flight work left" signal; the drain_timeout
-  /// deadline force-completes a drain that never ends (drain_aborted is
-  /// recorded and the caller must abort the leftovers).  The
-  /// reconfiguration stall is priced at the drain->reconfigure edge via
-  /// arbiter_reconfig_cycles for the resource's `ports` and `mode`.
+  /// the caller's "no in-flight work left" signal; past drain_timeout an
+  /// undrained resource returns kDrainOverdue until the caller has aborted
+  /// its leftovers and reports it drained.  The stall is priced when the
+  /// drain ends, via arbiter_reconfig_cycles for `ports` and `mode`.  The
+  /// repair follows the classifying strike's repair_path_for() unless that
+  /// call passes a `plan`: infeasible, it retires the resource to
+  /// kCapacityExhausted at once; feasible, onto plan->target when the
+  /// stall ends (kRemapped, in place too).
   Transition advance(int resource, std::uint64_t cycle, bool drained,
-                     int ports, core::CheckMode mode);
+                     int ports, core::CheckMode mode,
+                     const RetirePlan* plan = nullptr);
 
   [[nodiscard]] QuarantineState state(int resource) const;
   /// Healthy = routable: new work may be sent here.
   [[nodiscard]] bool serving(int resource) const {
     return state(resource) == QuarantineState::kHealthy;
   }
-  [[nodiscard]] RepairPath path(int resource) const;
   [[nodiscard]] int num_serving() const;
   [[nodiscard]] const StrikeTracker& strikes() const { return tracker_; }
   /// Every quarantine's lifecycle record, in classification order.  Open
@@ -203,12 +214,16 @@ class ResourceSupervisor {
   [[nodiscard]] const std::vector<QuarantineRecord>& records() const {
     return records_;
   }
+  /// The latest quarantine record of a resource that has been classified.
+  [[nodiscard]] const QuarantineRecord& record(int resource) const;
 
  private:
   struct Cell {
     QuarantineState state = QuarantineState::kHealthy;
     RepairPath path = RepairPath::kReconfigure;
     std::uint64_t deadline = 0;
+    bool overdue = false;    // the drain passed its deadline
+    int target = -1;         // plan target; -1 = pick at retirement
     std::size_t record = 0;  // index into records_; valid when quarantined
   };
 

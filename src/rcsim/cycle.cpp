@@ -1,0 +1,863 @@
+// SystemSimulator::run — the cycle loop — and the phases of one cycle but
+// the supervisor's, in one translation unit so they fold into the loop.
+#include <algorithm>
+#include <bit>
+
+#include "rcsim/run_state.hpp"
+#include "support/check.hpp"
+
+namespace rcarb::rcsim {
+
+using tg::Op;
+using tg::OpCode;
+using tg::TaskId;
+
+SimResult SystemSimulator::run(const std::vector<TaskId>& tasks) {
+  detail::RunState s(graph_, binding_, plan_, options_, memory_, tasks);
+  while (s.finished_count < tasks.size()) {
+    if (s.cycle >= options_.max_cycles) {
+      s.result.deadlocked = true;
+      s.fail(DiagKind::kMaxCycles, -1, -1,
+             [] { return std::string("simulation exceeded max_cycles"); });
+      break;
+    }
+    if (s.cycle - s.last_progress_cycle >= options_.no_progress_window) {
+      s.result.deadlocked = true;
+      s.attribute_stall();
+      if (options_.strict)
+        RCARB_CHECK(false, s.result.diagnostics.back().format());
+      break;
+    }
+    s.inject_faults();
+    if (s.degrade_on) s.supervise();
+    s.arbitrate();
+    s.start_ready_tasks();
+    s.step_tasks();
+    s.rebuild_requests();
+    if (options_.watchdog_timeout > 0) s.run_watchdog();
+    s.account_serving();
+    ++s.cycle;
+  }
+  regenerated_arbiters_.clear();
+  for (std::size_t a = plan_.arbiters.size(); a < s.plan().arbiters.size(); ++a)
+    regenerated_arbiters_.push_back(s.plan().arbiters[a].resource_name);
+  return s.finish();
+}
+
+namespace detail {
+
+// ---- Phase 0/0b: fault injection. ----
+void RunState::inject_faults() {
+  // Phase 0: the state-register upsets scheduled for this cycle.
+  FaultSchedule& f = faults;
+  while (f.flip_next < f.flips.size() && f.flips[f.flip_next].cycle <= cycle) {
+    const fault::FaultEvent& e = f.flips[f.flip_next++];
+    const auto a = static_cast<std::size_t>(e.arbiter);
+    ArbiterLane& lane = lanes[a];
+    // The flat kinds flip their one-hot register pair; the scalable kinds
+    // keep packed (pointer/held) registers and upsets land in that layout.
+    const int bits = lane.rr != nullptr || lane.sc != nullptr
+                         ? 2 * result.arbiters[a].ports
+                     : lane.hier != nullptr   ? lane.hier->num_state_bits()
+                     : lane.prefix != nullptr ? lane.prefix->num_state_bits()
+                                              : 0;
+    if (bits == 0) continue;
+    const int bit = e.bit >= 0 ? e.bit % bits : 0;
+    if (lane.rr != nullptr)
+      lane.rr->inject_bit_flip(bit);
+    else if (lane.sc != nullptr)
+      lane.sc->inject_bit_flip(0, bit);  // upsets hit one copy at a time
+    else if (lane.hier != nullptr)
+      lane.hier->inject_state_bit(bit);
+    else
+      lane.prefix->inject_state_bit(bit);
+    trace(obs::TraceKind::kFault, -1, static_cast<int>(a),
+          plan().arbiters[a].resource, static_cast<std::int64_t>(e.kind));
+  }
+
+  // Phase 0b: the permanent faults scheduled for this cycle.
+  while (f.perm_next < f.perm_res.size() &&
+         f.perm_res[f.perm_next].first <= cycle) {
+    const int r = f.perm_res[f.perm_next++].second;
+    if (failed(r)) continue;
+    res_failed[static_cast<std::size_t>(r)] = 1;
+    using fault::FaultKind;
+    const FaultKind kind = binding().resource_is_bank(r)
+                               ? FaultKind::kBankFailure
+                               : FaultKind::kPermanentStuckChannel;
+    trace(obs::TraceKind::kFault, -1, -1, r, static_cast<std::int64_t>(kind));
+  }
+  while (f.latch_next < f.latchups.size() &&
+         f.latchups[f.latch_next].first <= cycle) {
+    const std::size_t a = f.latchups[f.latch_next++].second;
+    ArbiterLane& lane = lanes[a];
+    if (lane.sc != nullptr) {
+      lane.sc->latch_up(0);  // freeze copy 0's register at its current state
+    } else if (lane.rr != nullptr && result.arbiters[a].ports <= 32) {
+      // A latched plain register is modeled as frozen at the illegal
+      // all-zero code: the FSM grants nobody, and neither reset nor
+      // hardening clears a latch-up (it is re-frozen before every sample
+      // in phase 1) — only reconfiguration can.
+      lane.latched_plain = true;
+    }
+    trace(obs::TraceKind::kFault, -1, static_cast<int>(a),
+          plan().arbiters[a].resource,
+          static_cast<std::int64_t>(fault::FaultKind::kArbiterLatchup));
+  }
+}
+
+// ---- Phase 1: the arbiters sample the request lines. ----
+void RunState::check_registers(std::size_t a, std::uint64_t mask) {
+  ArbiterLane& lane = lanes[a];
+  const core::ArbiterInstance& inst = plan().arbiters[a];
+  // Self-checking arbiters expose a real error wire: every comparator-high
+  // cycle is supervisor evidence (and a service gap under DMR, whose
+  // grants are gated by ~error).
+  if (lane.sc != nullptr) {
+    if (lane.sc->error()) {
+      ++result.self_check_errors;
+      degraded_cycle = true;
+      if (!lane.was_illegal) {
+        ++result.illegal_fsm_states;
+        diagnose(DiagKind::kIllegalFsmState, -1, inst.resource, [&] {
+          return "self-checking arbiter " + inst.resource_name +
+                 " raised its error output (copy state mismatch)";
+        });
+      }
+      lane.was_illegal = true;
+      strike(inst.resource, degrade::StrikeSource::kSelfCheckError);
+    } else {
+      lane.was_illegal = false;
+    }
+    const std::uint64_t rs = lane.sc->resyncs();
+    if (rs != lane.prev_recoveries) {
+      result.self_check_resyncs += rs - lane.prev_recoveries;
+      lane.prev_recoveries = rs;
+    }
+  }
+  if (lane.rr != nullptr) {
+    const std::uint64_t rec = lane.rr->recoveries();
+    if (rec != lane.prev_recoveries) {
+      result.fsm_recoveries += rec - lane.prev_recoveries;
+      lane.prev_recoveries = rec;
+      diagnose(DiagKind::kFsmRecovery, -1, inst.resource, [&] {
+        return "hardened arbiter " + inst.resource_name +
+               " recovered to the all-free reset state";
+      });
+    }
+    if (std::popcount(mask) > 1) {
+      ++result.multi_grant_cycles;
+      if (result.multi_grant_cycles == 1 || result.diagnostics.empty() ||
+          result.diagnostics.back().kind != DiagKind::kMultipleGrants)
+        diagnose(DiagKind::kMultipleGrants, -1, inst.resource, [&] {
+          return "arbiter " + inst.resource_name + " asserted " +
+                 std::to_string(std::popcount(mask)) +
+                 " grants at once (mutual exclusion violated)";
+        });
+    }
+  }
+}
+
+void RunState::hand_off(std::size_t a, int g) {
+  ArbiterLane& lane = lanes[a];
+  const core::ArbiterInstance& inst = plan().arbiters[a];
+  ArbiterStats& stats = result.arbiters[a];
+  const int prev = lane.grant_holder;
+  if (sink != nullptr && g != prev && prev >= 0)
+    trace(obs::TraceKind::kGrantEnd,
+          static_cast<int>(inst.ports[static_cast<std::size_t>(prev)]),
+          static_cast<int>(a), inst.resource,
+          static_cast<std::int64_t>(cycle - lane.hold_since));
+  if (g >= 0) {
+    ++stats.granted_cycles;
+    if (g != prev) {
+      ++stats.grants;
+      lane.restart_hold();
+      lane.hold_since = cycle;
+    }
+    // Wait accounting: the granted task's wait ends now.
+    const TaskId t = inst.ports[static_cast<std::size_t>(g)];
+    std::uint64_t waited = 0;
+    if (ctx[t].requesting >= 0) {
+      waited = cycle - ctx[t].request_since;
+      stats.max_wait = std::max(stats.max_wait, waited);
+    }
+    if (sink != nullptr && g != prev)
+      trace(obs::TraceKind::kGrant, static_cast<int>(t),
+            static_cast<int>(a), inst.resource,
+            static_cast<std::int64_t>(waited));
+  } else {
+    lane.restart_hold();
+  }
+  lane.grant_holder = g;
+  lane.holder_accessed = false;
+}
+
+void RunState::arbitrate() {
+  for (std::size_t a = 0; a < lanes.size(); ++a) {
+    ArbiterLane& lane = lanes[a];
+    const core::ArbiterInstance& inst = plan().arbiters[a];
+    std::uint64_t grant_suppress = 0;
+    // The request lines asserted in prior cycles, as seen through any active
+    // stuck-at faults.
+    std::uint64_t eff = lane.requests;
+    for (const fault::FaultEvent& w : faults.stucks) {
+      if (static_cast<std::size_t>(w.arbiter) != a || cycle < w.cycle ||
+          cycle >= w.cycle + w.duration)
+        continue;
+      if (sink != nullptr && cycle == w.cycle)
+        trace(obs::TraceKind::kFault,
+              static_cast<int>(inst.ports[static_cast<std::size_t>(w.port)]),
+              static_cast<int>(a), inst.resource,
+              static_cast<std::int64_t>(w.kind));
+      const std::uint64_t bit = 1ull << w.port;
+      switch (w.kind) {
+        case fault::FaultKind::kReqStuck0: eff &= ~bit; break;
+        case fault::FaultKind::kReqStuck1: eff |= bit; break;
+        case fault::FaultKind::kGrantStuck0:
+        case fault::FaultKind::kGrantDrop: grant_suppress |= bit; break;
+        default: break;
+      }
+    }
+    // Latch-up freeze: re-assert the frozen all-zero state before the
+    // register samples, so reset/hardening cannot clear it.
+    if (lane.latched_plain && lane.rr != nullptr) {
+      std::uint64_t bits = lane.rr->state_bits();
+      while (bits != 0) {
+        lane.rr->inject_bit_flip(std::countr_zero(bits));
+        bits &= bits - 1;
+      }
+    }
+    // Quarantine gating: a draining resource only lets its current holder's
+    // request through (so the in-flight burst can reach its <=M batch
+    // boundary); a reconfiguring or capacity-exhausted resource is offline
+    // entirely.
+    switch (quarantine(inst.resource)) {
+      case degrade::QuarantineState::kDraining:
+        eff &= lane.grant_holder >= 0 ? (1ull << lane.grant_holder) : 0ull;
+        break;
+      case degrade::QuarantineState::kReconfiguring:
+      case degrade::QuarantineState::kCapacityExhausted:
+        eff = 0;
+        break;
+      default:
+        break;
+    }
+    // The watchdog's force-release masks the request *inside* the arbiter,
+    // downstream of any stuck-at fault on the physical Req line — applied
+    // before the stuck-1 OR, a phantom stuck-1 holder could never be
+    // evicted.
+    eff &= ~lane.force_release;
+    lane.force_release = 0;
+    if (opt.record_request_trace) result.request_trace[a].push_back(eff);
+    // Unhardened illegal registers are reported when they appear.
+    if (lane.rr != nullptr) {
+      const bool illegal = !lane.rr->state_legal();
+      if (illegal && !lane.was_illegal) {
+        ++result.illegal_fsm_states;
+        diagnose(DiagKind::kIllegalFsmState, -1, inst.resource, [&] {
+          return "arbiter " + inst.resource_name +
+                 " state register left the one-hot set (state=0x" +
+                 std::to_string(lane.rr->state_bits()) + ")";
+        });
+      }
+      lane.was_illegal = illegal;
+      // Without a checker the illegal register is invisible to the
+      // supervisor (no error wire — the monitor here is simulator
+      // omniscience), but the availability metric still records the
+      // outage.
+      if (illegal) degraded_cycle = true;
+    }
+    const int g = lane.arbiter->step(eff);
+    const std::uint64_t mask = lane.rr != nullptr ? lane.rr->last_grant_mask()
+                               : lane.sc != nullptr
+                                   ? lane.sc->last_grant_mask()
+                                   : (g >= 0 ? (1ull << g) : 0);
+    check_registers(a, mask);
+    lane.grant_mask_vis = mask & ~grant_suppress;
+    hand_off(a, g);
+  }
+}
+
+// ---- Phases 2 and 3: start ready tasks, run one cycle of each. ----
+void RunState::start_ready_tasks() {
+  // Readiness only changes when a task finishes, so the (allocating)
+  // predecessor scan runs on the first cycle and after each finish.
+  if (finished_count == finished_at_scan && cycle > 0) return;
+  finished_at_scan = finished_count;
+  for (TaskId t : tasks) {
+    TaskCtx& c = ctx[t];
+    if (c.started || c.finished) continue;
+    bool ready = true;
+    for (TaskId p : graph.predecessors(t))
+      if (ctx[p].in_run && !ctx[p].finished) ready = false;
+    if (!ready) continue;
+    c.started = true;
+    c.stats.ran = true;
+    c.stats.start_cycle = cycle;
+    trace(obs::TraceKind::kTaskStart, c.task(), -1, -1, 0);
+  }
+}
+
+void RunState::step_tasks() {
+  std::fill(bank_user.begin(), bank_user.end(), -1);
+  std::fill(chan_user.begin(), chan_user.end(), -1);
+  for (TaskId t : tasks)
+    if (ctx[t].started && !ctx[t].finished) step_task(ctx[t]);
+}
+
+void RunState::step_task(TaskCtx& c) {
+  const auto& ops = graph.task(c.id).program.ops();
+  bool spent_cycle = false;
+  if (c.compute_left > 0) {
+    --c.compute_left;
+    last_progress_cycle = cycle;
+    if (c.compute_left > 0) return;
+    ++c.pc;
+    ++c.stats.ops_retired;
+    spent_cycle = true;  // zero-cost ops may still drain below
+  }
+  // Retire zero-cost control ops freely; execute at most one costed op
+  // per cycle, then keep draining zero-cost ops (so a task whose last
+  // costed op retires this cycle also finishes this cycle).  A costed op
+  // takes the cycle whether it retires or stalls.
+  int control_budget = 64;
+  while (!c.finished) {
+    if (c.pc >= ops.size()) {
+      c.finished = true;
+      c.stats.finish_cycle = cycle;
+      ++finished_count;
+      trace(obs::TraceKind::kTaskFinish, c.task(), -1, -1, 0);
+      if (c.requesting >= 0)
+        fail(DiagKind::kProtocolViolation, c.task(), c.requesting, [&] {
+          return "task " + graph.task(c.id).name +
+                 " finished while still requesting " +
+                 binding().resource_name(c.requesting);
+        });
+      break;
+    }
+    const Op& op = ops[c.pc];
+    if (op.code == OpCode::kLoopBegin || op.code == OpCode::kLoopBeginVar ||
+        op.code == OpCode::kLoopEnd || op.code == OpCode::kHalt ||
+        (op.code == OpCode::kCompute && op.imm == 0)) {
+      exec_control(c, ops, control_budget);
+      continue;
+    }
+    if (spent_cycle) break;
+    spent_cycle = true;
+    switch (op.code) {
+      case OpCode::kCompute:
+        c.compute_left = op.imm - 1;  // this cycle is the first
+        if (c.compute_left == 0) retire_op(c);
+        last_progress_cycle = cycle;
+        break;
+      case OpCode::kAcquire:
+      case OpCode::kRelease: exec_protocol(c, op); break;
+      case OpCode::kLoad:
+      case OpCode::kStore: exec_memory(c, op); break;
+      case OpCode::kSend: exec_send(c, op); break;
+      case OpCode::kRecv: exec_recv(c, op); break;
+      default: exec_register(c, op); break;
+    }
+  }
+}
+
+void RunState::exec_control(TaskCtx& c, const std::vector<Op>& ops,
+                            int& control_budget) {
+  const Op& op = ops[c.pc];
+  if (op.code != OpCode::kHalt)
+    RCARB_CHECK(--control_budget > 0, "zero-cost op runaway");
+  switch (op.code) {
+    case OpCode::kLoopBegin:
+    case OpCode::kLoopBeginVar: {
+      const std::int64_t trip = op.code == OpCode::kLoopBegin
+                                    ? op.imm
+                                    : std::max<std::int64_t>(0, c.regs[op.a]);
+      if (trip == 0) {
+        // Skip to the matching end.
+        int depth = 1;
+        std::size_t pc = c.pc + 1;
+        while (depth > 0) {
+          if (ops[pc].code == OpCode::kLoopBegin ||
+              ops[pc].code == OpCode::kLoopBeginVar)
+            ++depth;
+          if (ops[pc].code == OpCode::kLoopEnd) --depth;
+          ++pc;
+        }
+        c.pc = pc;
+      } else {
+        c.loops.push_back({c.pc, trip});
+        ++c.pc;
+      }
+      last_progress_cycle = cycle;
+      break;
+    }
+    case OpCode::kLoopEnd: {
+      RCARB_ASSERT(!c.loops.empty(), "loop_end without frame");
+      LoopFrame& frame = c.loops.back();
+      if (--frame.remaining > 0) {
+        c.pc = frame.begin_pc + 1;
+      } else {
+        c.loops.pop_back();
+        ++c.pc;
+      }
+      last_progress_cycle = cycle;
+      break;
+    }
+    case OpCode::kHalt:
+      c.pc = ops.size();
+      break;
+    default:  // kCompute with a zero cycle count
+      ++c.pc;
+      ++c.stats.ops_retired;
+      break;
+  }
+}
+
+void RunState::note_backoff_round(TaskCtx& c, int resource) {
+  // A backoff round is one Req-drop (retry timeout or admission refusal);
+  // once the per-burst budget is spent the client stops churning its Req
+  // line and waits with the request held — a typed diagnostic instead of
+  // a livelock, and never a deadlock.
+  ++c.retry_rounds;
+  if (opt.retry_budget <= 0 || c.budget_spent ||
+      c.retry_rounds < opt.retry_budget)
+    return;
+  c.budget_spent = true;
+  ++result.budget_exhausted;
+  diagnose(DiagKind::kTimedOut, c.task(), resource, [&] {
+    return "task " + graph.task(c.id).name + " spent its retry budget (" +
+           std::to_string(opt.retry_budget) + ") on " +
+           binding().resource_name(resource) +
+           "; falling back to a held request";
+  });
+}
+
+bool RunState::admission_full(const TaskCtx& c, int resource) {
+  // Refuse a newcomer while the arbiter's previous-cycle request wire
+  // already carries admission_limit other requesters.  A budget-exhausted
+  // client bypasses the check — it must eventually be allowed to wait in
+  // line, or a persistently full wire could starve it forever.
+  if (opt.admission_limit <= 0 || c.budget_spent) return false;
+  const auto [ai, port] = arbiter_port(c.id, resource);
+  if (ai < 0 || port < 0) return false;
+  const std::uint64_t others = lane(ai).requests & ~(1ull << port);
+  return std::popcount(others) >= opt.admission_limit;
+}
+
+void RunState::admission_reject(TaskCtx& c, int resource) {
+  // Refused at the request edge: bounded exponential backoff, then the
+  // request op replays.
+  c.retry_resource = resource;
+  c.retry_until = cycle + static_cast<std::uint64_t>(c.retry_backoff);
+  c.retry_backoff = std::min(c.retry_backoff * 2, plan().retry_backoff_limit);
+  ++result.admission_rejects;
+  if (!c.reject_reported) {
+    c.reject_reported = true;
+    diagnose(DiagKind::kRejected, c.task(), resource, [&] {
+      return "admission control refused " + graph.task(c.id).name + " on " +
+             binding().resource_name(resource) + " (limit " +
+             std::to_string(opt.admission_limit) + ")";
+    });
+  }
+  note_backoff_round(c, resource);
+}
+
+bool RunState::await_grant(TaskCtx& c, int resource) {
+  // Protocol retry bookkeeping shared by the arbitrated access ops:
+  // returns true when the access must wait this cycle (stall, backoff, or
+  // the Req re-assertion cycle), false when it may proceed.
+  const auto [ai, port] = arbiter_port(c.id, resource);
+  if (c.requesting != resource) {
+    const bool retrying = c.retry_resource == resource;
+    if (retrying && cycle < c.retry_until) return true;  // backing off
+    if (retrying || c.implicit_for(resource)) {
+      if (admission_full(c, resource)) {
+        admission_reject(c, resource);  // extends the backoff
+        return true;
+      }
+      // Re-assert after the backoff, or the Req:=1 cycle of a retrofitted
+      // access.
+      c.requesting = resource;
+      c.retry_resource = -1;
+      c.request_since = cycle;
+      if (retrying) {
+        ++result.retries;
+        if (ai >= 0 && !result.arbiter_obs.empty())
+          ++result.arbiter_obs[static_cast<std::size_t>(ai)].retries;
+        if (ai >= 0) trace(obs::TraceKind::kRetry, c.task(), ai, resource, 0);
+      } else {
+        ++c.stats.acquires;
+        trace(obs::TraceKind::kRequest, c.task(), ai, resource, 0);
+      }
+      return true;
+    }
+    fail(DiagKind::kProtocolViolation, c.task(), resource, [&] {
+      return "task " + graph.task(c.id).name + " accesses arbitrated " +
+             binding().resource_name(resource) + " without requesting it";
+    });
+    ++result.protocol_violations;
+    return false;
+  }
+  if (ai < 0 || port < 0 || ((lane(ai).grant_mask_vis >> port) & 1u) != 0) {
+    c.retry_backoff = 1;
+    c.retry_rounds = 0;
+    c.budget_spent = false;
+    c.reject_reported = false;
+    return false;
+  }
+  // No grant.  With retry enabled, give the attempt up after the timeout
+  // and back off boundedly (Req:=0 for backoff cycles).
+  const int rt = plan().retry_timeout;
+  if (rt > 0 && !c.budget_spent &&
+      cycle - c.request_since >= static_cast<std::uint64_t>(rt)) {
+    c.requesting = -1;
+    c.retry_resource = resource;
+    c.retry_until = cycle + static_cast<std::uint64_t>(c.retry_backoff);
+    if (!result.arbiter_obs.empty())
+      ++result.arbiter_obs[static_cast<std::size_t>(ai)].backoffs;
+    trace(obs::TraceKind::kBackoff, c.task(), ai, resource, c.retry_backoff);
+    c.retry_backoff = std::min(c.retry_backoff * 2, plan().retry_backoff_limit);
+    note_backoff_round(c, resource);
+    return true;
+  }
+  ++c.stats.grant_wait_cycles;  // stall, request stays up
+  return true;
+}
+
+void RunState::exec_protocol(TaskCtx& c, const Op& op) {
+  // Programs bake resource ids in at insertion time; resolve() translates
+  // ids retired by an online remap to the live one.
+  const int res = resolve(op.a);
+  const bool acquire = op.code == OpCode::kAcquire;
+  if (acquire ? c.requesting >= 0 && c.requesting != res
+              : c.requesting != res) {
+    fail(DiagKind::kProtocolViolation, c.task(), res, [&] {
+      return "task " + graph.task(c.id).name +
+             (acquire ? " acquires a second resource while holding one"
+                      : " releases a resource it does not hold");
+    });
+    ++result.protocol_violations;
+  }
+  if (acquire && c.requesting != res) {
+    if (c.retry_resource == res && cycle < c.retry_until) {
+      // Backing off after an admission refusal: the acquire op replays
+      // (pc does not advance) once the backoff expires.
+      ++c.stats.grant_wait_cycles;
+      return;
+    }
+    if (admission_full(c, res)) {
+      admission_reject(c, res);
+      return;
+    }
+    if (c.retry_resource == res) ++result.retries;
+  }
+  c.requesting = acquire ? res : -1;
+  c.retry_resource = -1;
+  if (acquire) {
+    c.request_since = cycle;
+    ++c.stats.acquires;
+  }
+  if (sink != nullptr)
+    trace(acquire ? obs::TraceKind::kRequest : obs::TraceKind::kRelease,
+          c.task(), arbiter_port(c.id, res).first, res, 0);
+  retire_op(c);  // the Req:=1 / Req:=0 cycle of Fig. 8
+}
+
+bool RunState::blocked(TaskCtx& c, int resource, std::pair<int, int> port,
+                       degrade::StrikeSource evidence) {
+  // The grant and fail-stop gate of an access: true when it waits.  A dead
+  // bank or stuck channel takes nothing, so the op replays on the survivor
+  // once the remap lands: data is stalled, never silently corrupted.
+  const auto [ai, p] = port;
+  const bool arbitrated = ai >= 0 && p >= 0;
+  if (arbitrated && await_grant(c, resource)) return true;
+  if (resource >= 0 && failed(resource)) {
+    strike(resource, evidence);
+    degraded_cycle = true;
+    return true;
+  }
+  if (arbitrated && lane(ai).grant_holder == p) lane(ai).holder_accessed = true;
+  return false;
+}
+
+void RunState::retired_access(TaskCtx& c, int resource) {
+  // Req:=0 right after a retrofitted access retires, so the arbiter
+  // rotates per access instead of pinning the grant until task end.
+  if (resource >= 0 && c.requesting == resource && c.implicit_for(resource))
+    c.requesting = -1;
+  retire_op(c);
+}
+
+void RunState::exec_memory(TaskCtx& c, const Op& op) {
+  const int resource = binding().driven_resource(op);
+  if (blocked(c, resource, arbiter_port(c.id, resource),
+              degrade::StrikeSource::kBankFailure))
+    return;
+  // Single-port bank conflict detection.
+  const int bank = binding().segment_to_bank[static_cast<std::size_t>(op.b)];
+  if (bank >= 0) {
+    int& user = bank_user[static_cast<std::size_t>(bank)];
+    if (user >= 0 && user != c.task()) {
+      ++result.bank_conflicts;
+      fail(DiagKind::kBankConflict, c.task(), binding().bank_resource(bank),
+           [&] {
+             return "bank conflict on " +
+                    binding().bank_names[static_cast<std::size_t>(bank)] +
+                    " between " + graph.task(static_cast<TaskId>(user)).name +
+                    " and " + graph.task(c.id).name;
+           });
+    }
+    user = c.task();
+  }
+  auto& mem = memory[static_cast<std::size_t>(op.b)];
+  const std::int64_t addr = c.regs[op.c] + op.imm;
+  if (addr < 0 || static_cast<std::size_t>(addr) >= mem.size()) {
+    fail(DiagKind::kOutOfBounds, c.task(), resource, [&] {
+      return "task " + graph.task(c.id).name + " address " +
+             std::to_string(addr) + " out of segment " +
+             graph.segment(static_cast<std::size_t>(op.b)).name;
+    });
+    // Non-strict mode: drop the access.
+  } else if (op.code == OpCode::kLoad) {
+    c.regs[op.a] = mem[static_cast<std::size_t>(addr)];
+  } else {
+    mem[static_cast<std::size_t>(addr)] = c.regs[op.a];
+  }
+  ++c.stats.mem_accesses;
+  retired_access(c, resource);
+}
+
+void RunState::exec_send(TaskCtx& c, const Op& op) {
+  const auto ch = static_cast<std::size_t>(op.b);
+  if (ch < opt.tdm_slots.size() && opt.tdm_slots[ch].second > 0) {
+    const auto [slot, period] = opt.tdm_slots[ch];
+    if (cycle % static_cast<std::uint64_t>(period) !=
+        static_cast<std::uint64_t>(slot)) {
+      ++c.stats.grant_wait_cycles;  // waiting for the time slot
+      return;
+    }
+  }
+  const int resource = binding().driven_resource(op);
+  const std::pair<int, int> port = arbiter_port(c.id, resource);
+  const int phys = binding().channel_to_phys[ch];
+  const bool naive = opt.naive_shared_channel_register && phys >= 0;
+  // Receiver-side backpressure comes first: the sender can see its
+  // receiver's ready line regardless of the channel grant, and — so no one
+  // starves behind a blocked holder — it deasserts its own channel request
+  // while stalled.
+  if (!naive && chan_reg[ch].valid) {
+    if (c.requesting >= 0 && c.requesting == resource) {
+      c.dropped_request = c.requesting;
+      c.requesting = -1;
+    }
+    ++c.stats.backpressure_cycles;
+    return;
+  }
+  if (!naive && c.dropped_request == resource && c.requesting != resource &&
+      port.first >= 0 && port.second >= 0) {
+    // Re-assert the request dropped during backpressure (one cycle, like
+    // the Fig. 8 Req:=1 step).
+    c.requesting = resource;
+    c.dropped_request = -1;
+    c.request_since = cycle;
+    return;
+  }
+  if (blocked(c, resource, port, degrade::StrikeSource::kChannelFailure))
+    return;
+  std::int64_t value = c.regs[op.a];
+  if (phys >= 0) {
+    const auto p = static_cast<std::size_t>(phys);
+    const auto wire = [&] { return binding().phys_channel_names[p]; };
+    const int res = binding().channel_resource(phys);
+    int& user = chan_user[p];
+    if (user >= 0 && user != c.task()) {
+      ++result.channel_conflicts;
+      fail(DiagKind::kChannelConflict, c.task(), res, [&] {
+        return "channel conflict on " + wire() + " between " +
+               graph.task(static_cast<TaskId>(user)).name + " and " +
+               graph.task(c.id).name;
+      });
+    }
+    user = c.task();
+    // Armed corruption faults hit the next word on the wire; SECDED (with
+    // `harden`) corrects a single-bit upset in place.
+    auto& armed = faults.chan_corrupt[p];
+    if (!armed.empty() && armed.back().first <= cycle) {
+      const std::uint64_t mask = armed.back().second;
+      armed.pop_back();
+      const bool corrected = opt.harden && std::popcount(mask) == 1;
+      if (corrected) {
+        ++result.corrected_words;
+      } else {
+        value = static_cast<std::int64_t>(static_cast<std::uint64_t>(value) ^
+                                          mask);
+        ++result.corrupted_words;
+      }
+      diagnose(DiagKind::kDataCorruption, c.task(), res, [&] {
+        return corrected ? "single-bit corruption on " + wire() +
+                               " corrected by SECDED"
+                         : "corrupted word on " + wire() +
+                               " delivered (parity detected, no ECC)";
+      });
+    }
+  }
+  if (naive) {
+    // The broken baseline clobbers silently (that is its point).
+    naive_reg[static_cast<std::size_t>(phys)] = {true, value, op.b};
+  } else {
+    chan_reg[ch] = {true, value};
+  }
+  ++c.stats.channel_ops;
+  retired_access(c, resource);
+}
+
+void RunState::exec_recv(TaskCtx& c, const Op& op) {
+  // Waiting or consuming both take the cycle.
+  const auto ch = static_cast<std::size_t>(op.b);
+  const int phys = binding().channel_to_phys[ch];
+  if (opt.naive_shared_channel_register && phys >= 0) {
+    // The broken single-register baseline has no per-target valid
+    // handshake: receivers sample whatever the register holds, so a later
+    // transfer on a merged channel is read in place of an earlier one
+    // (counted as a clobbered read).
+    const NaiveReg& reg = naive_reg[static_cast<std::size_t>(phys)];
+    if (!reg.valid) return;
+    if (reg.writer != op.b) ++result.clobbered_reads;
+    c.regs[op.a] = reg.value;
+  } else {
+    if (!chan_reg[ch].valid) return;
+    c.regs[op.a] = chan_reg[ch].value;
+    chan_reg[ch].valid = false;
+  }
+  ++c.stats.channel_ops;
+  retire_op(c);
+}
+
+void RunState::exec_register(TaskCtx& c, const Op& op) {
+  std::int64_t* r = c.regs;
+  switch (op.code) {
+    case OpCode::kLoadImm: r[op.a] = op.imm; break;
+    case OpCode::kMov: r[op.a] = r[op.b]; break;
+    case OpCode::kAdd: r[op.a] = r[op.b] + r[op.c]; break;
+    case OpCode::kSub: r[op.a] = r[op.b] - r[op.c]; break;
+    case OpCode::kMul: r[op.a] = r[op.b] * r[op.c]; break;
+    case OpCode::kMulQ: r[op.a] = (r[op.b] * r[op.c]) >> op.imm; break;
+    case OpCode::kShr: r[op.a] = r[op.b] >> op.imm; break;
+    case OpCode::kShl:
+      r[op.a] = static_cast<std::int64_t>(static_cast<std::uint64_t>(r[op.b])
+                                          << op.imm);
+      break;
+    case OpCode::kAddImm: r[op.a] = r[op.b] + op.imm; break;
+    default:
+      RCARB_CHECK(false, "unhandled opcode in simulator");
+  }
+  retire_op(c);
+}
+
+// ---- Phases 4-6: request lines, watchdog, availability. ----
+void RunState::rebuild_requests() {
+  // `pending` additionally counts waiters in a retry backoff: their Req
+  // wire is down, but they are still starved behind the holder.  (Senders
+  // that dropped their request under receiver backpressure are *not*
+  // pending — they could not proceed even with the grant.)
+  for (ArbiterLane& lane : lanes) lane.requests = lane.pending = 0;
+  for (TaskId t : tasks) {
+    const TaskCtx& c = ctx[t];
+    if (c.finished) continue;
+    if (c.requesting >= 0) {
+      const auto [ai, port] = arbiter_port(t, c.requesting);
+      if (ai >= 0 && port >= 0) {
+        lane(ai).requests |= 1ull << port;
+        lane(ai).pending |= 1ull << port;
+      }
+    } else if (c.retry_resource >= 0) {
+      const auto [ai, port] = arbiter_port(t, c.retry_resource);
+      if (ai >= 0 && port >= 0) lane(ai).pending |= 1ull << port;
+    }
+  }
+}
+
+void RunState::run_watchdog() {
+  // A holder that keeps the grant without retiring a single access while
+  // peers wait is hung (stuck grant line, phantom stuck-1 requester,
+  // crashed holder...).
+  for (std::size_t a = 0; a < lanes.size(); ++a) {
+    ArbiterLane& lane = lanes[a];
+    const int h = lane.grant_holder;
+    if (h < 0) continue;
+    const core::ArbiterInstance& inst = plan().arbiters[a];
+    const degrade::QuarantineState st = quarantine(inst.resource);
+    // The quarantine drain masks the peers' requests, so the holder's
+    // apparent idle-hold is the supervisor's doing — not a hung grant.
+    // Counting these cycles would trip the watchdog mid-drain and
+    // force-release the very burst the drain is waiting out (the
+    // supervisor's own drain_timeout bounds it).
+    const bool quarantined = st == degrade::QuarantineState::kDraining ||
+                             st == degrade::QuarantineState::kReconfiguring;
+    const bool others_waiting = (lane.pending & ~(1ull << h)) != 0;
+    if (quarantined || lane.holder_accessed || !others_waiting) {
+      lane.restart_hold();
+      continue;
+    }
+    if (++lane.hold_streak < opt.watchdog_timeout) continue;
+    const TaskId holder = inst.ports[static_cast<std::size_t>(h)];
+    if (!lane.hung_reported) {
+      lane.hung_reported = true;
+      ++result.hung_grants;
+      strike(inst.resource, degrade::StrikeSource::kWatchdogTrip);
+      if (!result.arbiter_obs.empty()) ++result.arbiter_obs[a].watchdog_fires;
+      diagnose(DiagKind::kHungGrant, static_cast<int>(holder),
+               inst.resource, [&] {
+                 return "grant on " + inst.resource_name + " pinned on idle " +
+                        graph.task(holder).name + " for " +
+                        std::to_string(lane.hold_streak) +
+                        " cycles while peers wait";
+               });
+    }
+    if (opt.harden) {
+      // Force-release: suppress the hung holder's request for one sample
+      // so the round-robin scan moves past it.
+      lane.force_release = 1ull << h;
+      ++result.watchdog_releases;
+      if (!result.arbiter_obs.empty())
+        ++result.arbiter_obs[a].watchdog_releases;
+      diagnose(DiagKind::kWatchdogRecovery, static_cast<int>(holder),
+               inst.resource, [&] {
+                 return "watchdog force-released " + graph.task(holder).name +
+                        " on " + inst.resource_name;
+               });
+      lane.restart_hold();
+    }
+  }
+}
+
+void RunState::account_serving() {
+  // A cycle serves unless a quarantine was in progress, an access failed,
+  // or a live task is stuck against a failed / capacity-exhausted
+  // resource.  Before any permanent fault is active every cycle serves.
+  const bool faults_possible =
+      degrade_on || faults.perm_next > 0 || faults.latch_next > 0;
+  if (faults_possible && !degraded_cycle) {
+    for (TaskId t : tasks) {
+      const TaskCtx& c = ctx[t];
+      if (!c.started || c.finished) continue;
+      int res = c.awaited_resource();
+      const auto& ops = graph.task(t).program.ops();
+      if (res < 0 && c.pc < ops.size())
+        res = binding().driven_resource(ops[c.pc]);
+      if (res >= 0 && res < num_res &&
+          (failed(res) ||
+           quarantine(res) == degrade::QuarantineState::kCapacityExhausted)) {
+        degraded_cycle = true;
+        break;
+      }
+    }
+  }
+  if (!faults_possible || !degraded_cycle) ++result.serving_cycles;
+  degraded_cycle = false;
+}
+
+}  // namespace detail
+
+}  // namespace rcarb::rcsim

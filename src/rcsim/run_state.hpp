@@ -1,0 +1,329 @@
+// Per-run state of SystemSimulator::run and the phases of one simulated
+// cycle (internal to rcsim).
+//
+// A run is a RunState plus the loop in SystemSimulator::run (cycle.cpp),
+// which calls the phases in order, once per cycle:
+//   0/0b  inject_faults      SEU flips, permanent faults, latch-ups
+//         supervise          degradation supervisor (supervisor.cpp)
+//   1     arbitrate          arbiters sample last cycle's request lines
+//   2     start_ready_tasks  tasks whose in-run predecessors finished
+//   3     step_tasks         one cycle of every running task
+//   4     rebuild_requests   request lines from the tasks' protocol state
+//   5     run_watchdog       hung-grant watchdog
+//   6     account_serving    availability accounting
+// attribute_stall (stall.cpp) explains a run that stopped making progress.
+//
+// Each run starts from the system as constructed: an online remap copies
+// the binding and plan into the RunState (copy on first write), so the
+// simulator's own copies never change and only segment memory persists.
+#pragma once
+
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/arbiter_factory.hpp"
+#include "rcsim/system_sim.hpp"
+#include "support/check.hpp"
+
+namespace rcarb::rcsim::detail {
+
+/// Per-logical-channel receiver register (Fig. 3: a register per receiving
+/// end whose enable comes from the source keeps earlier transfers alive).
+struct ChannelReg {
+  bool valid = false;
+  std::int64_t value = 0;
+};
+
+/// Naive alternative: one register per physical channel; `writer` records
+/// which logical channel wrote last so corrupted reads can be counted.
+struct NaiveReg {
+  bool valid = false;
+  std::int64_t value = 0;
+  int writer = -1;
+};
+
+struct LoopFrame {
+  std::size_t begin_pc = 0;  // index of the kLoopBegin op
+  std::int64_t remaining = 0;
+};
+
+/// SimOptions::faults split by application point, each stream
+/// cycle-sorted, with its replay cursor.
+struct FaultSchedule {
+  std::vector<fault::FaultEvent> flips;   // kFsmBitFlip
+  std::vector<fault::FaultEvent> stucks;  // req/grant stuck-at windows
+  // Per physical channel: armed corruption masks (cycle, xor mask), latest
+  // first; each send consumes from the back.
+  std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>>
+      chan_corrupt;
+  // Permanent faults: resource activations and arbiter latch-ups, applied
+  // in phase 0b and never expiring.
+  std::vector<std::pair<std::uint64_t, int>> perm_res;  // (cycle, resource)
+  std::vector<std::pair<std::uint64_t, std::size_t>> latchups;
+  std::size_t flip_next = 0;
+  std::size_t perm_next = 0;
+  std::size_t latch_next = 0;
+};
+
+/// One task's interpreter and Fig. 8 protocol state.
+struct TaskCtx {
+  tg::TaskId id = 0;
+  [[nodiscard]] int task() const { return static_cast<int>(id); }
+  bool in_run = false;
+  bool started = false;
+  bool finished = false;
+  std::size_t pc = 0;
+  std::int64_t regs[tg::kNumRegs] = {};
+  std::vector<LoopFrame> loops;
+  std::int64_t compute_left = 0;  // remaining busy cycles of a kCompute
+  // Arbitration protocol state.
+  int requesting = -1;  // resource whose Req line this task asserts (-1 none)
+  // Resource whose request was auto-deasserted during send backpressure
+  // (the sender re-arbitrates once the receiver register frees up).
+  int dropped_request = -1;
+  std::uint64_t request_since = 0;
+  // Protocol-level retry: after retry_timeout granless cycles the task
+  // deasserts Req and re-asserts once the bounded backoff expires.
+  int retry_resource = -1;
+  std::uint64_t retry_until = 0;
+  int retry_backoff = 1;
+  // Overload control (SimOptions::admission_limit / retry_budget).
+  int retry_rounds = 0;          // backoff rounds this burst
+  bool budget_spent = false;     // kTimedOut fired; now waiting patiently
+  bool reject_reported = false;  // one kRejected diagnostic per burst
+  // Resources this task drives without inserted Req/Rel ops (it was the
+  // sole client pre-remap, so the insertion pass elided its protocol);
+  // the simulator retrofits a per-access Req / release instead.
+  std::vector<int> implicit_protocol;
+  /// The resource the task is requesting, backing off from, or has
+  /// dropped under backpressure (-1 when none).
+  [[nodiscard]] int awaited_resource() const {
+    return requesting >= 0       ? requesting
+           : retry_resource >= 0 ? retry_resource
+                                 : dropped_request;
+  }
+  [[nodiscard]] bool implicit_for(int resource) const {
+    return std::find(implicit_protocol.begin(), implicit_protocol.end(),
+                     resource) != implicit_protocol.end();
+  }
+  TaskStats stats;
+};
+
+/// One behavioral arbiter (with its typed views) and its per-run
+/// bookkeeping.  Lanes are built from the plan when the run starts and
+/// appended when the supervisor regenerates an arbiter; the index is the
+/// plan's arbiter index.
+struct ArbiterLane : core::SystemArbiter {
+  std::unique_ptr<obs::ArbiterProbe> probe;  // SimOptions::arbiter_metrics
+  // Request lines per port, rebuilt each cycle from task state (phase 4).
+  std::uint64_t requests = 0;
+  // Ports starved behind the holder, whether their Req is up (requests) or
+  // temporarily dropped for a bounded retry backoff.  The watchdog counts
+  // these; the wire-level `requests` alone would let every backoff zero
+  // the hold streak and hide a hung holder.
+  std::uint64_t pending = 0;
+  int grant_holder = -1;             // port index
+  std::uint64_t grant_mask_vis = 0;  // grants past grant stuck-at faults
+  std::uint64_t hold_since = 0;      // cycle the holder was granted
+  std::uint64_t force_release = 0;   // requests masked at the next sample
+  std::uint64_t prev_recoveries = 0; // recovery / resync counter seen
+  int hold_streak = 0;               // idle-hold cycles (watchdog)
+  bool hung_reported = false;  // the watchdog reported this hold
+  bool was_illegal = false;
+  bool holder_accessed = false;  // the holder retired an access this cycle
+  // A plain arbiter wedged by a latch-up: its register is re-frozen to the
+  // (illegal) all-zero code before every sample — reset and hardening
+  // cannot clear a latch-up, only reconfiguration can.
+  bool latched_plain = false;
+
+  void restart_hold() {
+    hold_streak = 0;
+    hung_reported = false;
+  }
+};
+
+/// A drained resource's group move, frozen when its drain ends and applied
+/// when the reconfiguration stall has elapsed.
+struct FrozenMove {
+  enum class Kind : std::uint8_t { kInPlace, kBank, kChannel };
+  Kind kind = Kind::kInPlace;
+  int target = -1;         // live bank / phys channel (-1: nothing moved)
+  int live = -1;           // resource serving the load afterwards
+  std::vector<int> moved;  // segments (kBank) or logical channels
+};
+
+struct RunState {
+  RunState(const tg::TaskGraph& graph, const core::Binding& binding,
+           const core::ArbitrationPlan& plan, const SimOptions& options,
+           std::vector<std::vector<std::int64_t>>& memory,
+           const std::vector<tg::TaskId>& tasks);
+
+  // ---- The phases of one cycle, in order (cycle.cpp, with the loop). ----
+  void inject_faults();
+  void supervise();  // supervisor.cpp
+  void arbitrate();
+  void start_ready_tasks();
+  void step_tasks();
+  void rebuild_requests();
+  void run_watchdog();
+  void account_serving();
+  // Phase 1, per arbiter.
+  void check_registers(std::size_t a, std::uint64_t mask);
+  void hand_off(std::size_t a, int g);
+  // Phase 3, per task: one handler per op family.
+  void step_task(TaskCtx& c);
+  void exec_control(TaskCtx& c, const std::vector<tg::Op>& ops,
+                    int& control_budget);
+  void exec_protocol(TaskCtx& c, const tg::Op& op);  // acquire / release
+  void exec_memory(TaskCtx& c, const tg::Op& op);
+  void exec_send(TaskCtx& c, const tg::Op& op);
+  void exec_recv(TaskCtx& c, const tg::Op& op);
+  void exec_register(TaskCtx& c, const tg::Op& op);
+  bool blocked(TaskCtx& c, int resource, std::pair<int, int> port,
+               degrade::StrikeSource evidence);
+  bool await_grant(TaskCtx& c, int resource);
+  bool admission_full(const TaskCtx& c, int resource);
+  void admission_reject(TaskCtx& c, int resource);
+  void note_backoff_round(TaskCtx& c, int resource);
+  void retired_access(TaskCtx& c, int resource);
+
+  // ---- Set-up and results (system_sim.cpp). ----
+  /// Builds the lane for one arbiter instance through the shared factory,
+  /// so the option set (hardening, preemption, self-check, seed, kind)
+  /// never drifts between first build and reconfiguration.
+  void add_lane(const core::ArbiterInstance& inst);
+  /// Final counters, task stats and supervisor records.
+  SimResult finish();
+  core::Binding& mutable_binding();
+  core::ArbitrationPlan& mutable_plan();
+
+  // ---- Degradation supervisor (supervisor.cpp). ----
+  /// One piece of permanent-fault evidence against a resource.
+  void strike(int resource, degrade::StrikeSource source);
+  void drain(int r);
+  degrade::RetirePlan freeze_move(int r);
+  void apply_move(int r);
+  std::vector<tg::TaskId> contenders(int r1, int r2,
+                                     std::vector<tg::TaskId>* elided = nullptr);
+
+  /// Wait-for-graph analysis of a stalled run: reports a kDeadlock cycle,
+  /// or kNoProgress with a task-state dump (stall.cpp).
+  void attribute_stall();
+
+  // ---- Shared helpers. ----
+  [[nodiscard]] const core::Binding& binding() const { return *binding_; }
+  [[nodiscard]] const core::ArbitrationPlan& plan() const { return *plan_; }
+
+  /// The arbiter index and port of task `t` on `resource`, or {-1, -1}.
+  [[nodiscard]] std::pair<int, int> arbiter_port(tg::TaskId t,
+                                                 int resource) const {
+    return plan_->port_lookup(resource, t);
+  }
+  /// Old resource id -> live resource id after remaps (path-compressed).
+  /// Group-move remapping keeps this a function, so programs whose
+  /// acquire/release ops baked in a resource id keep working after the
+  /// move.  Empty until the first move.
+  int resolve(int r) {
+    if (resource_fwd.empty() || r < 0 || r >= num_res) return r;
+    int root = r;
+    while (resource_fwd[static_cast<std::size_t>(root)] != root)
+      root = resource_fwd[static_cast<std::size_t>(root)];
+    while (resource_fwd[static_cast<std::size_t>(r)] != root) {
+      const int next = resource_fwd[static_cast<std::size_t>(r)];
+      resource_fwd[static_cast<std::size_t>(r)] = root;
+      r = next;
+    }
+    return root;
+  }
+  /// The supervisor's state of a resource (kHealthy with degradation off).
+  [[nodiscard]] degrade::QuarantineState quarantine(int resource) const {
+    return degrade_on ? sup.state(resource)
+                      : degrade::QuarantineState::kHealthy;
+  }
+  void retire_op(TaskCtx& c) {
+    ++c.pc;
+    ++c.stats.ops_retired;
+    last_progress_cycle = cycle;
+  }
+  ArbiterLane& lane(int a) { return lanes[static_cast<std::size_t>(a)]; }
+  [[nodiscard]] bool failed(int resource) const {
+    return res_failed[static_cast<std::size_t>(resource)] != 0;
+  }
+
+  /// Emits a trace event stamped with the current cycle.
+  void trace(obs::TraceKind kind, int task, int arbiter, int resource,
+             std::int64_t value) const {
+    if (sink != nullptr)
+      sink->emit({cycle, kind, task, arbiter, resource, value});
+  }
+  /// Records a diagnostic.  `make_detail` is a lazy builder: the detail
+  /// string is only formatted when someone will read it (diag_detail on,
+  /// or a strict run about to throw) — non-strict sweeps that merely count
+  /// diagnostic kinds never pay for string construction.
+  template <class MakeDetail>
+  void diagnose(DiagKind kind, int task, int resource,
+                MakeDetail&& make_detail) {
+    result.diagnostics.push_back(
+        {kind, cycle, task, resource,
+         want_detail ? make_detail() : std::string()});
+    trace(obs::TraceKind::kDiagnostic, task, -1, resource,
+          static_cast<std::int64_t>(kind));
+  }
+  /// diagnose(), and a strict run throws.
+  template <class MakeDetail>
+  void fail(DiagKind kind, int task, int resource, MakeDetail&& make_detail) {
+    diagnose(kind, task, resource, make_detail);
+    if (opt.strict) RCARB_CHECK(false, result.diagnostics.back().detail);
+  }
+
+  // ---- The system (borrowed; binding and plan copied on first write). ----
+  const tg::TaskGraph& graph;
+  const SimOptions& opt;
+  std::vector<std::vector<std::int64_t>>& memory;
+  const std::vector<tg::TaskId>& tasks;
+  const core::Binding* binding_;
+  const core::ArbitrationPlan* plan_;
+  std::unique_ptr<core::Binding> own_binding;
+  std::unique_ptr<core::ArbitrationPlan> own_plan;
+
+  obs::TraceSink* const sink;
+  const bool want_detail;
+  SimResult result;
+
+  std::vector<TaskCtx> ctx;  // per TaskId
+  std::vector<ArbiterLane> lanes;
+  FaultSchedule faults;
+  std::vector<ChannelReg> chan_reg;  // per logical channel
+  std::vector<NaiveReg> naive_reg;   // per physical channel
+  // Per-cycle single-port usage: (bank or phys channel) -> first user task.
+  std::vector<int> bank_user;
+  std::vector<int> chan_user;
+
+  // ---- Graceful degradation. ----
+  const bool degrade_on;
+  const int num_res;
+  degrade::ResourceSupervisor sup;  // constructed when degrade_on
+  // Resources whose hardware is permanently dead (injected kBankFailure /
+  // kPermanentStuckChannel).  Maintained even with the supervisor off: the
+  // stall-only baseline injects but never repairs.
+  std::vector<char> res_failed;
+  std::vector<int> resource_fwd;  // see resolve()
+  std::vector<FrozenMove> moves;  // per resource, when degrade_on
+  // DegradeOptions::channel_map as this run's remaps left it (copied on
+  // the first channel remap that uses it).
+  std::unique_ptr<part::ChannelMapResult> channel_map;
+  // Set anywhere in the cycle that degradation affected service; cleared
+  // by the serving-cycle accounting at the end of the cycle.
+  bool degraded_cycle = false;
+
+  std::uint64_t cycle = 0;
+  std::uint64_t last_progress_cycle = 0;
+  std::size_t finished_count = 0;
+  std::size_t finished_at_scan = 0;  // finished_count at the last start scan
+};
+
+}  // namespace rcarb::rcsim::detail

@@ -255,20 +255,23 @@ class SystemSimulator {
 
   /// Runs the given tasks to completion (or max_cycles) and returns stats.
   /// Tasks outside `tasks` are treated as already finished for control
-  /// dependencies.  May be called repeatedly; memory persists across runs.
+  /// dependencies.  May be called repeatedly: every run starts from the
+  /// system as constructed — the fault schedule replays, and the online
+  /// remaps and regenerated arbiters of earlier runs are gone — and only
+  /// segment memory persists across runs.
   SimResult run(const std::vector<tg::TaskId>& tasks);
 
-  /// Id -> name tables for exporting traces recorded from this system.
+  /// Id -> name tables for exporting traces recorded from this system,
+  /// including the arbiters the last run regenerated.
   [[nodiscard]] obs::TraceMeta trace_meta() const;
 
  private:
-  struct TaskCtx;
-
   tg::TaskGraph graph_;
   core::Binding binding_;
   core::ArbitrationPlan plan_;
   SimOptions options_;
   std::vector<std::vector<std::int64_t>> memory_;  // per segment
+  std::vector<std::string> regenerated_arbiters_;  // names, last run
 };
 
 }  // namespace rcarb::rcsim

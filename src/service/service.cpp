@@ -266,14 +266,15 @@ class Engine {
         // vote still grants through a latched copy; a gated DMR or frozen
         // plain register cannot, and the drain deadline cuts it below).
         arbitrate_and_serve(r, st, rs);
-        const bool drained = no_slot_busy(st);
-        if (supervisor_.advance(r, cycle_, drained, opt_.ports,
+        if (!no_slot_busy(st) &&
+            supervisor_.advance(r, cycle_, false, opt_.ports,
                                 opt_.self_check) ==
-                degrade::ResourceSupervisor::Transition::kDrained &&
-            !drained) {
+                degrade::ResourceSupervisor::Transition::kDrainOverdue) {
           ++stats_.drain_aborts;
           flush_slots(st, r);  // leftovers re-enter the client retry loop
         }
+        if (no_slot_busy(st))
+          supervisor_.advance(r, cycle_, true, opt_.ports, opt_.self_check);
         break;
       }
       case degrade::QuarantineState::kReconfiguring: {

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <deque>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "core/generator.hpp"
@@ -394,6 +395,109 @@ TEST(ResourceSupervisor, LifecycleDrainsPricesAndRestores) {
   EXPECT_GT(rec.repair_cycles(), 0u);
 }
 
+/// K strikes from `source` at cycles first..first+K-1: quarantines `r`.
+void quarantine(degrade::ResourceSupervisor& sup, int r, std::uint64_t first,
+                degrade::StrikeSource source,
+                const degrade::DegradeOptions& opt) {
+  for (int k = 0; k < opt.strikes; ++k)
+    (void)sup.strike(r, first + static_cast<std::uint64_t>(k), source);
+  ASSERT_EQ(sup.state(r), degrade::QuarantineState::kDraining);
+}
+
+TEST(ResourceSupervisor, RetireWithAPlanDecidesTheRepairWhenTheDrainEnds) {
+  // The retire-with-remap-plan hook: the caller's plan, not the
+  // classifying strike, decides the repair — rcsim regenerates a latched
+  // arbiter in place (target = the resource itself) and group-moves a dead
+  // bank's load; both end kRemapped, never back in service.
+  degrade::DegradeOptions opt;
+  opt.enabled = true;
+  using T = degrade::ResourceSupervisor::Transition;
+  struct Case {
+    const char* name;
+    degrade::StrikeSource source;
+    int target;
+  };
+  for (const Case& c :
+       {Case{"in place", degrade::StrikeSource::kSelfCheckError, 0},
+        Case{"group move", degrade::StrikeSource::kBankFailure, 2}}) {
+    SCOPED_TRACE(c.name);
+    degrade::ResourceSupervisor sup(3, opt);
+    quarantine(sup, 0, 10, c.source, opt);
+    const degrade::RetirePlan plan{true, c.target};
+    EXPECT_EQ(sup.advance(0, 20, true, 4, CheckMode::kNone, &plan),
+              T::kDrained);
+    EXPECT_EQ(sup.state(0), degrade::QuarantineState::kReconfiguring);
+    EXPECT_EQ(sup.record(0).drained_cycle, 20u);
+    // The stall is priced like advance()'s drain edge, for the caller's
+    // merged contention set.
+    const std::uint64_t stall =
+        degrade::arbiter_reconfig_cycles(opt, 4, CheckMode::kNone);
+    EXPECT_EQ(sup.advance(0, 20 + stall - 1, true, 4, CheckMode::kNone),
+              T::kNone);
+    EXPECT_EQ(sup.advance(0, 20 + stall, true, 4, CheckMode::kNone),
+              T::kRetired);
+    EXPECT_EQ(sup.state(0), degrade::QuarantineState::kRemapped);
+    EXPECT_FALSE(sup.serving(0));
+    const degrade::QuarantineRecord& rec = sup.record(0);
+    EXPECT_EQ(rec.remap_target, c.target);
+    EXPECT_EQ(rec.restored_cycle, 20 + stall);
+    EXPECT_FALSE(rec.drain_aborted);
+  }
+}
+
+TEST(ResourceSupervisor, InfeasiblePlanExhaustsCapacityBeforeTheStall) {
+  degrade::DegradeOptions opt;
+  opt.enabled = true;
+  using T = degrade::ResourceSupervisor::Transition;
+  degrade::ResourceSupervisor sup(2, opt);
+  quarantine(sup, 1, 5, degrade::StrikeSource::kChannelFailure, opt);
+  const degrade::RetirePlan infeasible{false, 1};
+  EXPECT_EQ(sup.advance(1, 9, true, 4, CheckMode::kNone, &infeasible),
+            T::kRetired);
+  EXPECT_EQ(sup.state(1), degrade::QuarantineState::kCapacityExhausted)
+      << "decided when the drain ends, not after a reconfiguration stall";
+  EXPECT_EQ(sup.advance(1, 10'000, true, 4, CheckMode::kNone), T::kNone);
+  const degrade::QuarantineRecord& rec = sup.record(1);
+  EXPECT_EQ(rec.state, degrade::QuarantineState::kCapacityExhausted);
+  EXPECT_EQ(rec.drained_cycle, 9u);
+  EXPECT_EQ(rec.restored_cycle, 0u);
+  EXPECT_EQ(rec.remap_target, -1);
+  EXPECT_EQ(rec.repair_cycles(), 0u);
+  EXPECT_TRUE(sup.serving(0)) << "the other resource is untouched";
+}
+
+TEST(ResourceSupervisor, OverdueDrainEndsWhenTheCallerReportsItDrained) {
+  // rcsim's drain: past drain_timeout the supervisor reports kDrainOverdue
+  // on every call while the caller force-releases the holders; the drain
+  // ends (and drained_cycle is stamped) only once they are gone.  The
+  // service aborts its leftovers on the first kDrainOverdue and reports
+  // drained in the same cycle.
+  degrade::DegradeOptions opt;
+  opt.enabled = true;
+  opt.drain_timeout = 4;
+  using T = degrade::ResourceSupervisor::Transition;
+  for (const bool plan : {false, true}) {
+    SCOPED_TRACE(plan ? "with a retire plan" : "without a plan");
+    degrade::ResourceSupervisor sup(2, opt);
+    quarantine(sup, 0, 10, degrade::StrikeSource::kWatchdogTrip, opt);
+    const std::uint64_t classified = 12;  // the K-th strike
+    EXPECT_EQ(sup.advance(0, classified + 3, false, 4, CheckMode::kNone),
+              T::kNone);
+    EXPECT_EQ(sup.advance(0, classified + 4, false, 4, CheckMode::kNone),
+              T::kDrainOverdue);
+    EXPECT_EQ(sup.advance(0, classified + 5, false, 4, CheckMode::kNone),
+              T::kDrainOverdue)
+        << "still in flight: still overdue, and still draining";
+    EXPECT_EQ(sup.state(0), degrade::QuarantineState::kDraining);
+    const degrade::RetirePlan onto_1{true, 1};
+    const T done = sup.advance(0, classified + 6, true, 4, CheckMode::kNone,
+                               plan ? &onto_1 : nullptr);
+    EXPECT_EQ(done, T::kDrained);
+    EXPECT_TRUE(sup.record(0).drain_aborted);
+    EXPECT_EQ(sup.record(0).drained_cycle, classified + 6);
+  }
+}
+
 TEST(StrikeTracker, KthStrikeWithinTheWindowClassifies) {
   degrade::StrikeTracker t(4, /*strikes=*/3, /*window=*/10);
   EXPECT_FALSE(t.strike(2, 5, degrade::StrikeSource::kBankFailure));
@@ -676,6 +780,68 @@ TEST(DegradeEndToEnd, AvailabilityBeatsTheStallOnlyBaseline) {
   EXPECT_GT(avail, base_avail);
   EXPECT_LT(r.serving_cycles, r.cycles)
       << "the quarantine window itself is degraded time";
+}
+
+/// The SimResult fields a repeated run must reproduce, as text.
+std::string describe(const rcsim::SimResult& r) {
+  std::string s = "cycles=" + std::to_string(r.cycles) +
+                  " serving=" + std::to_string(r.serving_cycles) +
+                  " strikes=" + std::to_string(r.strikes) +
+                  " quarantined=" + std::to_string(r.quarantined) +
+                  " remaps=" + std::to_string(r.remaps) +
+                  " drain_aborts=" + std::to_string(r.drain_aborts) +
+                  " bank_conflicts=" + std::to_string(r.bank_conflicts) +
+                  " violations=" + std::to_string(r.protocol_violations) +
+                  " deadlocked=" + std::to_string(r.deadlocked) + "\n";
+  for (const rcsim::TaskStats& t : r.tasks)
+    s += "task " + std::to_string(t.start_cycle) + ".." +
+         std::to_string(t.finish_cycle) + " ops=" +
+         std::to_string(t.ops_retired) + " wait=" +
+         std::to_string(t.grant_wait_cycles) + "\n";
+  for (const rcsim::ArbiterStats& a : r.arbiters)
+    s += "arbiter " + a.resource_name + " ports=" + std::to_string(a.ports) +
+         " grants=" + std::to_string(a.grants) + "\n";
+  for (const degrade::QuarantineRecord& q : r.quarantine_events)
+    s += "quarantine " + std::to_string(q.resource) + " " +
+         degrade::to_string(q.state) + " " +
+         std::to_string(q.classified_cycle) + "/" +
+         std::to_string(q.drained_cycle) + "/" +
+         std::to_string(q.restored_cycle) + " -> " +
+         std::to_string(q.remap_target) + "\n";
+  for (const rcsim::SimDiagnostic& d : r.diagnostics) s += d.format() + "\n";
+  return s;
+}
+
+TEST(DegradeEndToEnd, SecondRunAfterAnOnlineRemapStartsFromTheBuiltSystem) {
+  // Regression: run() used to write the remap into the simulator's own
+  // binding and plan while the resource forwarding and the tasks' retrofit
+  // state reset with every run, so a second run on one simulator replayed
+  // the fault against a half-remapped system (protocol violations and bank
+  // conflicts).  Repairs are per run, like the fault schedule.
+  TwoBankRig rig;
+  const auto ins = core::insert_arbitration(rig.graph, rig.binding, {});
+  fault::FaultEvent dead;
+  dead.kind = fault::FaultKind::kBankFailure;
+  dead.cycle = 10;
+  dead.bank = 1;
+  rcsim::SimOptions so = degrade_options();
+  so.faults = {dead};
+  rcsim::SystemSimulator sim(ins.graph, rig.binding, ins.plan, so);
+  const rcsim::SimResult first = sim.run(rig.tasks);
+  const rcsim::SimResult second = sim.run(rig.tasks);
+  EXPECT_EQ(first.remaps, 1u);
+  EXPECT_EQ(describe(second), describe(first));
+  for (const rcsim::SimResult* r : {&first, &second}) {
+    EXPECT_EQ(r->protocol_violations, 0u);
+    EXPECT_EQ(r->bank_conflicts, 0u);
+    EXPECT_EQ(r->count(rcsim::DiagKind::kProtocolViolation), 0u);
+  }
+  // A strict simulator (the default) runs it twice without throwing.
+  rcsim::SimOptions strict = so;
+  strict.strict = true;
+  rcsim::SystemSimulator strict_sim(ins.graph, rig.binding, ins.plan, strict);
+  (void)strict_sim.run(rig.tasks);
+  EXPECT_NO_THROW((void)strict_sim.run(rig.tasks));
 }
 
 /// Two physical channels, two logical channels each (so both ends are

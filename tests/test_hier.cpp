@@ -10,10 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -483,6 +486,18 @@ struct WideParam {
   int n;
   int arity;
 };
+
+// gtest names each case after the bytes of its parameter. Print them the
+// way its default printer does, but with zeros for the padding: left as
+// it is, the padding holds whatever the stack held, so the names changed
+// from build to build and from run to run.
+void PrintTo(const WideParam& p, std::ostream* os) {
+  unsigned char bytes[sizeof(WideParam)] = {};
+  std::memcpy(bytes + offsetof(WideParam, kind), &p.kind, sizeof p.kind);
+  std::memcpy(bytes + offsetof(WideParam, n), &p.n, sizeof p.n);
+  std::memcpy(bytes + offsetof(WideParam, arity), &p.arity, sizeof p.arity);
+  ::testing::internal::PrintBytesInObjectTo(bytes, sizeof bytes, os);
+}
 
 class WideFuzz : public ::testing::TestWithParam<WideParam> {};
 

@@ -6,6 +6,9 @@
 // loop that resolved its NetIds up front.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -151,6 +154,18 @@ struct LockstepParam {
   int n;
   synth::Encoding encoding;
 };
+
+// gtest names each case after the bytes of its parameter. Print them the
+// way its default printer does, but with zeros for the padding: left as
+// it is, the padding holds whatever the stack held, so the names changed
+// from build to build and from run to run.
+void PrintTo(const LockstepParam& p, std::ostream* os) {
+  unsigned char bytes[sizeof(LockstepParam)] = {};
+  std::memcpy(bytes + offsetof(LockstepParam, n), &p.n, sizeof p.n);
+  std::memcpy(bytes + offsetof(LockstepParam, encoding),
+             &p.encoding, sizeof p.encoding);
+  ::testing::internal::PrintBytesInObjectTo(bytes, sizeof bytes, os);
+}
 
 class LaneLockstep : public ::testing::TestWithParam<LockstepParam> {};
 

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <ostream>
+
 #include "aig/aig.hpp"
 #include "netlist/simulator.hpp"
 #include "support/check.hpp"
@@ -101,6 +106,20 @@ struct MapParam {
   int nops;
   MapObjective objective;
 };
+
+// gtest names each case after the bytes of its parameter. Print them the
+// way its default printer does, but with zeros for the padding: left as
+// it is, the padding holds whatever the stack held, so the names changed
+// from build to build and from run to run.
+void PrintTo(const MapParam& p, std::ostream* os) {
+  unsigned char bytes[sizeof(MapParam)] = {};
+  std::memcpy(bytes + offsetof(MapParam, seed), &p.seed, sizeof p.seed);
+  std::memcpy(bytes + offsetof(MapParam, nvars), &p.nvars, sizeof p.nvars);
+  std::memcpy(bytes + offsetof(MapParam, nops), &p.nops, sizeof p.nops);
+  std::memcpy(bytes + offsetof(MapParam, objective),
+             &p.objective, sizeof p.objective);
+  ::testing::internal::PrintBytesInObjectTo(bytes, sizeof bytes, os);
+}
 
 class LutMapRandom : public ::testing::TestWithParam<MapParam> {};
 
