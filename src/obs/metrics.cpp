@@ -165,25 +165,51 @@ std::string ArbiterMetrics::summarize() const {
 ArbiterProbe::ArbiterProbe(ArbiterMetrics* metrics) : m_(metrics) {
   const auto n = static_cast<std::size_t>(m_->ports);
   m_->port.assign(n, PortMetrics{});
-  wait_.assign(n, 0);
+  req_.assign((n + 63) / 64, 0);
+  diff_.assign(req_.size(), 0);
+  wait_from_.assign(n, 0);
   turns_.assign(n, 0);
-  word_.assign((n + 63) / 64 + (n == 0 ? 1 : 0), 0);
+  turns_from_.assign(n, 0);
 }
 
 void ArbiterProbe::on_step(std::uint64_t requests, int grant) {
-  word_[0] = requests;
-  on_step_wide(word_, grant);
+  step(&requests, 1, grant);
 }
 
 void ArbiterProbe::on_step_wide(const std::vector<std::uint64_t>& requests,
                                 int grant) {
+  step(requests.data(), requests.size(), grant);
+}
+
+void ArbiterProbe::step(const std::uint64_t* words, std::size_t n,
+                        int grant) {
   const auto ports = static_cast<std::size_t>(m_->ports);
-  const auto req_bit = [&](std::size_t i) {
-    const std::size_t w = i >> 6;
-    return w < requests.size() && ((requests[w] >> (i & 63)) & 1) != 0;
-  };
+  // Req edges, masked to the width (bits past `ports` in the last word are
+  // the producer's to leave dirty; missing words read as 0).  A rising
+  // line stamps the hand-off count; a falling line banks the hand-offs its
+  // run saw as turns.
+  for (std::size_t w = 0; w < req_.size(); ++w) {
+    std::uint64_t cur = w < n ? words[w] : 0;
+    if (w + 1 == req_.size() && (ports & 63) != 0)
+      cur &= (1ull << (ports & 63)) - 1;
+    const std::uint64_t d = cur ^ req_[w];
+    diff_[w] = d;
+    if (d == 0) continue;
+    req_count_ += static_cast<std::uint64_t>(std::popcount(cur));
+    req_count_ -= static_cast<std::uint64_t>(std::popcount(req_[w]));
+    req_[w] = cur;
+    for (std::uint64_t b = d; b != 0; b &= b - 1) {
+      const int bit = std::countr_zero(b);
+      const std::size_t i = w * 64 + static_cast<std::size_t>(bit);
+      if (((cur >> bit) & 1) != 0)
+        turns_from_[i] = handoffs_;
+      else
+        turns_[i] += handoffs_ - turns_from_[i];
+    }
+  }
 
   // Hold tracking: close the previous interval on any hand-off.
+  const int old = holder_;
   if (grant != holder_) {
     if (holder_ >= 0) {
       m_->hold_length.record(hold_len_);
@@ -191,47 +217,74 @@ void ArbiterProbe::on_step_wide(const std::vector<std::uint64_t>& requests,
     }
     if (grant >= 0) {
       const auto g = static_cast<std::size_t>(grant);
-      m_->port[g].grants += 1;
-      m_->grant_latency.record(wait_[g]);
-      m_->port[g].max_wait = std::max(m_->port[g].max_wait, wait_[g]);
-      m_->port[g].max_turns_waited =
-          std::max(m_->port[g].max_turns_waited, turns_[g]);
-      wait_[g] = 0;
+      const bool now = req(g);
+      const bool was = now != (((diff_[g >> 6] >> (g & 63)) & 1) != 0);
+      PortMetrics& pm = m_->port[g];
+      pm.grants += 1;
+      const std::uint64_t wait = was ? steps_ - wait_from_[g] : 0;
+      m_->grant_latency.record(wait);
+      pm.max_wait = std::max(pm.max_wait, wait);
+      const std::uint64_t turns =
+          turns_[g] + (now ? handoffs_ - turns_from_[g] : 0);
+      pm.max_turns_waited = std::max(pm.max_turns_waited, turns);
+      // This hand-off is g's own: its turns count from the next one.
       turns_[g] = 0;
-      // Requesters pending at the hand-off, masked to the width (bits past
-      // `ports` in the last word are the producer's to leave dirty).
-      std::uint64_t depth = 0;
-      for (std::size_t w = 0; w * 64 < ports && w < requests.size(); ++w) {
-        std::uint64_t r = requests[w];
-        if ((w + 1) * 64 > ports && (ports & 63) != 0)
-          r &= (1ull << (ports & 63)) - 1;
-        depth += static_cast<std::uint64_t>(std::popcount(r));
-      }
-      m_->queue_depth.record(depth);
-      // Every other in-flight waiter saw one more grant go elsewhere.
-      for (std::size_t i = 0; i < turns_.size(); ++i)
-        if (i != g && req_bit(i)) turns_[i] += 1;
+      turns_from_[g] = handoffs_ + 1;
+      ++handoffs_;
+      m_->queue_depth.record(req_count_);  // requesters pending at hand-off
     }
     holder_ = grant;
     hold_len_ = 0;
   }
   if (holder_ >= 0) hold_len_ += 1;
 
-  for (std::size_t i = 0; i < wait_.size(); ++i) {
-    if (!req_bit(i)) {
-      // Req dropped without a grant (release-less backoff): the wait
-      // resumes from zero when it re-asserts, matching the protocol's view.
-      if (static_cast<int>(i) != holder_) wait_[i] = 0;
-      continue;
-    }
-    if (static_cast<int>(i) != holder_) {
-      wait_[i] += 1;
-      m_->port[i].wait_cycles += 1;
+  // Waits: a port waits while its Req is high and another port holds the
+  // grant.  Only changed lines and the two holders can start or end one.
+  for (std::size_t w = 0; w < diff_.size(); ++w) {
+    for (std::uint64_t b = diff_[w]; b != 0; b &= b - 1) {
+      const std::size_t i =
+          w * 64 + static_cast<std::size_t>(std::countr_zero(b));
+      const bool now = req(i);
+      wait_edge(i, !now && static_cast<int>(i) != old,
+                now && static_cast<int>(i) != holder_);
     }
   }
+  if (old != holder_) {
+    for (const int h : {old, holder_}) {
+      if (h < 0) continue;
+      const auto i = static_cast<std::size_t>(h);
+      if (((diff_[i >> 6] >> (i & 63)) & 1) != 0) continue;  // done above
+      const bool r = req(i);
+      wait_edge(i, r && h != old, r && h != holder_);
+    }
+  }
+  ++steps_;
+}
+
+void ArbiterProbe::wait_edge(std::size_t i, bool was, bool now) {
+  if (was == now) return;
+  if (now)
+    wait_from_[i] = steps_;
+  else
+    m_->port[i].wait_cycles += steps_ - std::max(wait_from_[i], settled_);
+}
+
+void ArbiterProbe::settle() {
+  for (std::size_t w = 0; w < req_.size(); ++w) {
+    std::uint64_t waiting = req_[w];
+    if (holder_ >= 0 && static_cast<std::size_t>(holder_ >> 6) == w)
+      waiting &= ~(1ull << (holder_ & 63));
+    for (; waiting != 0; waiting &= waiting - 1) {
+      const std::size_t i =
+          w * 64 + static_cast<std::size_t>(std::countr_zero(waiting));
+      m_->port[i].wait_cycles += steps_ - std::max(wait_from_[i], settled_);
+    }
+  }
+  settled_ = steps_;
 }
 
 void ArbiterProbe::finish() {
+  settle();
   if (holder_ >= 0) {
     m_->hold_length.record(hold_len_);
     m_->port[static_cast<std::size_t>(holder_)].granted_cycles += hold_len_;

@@ -122,6 +122,12 @@ struct ArbiterMetrics {
 /// core::ArbiterObserver that feeds an ArbiterMetrics from the request /
 /// grant stream.  Attach with Arbiter::set_observer; the probe borrows the
 /// metrics object and must outlive the attachment.
+///
+/// A step costs O(words + changed request lines): the probe keeps the last
+/// request words and visits only the lines that rose or fell, the old
+/// holder and the new holder.  A wait (Req high, grant elsewhere) is kept
+/// as the step it began on and is added to `wait_cycles` when it ends, so
+/// between settle() calls `wait_cycles` lags the open waits.
 class ArbiterProbe final : public core::ArbiterObserver {
  public:
   /// `metrics` must have `ports` set; `port` is resized here.  Widths past
@@ -132,16 +138,36 @@ class ArbiterProbe final : public core::ArbiterObserver {
   void on_step_wide(const std::vector<std::uint64_t>& requests,
                     int grant) override;
 
-  /// Flushes the in-flight hold interval (call once, after the last step).
+  /// Adds the cycles of the still-open waits to `wait_cycles`, so every
+  /// metric is current.  Call before reading or resetting the metrics
+  /// mid-stream; the probe's own state (waits, hold, turns) carries on.
+  void settle();
+  /// settle(), then flushes the in-flight hold interval (call once, after
+  /// the last step).
   void finish();
 
  private:
+  void step(const std::uint64_t* words, std::size_t n, int grant);
+  /// Port i's wait state went from `was` to `now` at step steps_.
+  void wait_edge(std::size_t i, bool was, bool now);
+  [[nodiscard]] bool req(std::size_t i) const {
+    return ((req_[i >> 6] >> (i & 63)) & 1) != 0;
+  }
+
   ArbiterMetrics* m_;
   int holder_ = -1;
   std::uint64_t hold_len_ = 0;
-  std::vector<std::uint64_t> wait_;   // per-port in-flight wait
-  std::vector<std::uint64_t> turns_;  // per-port other-grants while waiting
-  std::vector<std::uint64_t> word_;   // scratch widening word-based steps
+  std::uint64_t steps_ = 0;      // steps observed
+  std::uint64_t settled_ = 0;    // wait_cycles counts every step before this
+  std::uint64_t handoffs_ = 0;   // grants handed to a port so far
+  std::uint64_t req_count_ = 0;  // popcount of req_
+  std::vector<std::uint64_t> req_;   // last step's Req words, width-masked
+  std::vector<std::uint64_t> diff_;  // scratch: Req lines that changed
+  std::vector<std::uint64_t> wait_from_;  // per port: first step of its wait
+  /// Per port: hand-offs to other ports during its earlier Req runs since
+  /// its own last grant, and handoffs_ when its current Req run rose.
+  std::vector<std::uint64_t> turns_;
+  std::vector<std::uint64_t> turns_from_;
 };
 
 }  // namespace rcarb::obs

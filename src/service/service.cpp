@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstdio>
 #include <deque>
-#include <map>
 #include <memory>
 #include <utility>
 
@@ -48,17 +47,25 @@ struct Request {
   int attempts = 0;  // rejections/sheds survived so far
 };
 
-/// One dispatch port of a resource: idle, or a request waiting on the Req
-/// line, or a request being served (holding the grant).
+/// The request parked on one dispatch port of a resource.  Whether the
+/// port is idle, waiting on the Req line or being served (holding the
+/// grant) lives in the resource's slot words.
 struct Slot {
-  enum class State : std::uint8_t { kIdle, kWaiting, kServing };
-  State state = State::kIdle;
   Request req;
   int service_left = 0;
   /// A mutual-exclusion break hit this slot mid-service: the datapath was
   /// driven by several grants at once, so whatever completes is garbage.
   bool poisoned = false;
 };
+
+/// Calls f(port) for every set bit of `words`, in ascending port order.
+/// Each word is read before its bits are visited, so f may clear them.
+template <class F>
+void for_each_bit(const std::vector<std::uint64_t>& words, F&& f) {
+  for (std::size_t w = 0; w < words.size(); ++w)
+    for (std::uint64_t b = words[w]; b != 0; b &= b - 1)
+      f(w * 64 + static_cast<std::size_t>(std::countr_zero(b)));
+}
 
 struct ResourceState {
   ResourceState(int ports, core::ArbiterKind kind, int arity,
@@ -69,13 +76,49 @@ struct ResourceState {
                                               .self_check = self_check})),
         probe(metrics),
         slots(static_cast<std::size_t>(ports)),
-        req_words(static_cast<std::size_t>((ports + 63) / 64), 0) {
+        waiting(static_cast<std::size_t>((ports + 63) / 64), 0),
+        serving(waiting.size(), 0),
+        req_words(waiting.size(), 0) {
     arb.arbiter->set_observer(&probe);
   }
+  [[nodiscard]] bool is_waiting(std::size_t p) const {
+    return ((waiting[p >> 6] >> (p & 63)) & 1) != 0;
+  }
+  [[nodiscard]] bool is_serving(std::size_t p) const {
+    return ((serving[p >> 6] >> (p & 63)) & 1) != 0;
+  }
+  [[nodiscard]] bool any_busy() const {
+    return std::any_of(req_words.begin(), req_words.end(),
+                       [](std::uint64_t w) { return w != 0; });
+  }
+  /// Idle slots of word w: the complement of the Req lines, masked to the
+  /// width.
+  [[nodiscard]] std::uint64_t idle(std::size_t w) const {
+    const std::size_t tail = slots.size() - w * 64;  // ports from word w on
+    return ~req_words[w] & (tail >= 64 ? ~0ull : (1ull << tail) - 1);
+  }
+  void set_waiting(std::size_t p) {
+    waiting[p >> 6] |= 1ull << (p & 63);
+    req_words[p >> 6] |= 1ull << (p & 63);
+  }
+  void set_serving(std::size_t p) {
+    waiting[p >> 6] &= ~(1ull << (p & 63));
+    serving[p >> 6] |= 1ull << (p & 63);
+  }
+  void set_idle(std::size_t p) {
+    waiting[p >> 6] &= ~(1ull << (p & 63));
+    serving[p >> 6] &= ~(1ull << (p & 63));
+    req_words[p >> 6] &= ~(1ull << (p & 63));
+  }
+
   core::SystemArbiter arb;
   obs::ArbiterProbe probe;
   std::vector<Slot> slots;
-  std::vector<std::uint64_t> req_words;  // Fig. 8 request lines, per word
+  // Slot states as words (bit p of word p/64 = port p); idle is the
+  // complement of `req_words`.
+  std::vector<std::uint64_t> waiting;  // on the Req line, not yet granted
+  std::vector<std::uint64_t> serving;  // holding the grant
+  std::vector<std::uint64_t> req_words;  // Fig. 8 Req lines: waiting|serving
   std::deque<Request> queue;
   int busy_window = 0;   // serving cycles in the current util window
   bool shed_armed = false;
@@ -125,6 +168,16 @@ class Engine {
                 "would already be past the client's deadline, so every "
                 "retried request is born dead and goodput silently reads "
                 "low for no physical reason");
+    RCARB_CHECK(opt_.retry.max_retries <= 0 ||
+                    (opt_.retry.backoff_base >= 1 &&
+                     opt_.retry.backoff_limit >= 1 &&
+                     opt_.retry.backoff_limit <= kMaxBackoffLimit),
+                "retries need backoff_base >= 1 and backoff_limit in [1, "
+                "kMaxBackoffLimit]: a zero delay would file the retry under "
+                "the cycle whose timers already fired, and the limit sizes "
+                "the retry ring");
+    if (opt_.retry.max_retries > 0)
+      wheel_.resize(static_cast<std::size_t>(opt_.retry.backoff_limit) + 1);
     kind_ = core::resolve_arbiter_choice(opt_.arbiter_kind, opt_.ports,
                                          opt_.arbiter_fmax_budget_mhz,
                                          opt_.arbiter_arity);
@@ -226,12 +279,15 @@ class Engine {
     // 0. Live fault injection (no-op without a plan).
     apply_faults();
     // 1. Client retry loop: re-inject attempts whose backoff expired.
-    if (auto it = wheel_.find(cycle_); it != wheel_.end()) {
-      for (const Request& req : it->second) {
+    // Their own re-refusals land in other buckets (every delay is >= 1
+    // and <= backoff_limit), so this one is stable while it drains.
+    if (!wheel_.empty()) {
+      std::vector<Request>& due = wheel_[cycle_ % wheel_.size()];
+      for (const Request& req : due) {
         ++stats_.retries;
         submit(req);
       }
-      wheel_.erase(it);
+      due.clear();  // keeps its capacity: steady state allocates nothing
     }
     // 2. Open-loop arrivals (these keep coming no matter what).
     const int n = arrivals_.step();
@@ -250,14 +306,7 @@ class Engine {
     const degrade::QuarantineState qs = supervisor_.state(r);
     switch (qs) {
       case degrade::QuarantineState::kHealthy:
-        // Idle dispatch ports take the queue head (FIFO order).
-        for (Slot& slot : st.slots) {
-          if (slot.state != Slot::State::kIdle || st.queue.empty()) continue;
-          slot.req = st.queue.front();
-          st.queue.pop_front();
-          slot.state = Slot::State::kWaiting;
-          slot.poisoned = false;
-        }
+        dispatch(st);
         arbitrate_and_serve(r, st, rs);
         break;
       case degrade::QuarantineState::kDraining: {
@@ -266,14 +315,14 @@ class Engine {
         // vote still grants through a latched copy; a gated DMR or frozen
         // plain register cannot, and the drain deadline cuts it below).
         arbitrate_and_serve(r, st, rs);
-        if (!no_slot_busy(st) &&
+        if (st.any_busy() &&
             supervisor_.advance(r, cycle_, false, opt_.ports,
                                 opt_.self_check) ==
                 degrade::ResourceSupervisor::Transition::kDrainOverdue) {
           ++stats_.drain_aborts;
           flush_slots(st, r);  // leftovers re-enter the client retry loop
         }
-        if (no_slot_busy(st))
+        if (!st.any_busy())
           supervisor_.advance(r, cycle_, true, opt_.ports, opt_.self_check);
         break;
       }
@@ -328,17 +377,31 @@ class Engine {
     rs.queue_depth.record(st.queue.size());
   }
 
-  /// One arbitration clock for resource r: build the Req word, step the
-  /// (possibly replicated) arbiter, sample the error net, serve the grant.
+  /// Idle dispatch ports take the queue head: FIFO order onto the lowest
+  /// idle port first.
+  static void dispatch(ResourceState& st) {
+    for (std::size_t w = 0; w < st.req_words.size() && !st.queue.empty();
+         ++w) {
+      for (std::uint64_t idle = st.idle(w); idle != 0 && !st.queue.empty();
+           idle &= idle - 1) {
+        const std::size_t p =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(idle));
+        Slot& slot = st.slots[p];
+        slot.req = st.queue.front();
+        st.queue.pop_front();
+        slot.poisoned = false;
+        st.set_waiting(p);
+      }
+    }
+  }
+
+  /// One arbitration clock for resource r: step the (possibly replicated)
+  /// arbiter on the Req words, sample the error net, serve the grant.
   void arbitrate_and_serve(int r, ResourceState& st, ResourceStats& rs) {
     if (st.latched) return;  // frozen register: no clocking, no grants
     // Fig. 8 request lines: waiting and serving slots keep Req asserted.
     // Words-encoded so widths past 64 work; at <= 64 ports the base
     // step_wide forwards to the word-based step() unchanged.
-    std::fill(st.req_words.begin(), st.req_words.end(), 0);
-    for (std::size_t p = 0; p < st.slots.size(); ++p)
-      if (st.slots[p].state != Slot::State::kIdle)
-        st.req_words[p >> 6] |= 1ull << (p & 63);
     const int g = st.arb.arbiter->step_wide(st.req_words);
     if (st.arb.sc != nullptr) {
       // Self-checking wrapper: harvest the error net and resync counter.
@@ -357,26 +420,21 @@ class Engine {
       // completion and worth nothing — the silent-corruption failure mode
       // self-checking exists to prevent.
       ++stats_.multi_grants;
-      for (Slot& slot : st.slots)
-        if (slot.state == Slot::State::kServing) slot.poisoned = true;
+      for_each_bit(st.serving,
+                   [&](std::size_t p) { st.slots[p].poisoned = true; });
     }
     if (g >= 0) {
-      Slot& slot = st.slots[static_cast<std::size_t>(g)];
-      if (slot.state == Slot::State::kWaiting) {
-        slot.state = Slot::State::kServing;
+      const auto p = static_cast<std::size_t>(g);
+      Slot& slot = st.slots[p];
+      if (st.is_waiting(p)) {
+        st.set_serving(p);
         slot.service_left = opt_.service_cycles;
       }
-      if (slot.state == Slot::State::kServing) {
+      if (st.is_serving(p)) {
         ++st.busy_window;
-        if (--slot.service_left == 0) complete(r, slot);
+        if (--slot.service_left == 0) complete(r, st, p);
       }
     }
-  }
-
-  [[nodiscard]] static bool no_slot_busy(const ResourceState& st) {
-    for (const Slot& slot : st.slots)
-      if (slot.state != Slot::State::kIdle) return false;
-    return true;
   }
 
   /// Can this resource's arbiter actually grant work right now?
@@ -409,11 +467,10 @@ class Engine {
     rebuild_live();
     for (const Request& req : st.queue) requeue(req, r);
     st.queue.clear();
-    for (Slot& slot : st.slots)
-      if (slot.state == Slot::State::kWaiting) {
-        slot.state = Slot::State::kIdle;
-        requeue(slot.req, r);
-      }
+    for_each_bit(st.waiting, [&](std::size_t p) {
+      st.set_idle(p);
+      requeue(st.slots[p].req, r);
+    });
   }
 
   /// Fails one request over through the retry loop with a typed rejection
@@ -430,11 +487,10 @@ class Engine {
   /// Drain deadline force-abort: every occupied slot (waiting or mid-
   /// service on a dead arbiter) fails over.
   void flush_slots(ResourceState& st, int r) {
-    for (Slot& slot : st.slots)
-      if (slot.state != Slot::State::kIdle) {
-        slot.state = Slot::State::kIdle;
-        requeue(slot.req, r);
-      }
+    for_each_bit(st.req_words, [&](std::size_t p) {
+      st.set_idle(p);
+      requeue(st.slots[p].req, r);
+    });
   }
 
   void rebuild_live() {
@@ -443,18 +499,18 @@ class Engine {
       if (supervisor_.serving(r)) live_.push_back(r);
   }
 
-  void complete(int r, Slot& slot) {
+  void complete(int r, ResourceState& st, std::size_t p) {
     auto& rs = stats_.per_resource[static_cast<std::size_t>(r)];
+    const Slot& slot = st.slots[p];
     // Retire the slot before anything that might flush slots (a bank-
     // failure strike below can classify and quarantine r mid-call); the
     // request is then failed over exactly once, here.
-    slot.state = Slot::State::kIdle;
+    st.set_idle(p);
     if (slot.poisoned) {
       ++stats_.corrupted;
       requeue(slot.req, r);
       return;
     }
-    ResourceState& st = *res_[static_cast<std::size_t>(r)];
     if (st.failed) {
       // The datapath is dead: the "service" produced nothing.  The client
       // sees a failure and retries; the supervisor sees bank evidence.
@@ -544,8 +600,9 @@ class Engine {
     }
     Request next = req;
     ++next.attempts;
-    wheel_[cycle_ + retry_delay(opt_.retry, next.attempts, jitter_rng_)]
-        .push_back(next);
+    const std::uint64_t due =
+        cycle_ + retry_delay(opt_.retry, next.attempts, jitter_rng_);
+    wheel_[due % wheel_.size()].push_back(next);
   }
 
   void diag(rcsim::DiagKind kind, int resource) {
@@ -561,10 +618,10 @@ class Engine {
     std::uint64_t n = 0;
     for (const auto& st : res_) {
       n += st->queue.size();
-      for (const Slot& slot : st->slots)
-        if (slot.state != Slot::State::kIdle) ++n;
+      for (const std::uint64_t w : st->req_words)
+        n += static_cast<std::uint64_t>(std::popcount(w));
     }
-    for (const auto& [due, reqs] : wheel_) n += reqs.size();
+    for (const auto& due : wheel_) n += due.size();
     return n;
   }
 
@@ -585,6 +642,9 @@ class Engine {
     stats_.latency = obs::Histogram{};
     stats_.queue_depth = obs::Histogram{};
     stats_.diagnostics.clear();
+    // Each probe first adds its open waits to the warmup's wait_cycles
+    // (discarded with them); its waits, hold and turns carry over.
+    for (auto& st : res_) st->probe.settle();
     for (std::size_t r = 0; r < stats_.per_resource.size(); ++r)
       reset_resource_stats(stats_.per_resource[r], "svc" + std::to_string(r),
                            opt_.ports, kind_);
@@ -616,7 +676,10 @@ class Engine {
   Rng route_rng_;
   Rng jitter_rng_;
   std::vector<std::unique_ptr<ResourceState>> res_;
-  std::map<std::uint64_t, std::vector<Request>> wheel_;  // retry timers
+  /// Client retry timers: a ring of backoff_limit + 1 buckets, bucket
+  /// `due % size` holding the attempts due at cycle `due` in push order.
+  /// Empty when retries are off.
+  std::vector<std::vector<Request>> wheel_;
   std::uint64_t cycle_ = 0;
   std::uint64_t util_anchor_ = 0;  // cycle the util windows count from
   core::ArbiterKind kind_ = core::ArbiterKind::kFlatFsm;

@@ -75,7 +75,14 @@ enum class OverloadPolicy : std::uint8_t {
 
 [[nodiscard]] const char* to_string(OverloadPolicy p);
 
-/// Client-side failure handling: timeout, retries, backoff.
+/// Largest legal RetryPolicy::backoff_limit when retries are on.  The
+/// engine's retry timers are a ring of backoff_limit + 1 buckets, so this
+/// bounds that ring's memory (~1.5 MB of empty buckets at the cap).
+inline constexpr int kMaxBackoffLimit = 65'536;
+
+/// Client-side failure handling: timeout, retries, backoff.  With
+/// max_retries > 0 the engine requires backoff_base >= 1 and backoff_limit
+/// in [1, kMaxBackoffLimit]: every retry fires at least one cycle later.
 struct RetryPolicy {
   /// Client gives up after this many cycles end-to-end.  A request that
   /// completes later is wasted work (timed out), not goodput.

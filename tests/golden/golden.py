@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Golden-report ledger for the benches whose reports rcsim drives.
+"""Golden-report ledger for the modelled bench reports.
 
 Each bench writes its modelled report(s) as JSON.  The canonical form of a
 report drops the host-dependent top-level keys (wall_ms, timestamp_utc,
@@ -9,9 +9,10 @@ every report listed in BENCHES.
   golden.py check <bench-binary>   run one bench, compare its reports
   golden.py update <build-dir>     re-run every bench, rewrite the goldens
 
-Both modes run the binary with RCARB_JOBS=4 and --benchmark_filter=NONE
-(the report is written even when no google-benchmark case matches).  A
-check prints every changed key with its old and new values and exits 1.
+Both modes run the binary with RCARB_JOBS=4, the bench's BENCH_ENV entries
+and --benchmark_filter=NONE (the report is written even when no
+google-benchmark case matches).  A check prints every changed key with its
+old and new values and exits 1.
 """
 
 import json
@@ -33,6 +34,14 @@ BENCHES = {
     "bench_global_schedule": ["BENCH_global_schedule.json"],
     "bench_table1_channel": ["BENCH_table1_channel.json"],
     "bench_virtual_wires": ["BENCH_virtual_wires.json"],
+    "bench_service_load": ["BENCH_service_load.json"],
+    "bench_service_faults": ["BENCH_service_faults.json"],
+}
+
+# Extra environment per bench: the service benches are pinned at smoke size.
+BENCH_ENV = {
+    "bench_service_load": {"RCARB_SERVICE_SMOKE": "1"},
+    "bench_service_faults": {"RCARB_SERVICE_SMOKE": "1"},
 }
 
 HOST_KEYS = ("wall_ms", "timestamp_utc", "commit")
@@ -51,6 +60,7 @@ def canonical(path):
 def run_bench(binary, out_dir):
     env = dict(os.environ, RCARB_JOBS="4", RCARB_BENCH_DIR=out_dir,
                RCARB_GIT_COMMIT="golden")
+    env.update(BENCH_ENV.get(os.path.basename(binary), {}))
     proc = subprocess.run(
         [os.path.abspath(binary), "--benchmark_filter=NONE"], cwd=out_dir,
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)

@@ -5,9 +5,14 @@
 // and trace streams.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "core/generator.hpp"
 #include "core/insertion.hpp"
@@ -251,6 +256,241 @@ TEST(ObsMetrics, DisabledLeavesNoProbesAndSameSimulation) {
   EXPECT_TRUE(a.arbiter_obs.empty());
   EXPECT_EQ(a.cycles, c.cycles);
   EXPECT_EQ(a.arbiters[0].grants, c.arbiters[0].grants);
+}
+
+/// The O(ports)-per-step probe that the edge-driven ArbiterProbe replaced,
+/// kept verbatim as the oracle for the equivalence fuzz below.
+class ReferenceProbe {
+ public:
+  explicit ReferenceProbe(obs::ArbiterMetrics* metrics) : m_(metrics) {
+    const auto n = static_cast<std::size_t>(m_->ports);
+    m_->port.assign(n, obs::PortMetrics{});
+    wait_.assign(n, 0);
+    turns_.assign(n, 0);
+    word_.assign((n + 63) / 64 + (n == 0 ? 1 : 0), 0);
+  }
+
+  void on_step(std::uint64_t requests, int grant) {
+    word_[0] = requests;
+    on_step_wide(word_, grant);
+  }
+
+  void on_step_wide(const std::vector<std::uint64_t>& requests, int grant) {
+    const auto ports = static_cast<std::size_t>(m_->ports);
+    const auto req_bit = [&](std::size_t i) {
+      const std::size_t w = i >> 6;
+      return w < requests.size() && ((requests[w] >> (i & 63)) & 1) != 0;
+    };
+    if (grant != holder_) {
+      if (holder_ >= 0) {
+        m_->hold_length.record(hold_len_);
+        m_->port[static_cast<std::size_t>(holder_)].granted_cycles +=
+            hold_len_;
+      }
+      if (grant >= 0) {
+        const auto g = static_cast<std::size_t>(grant);
+        m_->port[g].grants += 1;
+        m_->grant_latency.record(wait_[g]);
+        m_->port[g].max_wait = std::max(m_->port[g].max_wait, wait_[g]);
+        m_->port[g].max_turns_waited =
+            std::max(m_->port[g].max_turns_waited, turns_[g]);
+        wait_[g] = 0;
+        turns_[g] = 0;
+        std::uint64_t depth = 0;
+        for (std::size_t w = 0; w * 64 < ports && w < requests.size(); ++w) {
+          std::uint64_t r = requests[w];
+          if ((w + 1) * 64 > ports && (ports & 63) != 0)
+            r &= (1ull << (ports & 63)) - 1;
+          depth += static_cast<std::uint64_t>(std::popcount(r));
+        }
+        m_->queue_depth.record(depth);
+        for (std::size_t i = 0; i < turns_.size(); ++i)
+          if (i != g && req_bit(i)) turns_[i] += 1;
+      }
+      holder_ = grant;
+      hold_len_ = 0;
+    }
+    if (holder_ >= 0) hold_len_ += 1;
+    for (std::size_t i = 0; i < wait_.size(); ++i) {
+      if (!req_bit(i)) {
+        if (static_cast<int>(i) != holder_) wait_[i] = 0;
+        continue;
+      }
+      if (static_cast<int>(i) != holder_) {
+        wait_[i] += 1;
+        m_->port[i].wait_cycles += 1;
+      }
+    }
+  }
+
+  void finish() {
+    if (holder_ >= 0) {
+      m_->hold_length.record(hold_len_);
+      m_->port[static_cast<std::size_t>(holder_)].granted_cycles += hold_len_;
+    }
+    holder_ = -1;
+    hold_len_ = 0;
+  }
+
+ private:
+  obs::ArbiterMetrics* m_;
+  int holder_ = -1;
+  std::uint64_t hold_len_ = 0;
+  std::vector<std::uint64_t> wait_;
+  std::vector<std::uint64_t> turns_;
+  std::vector<std::uint64_t> word_;
+};
+
+::testing::AssertionResult same_histogram(const Histogram& a,
+                                          const Histogram& b,
+                                          const char* what) {
+  if (a.count() != b.count() || a.sum() != b.sum() || a.max() != b.max())
+    return ::testing::AssertionFailure()
+           << what << ": n/sum/max " << a.count() << "/" << a.sum() << "/"
+           << a.max() << " vs " << b.count() << "/" << b.sum() << "/"
+           << b.max();
+  for (int i = 0; i < Histogram::kBuckets; ++i)
+    if (a.bucket(i) != b.bucket(i))
+      return ::testing::AssertionFailure() << what << ": bucket " << i;
+  for (const double p : {0.0, 0.5, 0.9, 0.99, 1.0})
+    if (a.percentile(p) != b.percentile(p))
+      return ::testing::AssertionFailure() << what << ": percentile " << p;
+  return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult same_metrics(const obs::ArbiterMetrics& want,
+                                        const obs::ArbiterMetrics& got) {
+  for (const auto& [a, b, what] :
+       {std::tuple{&want.grant_latency, &got.grant_latency, "grant_latency"},
+        std::tuple{&want.hold_length, &got.hold_length, "hold_length"},
+        std::tuple{&want.queue_depth, &got.queue_depth, "queue_depth"}}) {
+    const ::testing::AssertionResult same = same_histogram(*a, *b, what);
+    if (!same) return same;
+  }
+  if (want.port.size() != got.port.size())
+    return ::testing::AssertionFailure() << "port vector size";
+  for (std::size_t i = 0; i < want.port.size(); ++i) {
+    const obs::PortMetrics& a = want.port[i];
+    const obs::PortMetrics& b = got.port[i];
+    if (a.grants != b.grants || a.granted_cycles != b.granted_cycles ||
+        a.wait_cycles != b.wait_cycles || a.max_wait != b.max_wait ||
+        a.max_turns_waited != b.max_turns_waited)
+      return ::testing::AssertionFailure()
+             << "port " << i << ": grants/granted/wait/max_wait/turns "
+             << a.grants << "/" << a.granted_cycles << "/" << a.wait_cycles
+             << "/" << a.max_wait << "/" << a.max_turns_waited << " vs "
+             << b.grants << "/" << b.granted_cycles << "/" << b.wait_cycles
+             << "/" << b.max_wait << "/" << b.max_turns_waited;
+  }
+  if (want.watchdog_fires != got.watchdog_fires ||
+      want.watchdog_releases != got.watchdog_releases ||
+      want.backoffs != got.backoffs || want.retries != got.retries ||
+      want.error_net_trips != got.error_net_trips ||
+      want.resyncs != got.resyncs || want.ports != got.ports)
+    return ::testing::AssertionFailure() << "scalar counters";
+  return ::testing::AssertionSuccess();
+}
+
+/// Zeroes the metrics in place, the way the service's warmup reset does
+/// (the probes keep borrowing the same object).
+void reset_in_place(obs::ArbiterMetrics& m) {
+  obs::ArbiterMetrics fresh;
+  fresh.ports = m.ports;
+  fresh.port.assign(static_cast<std::size_t>(m.ports), obs::PortMetrics{});
+  m = fresh;
+}
+
+TEST(ObsMetrics, EdgeDrivenProbeMatchesTheFullScanProbe) {
+  // Seeded random request/grant streams, far rougher than any arbiter
+  // emits: several lines rise and fall in one step, grants go to ports
+  // without Req, to nobody, and stay on holders that dropped Req; dirty
+  // bits sit past the width and some wide steps pass too few words.
+  // `eager` is settled and compared after every step; `lazy` is settled
+  // only at the mid-stream reset, so its open waits are added when they
+  // end.
+  constexpr int kSteps = 3'000;
+  for (const int width : {1, 8, 63, 64, 65, 200, 1024, 4096}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    const auto n = static_cast<std::size_t>(width);
+    const std::size_t words = (n + 63) / 64;
+    obs::ArbiterMetrics ref_m, eager_m, lazy_m;
+    ref_m.ports = eager_m.ports = lazy_m.ports = width;
+    ReferenceProbe ref(&ref_m);
+    obs::ArbiterProbe eager(&eager_m);
+    obs::ArbiterProbe lazy(&lazy_m);
+    Rng rng(derive_seed(0x0b5e, n));
+    std::vector<std::uint64_t> req(words, 0);
+    const auto flip = [&](std::size_t i) { req[i >> 6] ^= 1ull << (i & 63); };
+    const auto has = [&](std::size_t i) {
+      return ((req[i >> 6] >> (i & 63)) & 1) != 0;
+    };
+    // The first requesting port at or after a random start, or -1.
+    const auto some_requester = [&]() {
+      const std::size_t start = rng.next_below(n);
+      for (std::size_t k = 0; k < n; ++k)
+        if (has((start + k) % n)) return static_cast<int>((start + k) % n);
+      return -1;
+    };
+    int grant = -1;
+    for (int t = 0; t < kSteps; ++t) {
+      const std::uint64_t flips = rng.next_below(5);
+      for (std::uint64_t k = 0; k < flips; ++k) flip(rng.next_below(n));
+      switch (rng.next_below(10)) {
+        case 0:
+        case 1:
+          grant = some_requester();
+          break;
+        case 2:
+          grant = -1;
+          break;
+        case 3:
+          grant = static_cast<int>(rng.next_below(n));  // Req may be low
+          break;
+        case 4:
+          // The holder releases: Req falls and the grant moves on in the
+          // same step.
+          if (grant >= 0 && has(static_cast<std::size_t>(grant)))
+            flip(static_cast<std::size_t>(grant));
+          grant = some_requester();
+          break;
+        case 5:
+          // The holder drops Req but keeps the grant.
+          if (grant >= 0 && has(static_cast<std::size_t>(grant)))
+            flip(static_cast<std::size_t>(grant));
+          break;
+        default:
+          break;  // the grant stays put
+      }
+      std::vector<std::uint64_t> sent = req;
+      if (n % 64 != 0) sent.back() |= rng.next_u64() << (n % 64);  // dirty tail
+      if (words > 1 && rng.next_below(50) == 0) sent.pop_back();
+      if (words == 1 && rng.next_below(2) == 0) {
+        ref.on_step(sent[0], grant);
+        eager.on_step(sent[0], grant);
+        lazy.on_step(sent[0], grant);
+      } else {
+        ref.on_step_wide(sent, grant);
+        eager.on_step_wide(sent, grant);
+        lazy.on_step_wide(sent, grant);
+      }
+      if (t == kSteps / 3) {
+        eager.settle();
+        lazy.settle();
+        reset_in_place(ref_m);
+        reset_in_place(eager_m);
+        reset_in_place(lazy_m);
+      }
+      eager.settle();
+      ASSERT_TRUE(same_metrics(ref_m, eager_m)) << "after step " << t;
+    }
+    ref.finish();
+    eager.finish();
+    lazy.finish();
+    ASSERT_TRUE(same_metrics(ref_m, eager_m)) << "after finish";
+    ASSERT_TRUE(same_metrics(ref_m, lazy_m)) << "after finish";
+    EXPECT_GT(ref_m.grant_latency.count(), 0u);
+    EXPECT_GT(ref_m.grant_latency.max(), 0u);
+  }
 }
 
 // ------------------------------------------------------------- trace events

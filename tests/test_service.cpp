@@ -2,6 +2,8 @@
 // policies, and the client-side retry/timeout/backoff loop.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -358,6 +360,48 @@ TEST(ServiceEngine, RejectsRetryTimeoutInsideTheFirstBackoff) {
   EXPECT_NO_THROW((void)run_service(o));
 }
 
+TEST(ServiceEngine, RejectsRetryDelaysShorterThanOneCycle) {
+  // The regression: a zero retry delay filed the retry under the cycle
+  // whose timers had already fired, so it never fired.  The request stayed
+  // in flight for good, and conservation still balanced, so nothing
+  // noticed: 1,598 of 2,431 offered requests sat lost at the end of this
+  // run.  Every delay must now be at least one cycle, and the cap on
+  // backoff_limit bounds the retry ring.
+  ServiceOptions o;
+  o.resources = 1;
+  o.ports = 2;
+  o.policy = OverloadPolicy::kTailDrop;
+  o.arrivals.rate = 0.5;
+  o.warmup_cycles = 0;
+  o.measure_cycles = 5'000;
+  o.seed = 3;
+  o.retry.backoff_base = 0;
+  EXPECT_THROW((void)run_service(o), CheckError);
+  o.retry.backoff_base = 8;
+  o.retry.backoff_limit = 0;
+  EXPECT_THROW((void)run_service(o), CheckError);
+  o.retry.backoff_limit = kMaxBackoffLimit + 1;
+  EXPECT_THROW((void)run_service(o), CheckError);
+  o.retry.backoff_limit = kMaxBackoffLimit;
+  EXPECT_NO_THROW((void)run_service(o));
+  // The shortest legal delay: every retry fires on the next cycle.
+  o.retry.backoff_base = 1;
+  o.retry.backoff_limit = 1;
+  const ServiceStats s = run_service(o);
+  EXPECT_GT(s.retries, 0u);
+  EXPECT_EQ(s.in_flight_at_start + s.offered,
+            s.completed + s.timed_out + s.budget_exhausted +
+                s.in_flight_at_end);
+  // Queue, slots and one cycle of retries: nothing is parked for good.
+  EXPECT_LE(s.in_flight_at_end,
+            static_cast<std::uint64_t>(o.queue_capacity + o.ports + 8));
+  // Without retries the delays are never used.
+  o.retry.max_retries = 0;
+  o.retry.backoff_base = 0;
+  o.retry.backoff_limit = 0;
+  EXPECT_NO_THROW((void)run_service(o));
+}
+
 // ------------------------------------------------- arbiter kind threading
 
 TEST(ServiceEngine, ScalableKindsMatchFlatAggregatesAtWordWidths) {
@@ -454,6 +498,198 @@ TEST(ServiceEngine, WideSweepIsByteIdenticalSerialVsParallel) {
     return lines;
   };
   EXPECT_EQ(sweep(1), sweep(4));
+}
+
+// ------------------------------------------------ wide-port fingerprints
+
+/// FNV-1a folded over 64-bit values, one byte at a time.
+struct Fnv {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  }
+  void add(const obs::Histogram& hist) {
+    add(hist.count());
+    add(hist.sum());
+    add(hist.max());
+    for (int i = 0; i < obs::Histogram::kBuckets; ++i) add(hist.bucket(i));
+    add(hist.percentile(0.5));
+    add(hist.percentile(0.99));
+  }
+};
+
+/// Every ServiceStats counter, the latency and queue-depth histogram sums,
+/// then one hash over each resource's counters, histograms and
+/// ArbiterMetrics (per port).
+std::string fingerprint(const ServiceStats& s) {
+  Fnv arb;
+  for (const ResourceStats& rs : s.per_resource) {
+    for (const std::uint64_t v :
+         {rs.offered, rs.completed, rs.timed_out, rs.rejected, rs.shed})
+      arb.add(v);
+    arb.add(rs.latency);
+    arb.add(rs.queue_depth);
+    const obs::ArbiterMetrics& m = rs.arbiter;
+    arb.add(m.grant_latency);
+    arb.add(m.hold_length);
+    arb.add(m.queue_depth);
+    for (const obs::PortMetrics& p : m.port)
+      for (const std::uint64_t v : {p.grants, p.granted_cycles, p.wait_cycles,
+                                    p.max_wait, p.max_turns_waited})
+        arb.add(v);
+    for (const std::uint64_t v :
+         {m.watchdog_fires, m.watchdog_releases, m.backoffs, m.retries,
+          m.error_net_trips, m.resyncs})
+      arb.add(v);
+  }
+  std::string out;
+  for (const std::uint64_t v :
+       {s.cycles, s.offered, s.completed, s.timed_out, s.rejected, s.shed,
+        s.retries, s.budget_exhausted, s.faults_injected, s.error_net_trips,
+        s.resyncs, s.multi_grants, s.corrupted, s.failed_service, s.strikes,
+        s.quarantines, s.drain_aborts, s.restored, s.retired, s.requeued,
+        s.serving_resource_cycles, s.in_flight_at_start, s.in_flight_at_end,
+        s.latency.sum(), s.queue_depth.sum(), arb.h})
+    out += std::to_string(v) + " ";
+  out.pop_back();
+  return out;
+}
+
+TEST(ServiceEngine, WidePortFingerprintsArePinned) {
+  // The smoke goldens run 8, 64 and 256 ports: one word, or whole words.
+  // These widths leave the last slot word partial (or one bit past a
+  // word), and 3x overload fills the slots, so dispatch, the Req words
+  // and the probe all reach the last word.  The values were recorded from
+  // the engine that rebuilt the Req words by scanning every slot each
+  // cycle.
+  static const char* const kPinned[] = {
+      "1600 3226 1066 0 851 10293 8986 2148 0 0 0 0 0 0 0 0 0 0 0 0 3200 268 "
+      "280 83210 26732 4047280259978515874",
+      "1600 3226 1066 0 11202 0 9044 2153 0 0 0 0 0 0 0 0 0 0 0 0 3200 286 "
+      "293 108976 50111 5733302270621069725",
+      "1600 3226 1066 0 11209 0 9051 2141 0 0 0 0 0 0 0 0 0 0 0 0 3200 379 "
+      "398 260738 203714 3669082733826988328",
+      "1600 3226 1066 0 851 10293 8986 2148 0 0 0 0 0 0 0 0 0 0 0 0 3200 268 "
+      "280 83210 26732 7291304750560870902",
+      "1600 3226 1066 0 11202 0 9044 2153 0 0 0 0 0 0 0 0 0 0 0 0 3200 286 "
+      "293 108976 50111 7424276869363581985",
+      "1600 3226 1066 0 11209 0 9051 2141 0 0 0 0 0 0 0 0 0 0 0 0 3200 379 "
+      "398 260738 203714 14465963363987727532",
+      "1600 3226 1066 0 851 10293 8986 2148 0 0 0 0 0 0 0 0 0 0 0 0 3200 268 "
+      "280 83210 26732 4047280259978515874",
+      "1600 3226 1066 0 11202 0 9044 2153 0 0 0 0 0 0 0 0 0 0 0 0 3200 286 "
+      "293 108976 50111 5733302270621069725",
+      "1600 3226 1066 0 11209 0 9051 2141 0 0 0 0 0 0 0 0 0 0 0 0 3200 379 "
+      "398 260738 203714 3669082733826988328",
+      "1600 3218 1066 0 825 10281 8955 2132 0 0 0 0 0 0 0 0 0 0 0 0 3200 249 "
+      "269 83794 26728 4398227368677027337",
+      "1600 3218 1066 0 11142 0 8991 2138 0 0 0 0 0 0 0 0 0 0 0 0 3200 273 "
+      "287 107571 50113 4575090931662943151",
+      "1600 3218 1066 0 11157 0 9006 2131 0 0 0 0 0 0 0 0 0 0 0 0 3200 363 "
+      "384 260876 203708 8070674514993335896",
+      "1600 3218 1066 0 825 10281 8955 2132 0 0 0 0 0 0 0 0 0 0 0 0 3200 249 "
+      "269 83794 26728 1690337457704740285",
+      "1600 3218 1066 0 11142 0 8991 2138 0 0 0 0 0 0 0 0 0 0 0 0 3200 273 "
+      "287 107571 50113 2130255826995184931",
+      "1600 3218 1066 0 11157 0 9006 2131 0 0 0 0 0 0 0 0 0 0 0 0 3200 363 "
+      "384 260876 203708 13148335684076507964",
+      "1600 3218 1066 0 825 10281 8955 2132 0 0 0 0 0 0 0 0 0 0 0 0 3200 249 "
+      "269 83794 26728 4398227368677027337",
+      "1600 3218 1066 0 11142 0 8991 2138 0 0 0 0 0 0 0 0 0 0 0 0 3200 273 "
+      "287 107571 50113 4575090931662943151",
+      "1600 3218 1066 0 11157 0 9006 2131 0 0 0 0 0 0 0 0 0 0 0 0 3200 363 "
+      "384 260876 203708 8070674514993335896",
+      "1600 3173 1066 0 768 10189 8851 2106 0 0 0 0 0 0 0 0 0 0 0 0 3200 272 "
+      "273 83372 26734 17985849936953950481",
+      "1600 3173 1066 0 10985 0 8879 2108 0 0 0 0 0 0 0 0 0 0 0 0 3200 288 "
+      "287 108301 50111 3986543385757287362",
+      "1600 3173 1066 0 11024 0 8918 2110 0 0 0 0 0 0 0 0 0 0 0 0 3200 387 "
+      "384 260726 203709 17385667291238428224",
+      "1600 3173 1066 0 768 10189 8851 2106 0 0 0 0 0 0 0 0 0 0 0 0 3200 272 "
+      "273 83372 26734 9287656506211598681",
+      "1600 3173 1066 0 10985 0 8879 2108 0 0 0 0 0 0 0 0 0 0 0 0 3200 288 "
+      "287 108301 50111 16598045398007287906",
+      "1600 3173 1066 0 11024 0 8918 2110 0 0 0 0 0 0 0 0 0 0 0 0 3200 387 "
+      "384 260726 203709 6405332419294638032",
+      "1600 3173 1066 0 768 10189 8851 2106 0 0 0 0 0 0 0 0 0 0 0 0 3200 272 "
+      "273 83372 26734 17985849936953950481",
+      "1600 3173 1066 0 10985 0 8879 2108 0 0 0 0 0 0 0 0 0 0 0 0 3200 288 "
+      "287 108301 50111 3986543385757287362",
+      "1600 3173 1066 0 11024 0 8918 2110 0 0 0 0 0 0 0 0 0 0 0 0 3200 387 "
+      "384 260726 203709 17385667291238428224",
+      "1600 3217 1066 0 799 10297 8947 2100 0 0 0 0 0 0 0 0 0 0 0 0 3200 373 "
+      "424 84783 26726 18215332345279119216",
+      "1600 3217 1066 0 11098 0 8949 2105 0 0 0 0 0 0 0 0 0 0 0 0 3200 393 "
+      "439 108322 50112 3898878110029611602",
+      "1600 3217 1066 0 11094 0 8945 2086 0 0 0 0 0 0 0 0 0 0 0 0 3200 474 "
+      "539 254769 203714 14113082203121104259",
+      "1600 3217 1066 0 799 10297 8947 2100 0 0 0 0 0 0 0 0 0 0 0 0 3200 373 "
+      "424 84783 26726 2460893071829835840",
+      "1600 3217 1066 0 11098 0 8949 2105 0 0 0 0 0 0 0 0 0 0 0 0 3200 393 "
+      "439 108322 50112 11682502919141931498",
+      "1600 3217 1066 0 11094 0 8945 2086 0 0 0 0 0 0 0 0 0 0 0 0 3200 474 "
+      "539 254769 203714 7833283801260040843",
+      "1600 3217 1066 0 799 10297 8947 2100 0 0 0 0 0 0 0 0 0 0 0 0 3200 373 "
+      "424 84783 26726 18215332345279119216",
+      "1600 3217 1066 0 11098 0 8949 2105 0 0 0 0 0 0 0 0 0 0 0 0 3200 393 "
+      "439 108322 50112 3898878110029611602",
+      "1600 3217 1066 0 11094 0 8945 2086 0 0 0 0 0 0 0 0 0 0 0 0 3200 474 "
+      "539 254769 203714 14113082203121104259",
+      "1600 3230 808 258 0 3356 2658 589 0 0 0 0 0 0 0 0 0 0 0 0 3200 550 "
+      "2125 32596 7868 1489888492124580673",
+      "1600 3230 808 258 3278 0 2596 563 0 0 0 0 0 0 0 0 0 0 0 0 3200 550 "
+      "2151 38863 15806 6162910094198828674",
+      "1600 3230 808 258 2779 0 2193 469 0 0 0 0 0 0 0 0 0 0 0 0 3200 550 "
+      "2245 63135 59613 16552399197064372085",
+      "1600 3230 939 127 0 3356 2658 589 0 0 0 0 0 0 0 0 0 0 0 0 3200 550 "
+      "2125 46144 7868 1406227269338340329",
+      "1600 3230 939 127 3278 0 2596 563 0 0 0 0 0 0 0 0 0 0 0 0 3200 550 "
+      "2151 52411 15806 2748764671506167215",
+      "1600 3230 939 127 2779 0 2193 469 0 0 0 0 0 0 0 0 0 0 0 0 3200 550 "
+      "2245 76683 59613 5523019327060817265",
+      "1600 3230 808 258 0 3356 2658 589 0 0 0 0 0 0 0 0 0 0 0 0 3200 550 "
+      "2125 32596 7868 1489888492124580673",
+      "1600 3230 808 258 3278 0 2596 563 0 0 0 0 0 0 0 0 0 0 0 0 3200 550 "
+      "2151 38863 15806 6162910094198828674",
+      "1600 3230 808 258 2779 0 2193 469 0 0 0 0 0 0 0 0 0 0 0 0 3200 550 "
+      "2245 63135 59613 16552399197064372085",
+  };
+  const OverloadPolicy policies[] = {OverloadPolicy::kAdmitShed,
+                                     OverloadPolicy::kTailDrop,
+                                     OverloadPolicy::kBlock};
+  std::size_t i = 0;
+  for (const int ports : {63, 64, 65, 129, 1000}) {
+    for (const core::ArbiterChoice kind :
+         {core::ArbiterChoice::kFlatFsm, core::ArbiterChoice::kHierarchical,
+          core::ArbiterChoice::kPrefix}) {
+      for (const OverloadPolicy pol : policies) {
+        ServiceOptions o;
+        o.resources = 2;
+        o.ports = ports;
+        o.service_cycles = 3;
+        o.queue_capacity = 16;
+        o.admit_queue_threshold = 8;
+        o.block_backlog_factor = 4;
+        o.util_window = 128;
+        o.policy = pol;
+        o.arbiter_kind = kind;
+        o.arrivals.rate = 2.0;  // 3x the 2/3 per cycle capacity
+        o.retry.timeout = 384;
+        o.warmup_cycles = 400;
+        o.measure_cycles = 1'600;
+        o.seed = derive_seed(0xf1f0, static_cast<std::uint64_t>(ports));
+        ASSERT_LT(i, std::size(kPinned));
+        EXPECT_EQ(fingerprint(run_service(o)), kPinned[i])
+            << ports << " ports, " << core::to_string(kind) << ", "
+            << to_string(pol);
+        ++i;
+      }
+    }
+  }
+  EXPECT_EQ(i, std::size(kPinned));
 }
 
 TEST(ServiceEngine, EstimatorRestartsAtTheMeasurementBoundary) {
