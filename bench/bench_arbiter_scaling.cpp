@@ -15,9 +15,12 @@
 #include <vector>
 
 #include "core/generator.hpp"
+#include "core/hier.hpp"
+#include "netlist/netlist.hpp"
 #include "obs/bench_report.hpp"
 #include "support/parallel.hpp"
 #include "support/table.hpp"
+#include "synth/lut_map.hpp"
 
 namespace {
 
@@ -156,7 +159,7 @@ void BM_GenerateHierarchical(benchmark::State& state) {
     benchmark::DoNotOptimize(g.chars.clbs);
   }
 }
-BENCHMARK(BM_GenerateHierarchical)->Arg(64)->Arg(256);
+BENCHMARK(BM_GenerateHierarchical)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_GeneratePrefix(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -165,7 +168,43 @@ void BM_GeneratePrefix(benchmark::State& state) {
     benchmark::DoNotOptimize(g.chars.clbs);
   }
 }
-BENCHMARK(BM_GeneratePrefix)->Arg(64)->Arg(256);
+BENCHMARK(BM_GeneratePrefix)->Arg(64)->Arg(256)->Arg(1024);
+
+// synth::map_aig alone on the kind's AIG (built once, outside the timed
+// loop), with the depth objective generate_scalable maps with; each
+// iteration maps into a fresh netlist holding only the input nets.
+void BM_MapAig(benchmark::State& state, ArbiterKind kind) {
+  const int n = static_cast<int>(state.range(0));
+  rcarb::aig::Aig comb;
+  switch (kind) {
+    case ArbiterKind::kFlatFsm:
+      comb = rcarb::core::build_flat_onehot_aig(n);
+      break;
+    case ArbiterKind::kHierarchical:
+      comb = rcarb::core::build_hierarchical_aig(n);
+      break;
+    case ArbiterKind::kPrefix:
+      comb = rcarb::core::build_prefix_aig(n);
+      break;
+  }
+  rcarb::synth::MapOptions options;
+  options.objective = rcarb::synth::MapObjective::kDepth;
+  std::size_t luts = 0;
+  for (auto _ : state) {
+    rcarb::netlist::Netlist nl;
+    std::vector<rcarb::netlist::NetId> input_nets;
+    input_nets.reserve(comb.num_inputs());
+    for (std::size_t i = 0; i < comb.num_inputs(); ++i)
+      input_nets.push_back(nl.add_input(comb.input_name(i)));
+    rcarb::synth::MapStats stats;
+    rcarb::synth::map_aig(comb, options, nl, input_nets, "m_", &stats);
+    luts += stats.luts;
+  }
+  benchmark::DoNotOptimize(luts);
+}
+BENCHMARK_CAPTURE(BM_MapAig, flat, ArbiterKind::kFlatFsm)->Arg(1024);
+BENCHMARK_CAPTURE(BM_MapAig, hier, ArbiterKind::kHierarchical)->Arg(1024);
+BENCHMARK_CAPTURE(BM_MapAig, prefix, ArbiterKind::kPrefix)->Arg(1024);
 
 void BM_StepWideHierarchical(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

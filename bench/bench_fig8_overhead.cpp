@@ -33,7 +33,7 @@ struct Workload {
       p.load_imm(0, 0);
       for (int i = 0; i < accesses; ++i) p.store(t, 0, 0, i % 32);
       p.halt();
-      graph.add_task("t" + std::to_string(t), p, 10);
+      graph.add_task(std::string("t").append(std::to_string(t)), p, 10);
     }
     binding.task_to_pe = {0, 1};
     binding.segment_to_bank = {0, 0};
@@ -102,14 +102,14 @@ void print_fig8(rcarb::obs::BenchReporter& rep) {
     const std::uint64_t solo = run_cycles(w, m, {0});
     const int bursts = (kAccesses + m - 1) / m;
     const std::uint64_t contended = run_cycles(w, m, {0, 1});
-    const std::string suffix = "_m" + std::to_string(m);
+    const std::string suffix = std::string("_m").append(std::to_string(m));
     rep.metric("solo_overhead" + suffix,
                static_cast<double>(solo - solo_base), "cycles");
     rep.metric("peer_max_wait" + suffix,
                static_cast<double>(max_wait(w, m)), "cycles");
     table.add_row({std::to_string(m), std::to_string(bursts),
                    std::to_string(solo),
-                   "+" + std::to_string(solo - solo_base),
+                   std::string("+").append(std::to_string(solo - solo_base)),
                    fmt_fixed(static_cast<double>(solo - solo_base) /
                                  static_cast<double>(bursts),
                              1),

@@ -47,7 +47,7 @@ Scenario build() {
         .add_imm(2, 2, 1)
         .loop_end()
         .halt();
-    s.graph.add_task("t" + std::to_string(i), p, 10);
+    s.graph.add_task(std::string("t").append(std::to_string(i)), p, 10);
   }
   s.binding.task_to_pe = {0, 1};
   s.binding.segment_to_bank = {0};
@@ -96,7 +96,11 @@ void print_comparison(obs::BenchReporter& rep) {
     rep.metric("arbitrated_cycles_" + std::to_string(a) + "_" +
                    std::to_string(b),
                static_cast<double>(dynamic), "cycles");
-    table.add_row({"(" + std::to_string(a) + ", " + std::to_string(b) + ")",
+    table.add_row({std::string("(")
+                       .append(std::to_string(a))
+                       .append(", ")
+                       .append(std::to_string(b))
+                       .append(")"),
                    std::to_string(static_len), std::to_string(dynamic),
                    fmt_fixed(static_cast<double>(static_len) /
                                  static_cast<double>(dynamic),

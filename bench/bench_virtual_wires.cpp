@@ -50,7 +50,7 @@ Scenario build(const std::array<int, kProducers>& gaps,
         s.graph.add_task("prod" + std::to_string(i), producer, 10);
     const auto c =
         s.graph.add_task("cons" + std::to_string(i), consumer, 10);
-    s.graph.add_channel("c" + std::to_string(i), 8, p, c);
+    s.graph.add_channel(std::string("c").append(std::to_string(i)), 8, p, c);
     s.tasks.push_back(p);
     s.tasks.push_back(c);
   }

@@ -34,7 +34,7 @@ int main() {
         .halt();
     const auto p = graph.add_task("prod" + std::to_string(i), producer, 60);
     const auto c = graph.add_task("cons" + std::to_string(i), consumer, 60);
-    graph.add_channel("c" + std::to_string(i), 8, p, c);
+    graph.add_channel(std::string("c").append(std::to_string(i)), 8, p, c);
     tasks.push_back(p);
     tasks.push_back(c);
   }

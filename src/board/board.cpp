@@ -117,10 +117,12 @@ Board mesh8() {
   // 2x4 mesh links.
   for (PeId r = 0; r < 2; ++r)
     for (PeId c = 0; c + 1 < 4; ++c)
-      b.add_link("H" + std::to_string(r) + std::to_string(c), r * 4 + c,
-                 r * 4 + c + 1, 32);
+      b.add_link(std::string("H")
+                     .append(std::to_string(r))
+                     .append(std::to_string(c)),
+                 r * 4 + c, r * 4 + c + 1, 32);
   for (PeId c = 0; c < 4; ++c)
-    b.add_link("V" + std::to_string(c), c, 4 + c, 32);
+    b.add_link(std::string("V").append(std::to_string(c)), c, 4 + c, 32);
   return b;
 }
 

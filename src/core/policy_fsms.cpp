@@ -85,7 +85,11 @@ synth::Fsm build_lfsr_random_fsm(int n) {
   for (int l = 1; l <= 7; ++l)
     for (int h = -1; h < n; ++h) {
       std::ostringstream name;
-      name << (h < 0 ? "I" : "H" + std::to_string(h)) << "L" << l;
+      if (h < 0)
+        name << "I";
+      else
+        name << "H" << h;
+      name << "L" << l;
       id[{h, l}] = fsm.add_state(name.str());
     }
   fsm.set_reset_state(id[{-1, 1}]);
@@ -187,7 +191,8 @@ std::pair<FifoState, int> fifo_step(const FifoState& s, std::uint64_t req,
 }
 
 std::string fifo_state_name(const FifoState& s) {
-  std::string name = s.holder < 0 ? "I" : "H" + std::to_string(s.holder);
+  std::string name = s.holder < 0 ? "I" : "H";
+  if (s.holder >= 0) name += std::to_string(s.holder);
   name += "q";
   for (int t : s.queue) name += std::to_string(t);
   return name;

@@ -147,6 +147,18 @@ bool SelfCheckingArbiter::latched() const {
   return false;
 }
 
+namespace {
+
+/// Name prefix of copy c's state and next-state nets: none for copy 0
+/// (it keeps the plain arbiter's names), "c<c>_" for the others.
+std::string copy_prefix(int c) {
+  std::string prefix;
+  if (c != 0) prefix.append("c").append(std::to_string(c)).append("_");
+  return prefix;
+}
+
+}  // namespace
+
 aig::Aig build_self_checking_aig(int n, const synth::StateCodes& codes,
                                  CheckMode mode, std::uint64_t reset_code) {
   RCARB_CHECK(mode != CheckMode::kNone,
@@ -166,9 +178,8 @@ aig::Aig build_self_checking_aig(int n, const synth::StateCodes& codes,
     auto& bits = state[static_cast<std::size_t>(c)];
     bits.resize(static_cast<std::size_t>(nb));
     for (int b = 0; b < nb; ++b)
-      bits[static_cast<std::size_t>(b)] = g.add_input(
-          c == 0 ? "state" + std::to_string(b)
-                 : "c" + std::to_string(c) + "_state" + std::to_string(b));
+      bits[static_cast<std::size_t>(b)] =
+          g.add_input(copy_prefix(c).append("state").append(std::to_string(b)));
   }
 
   // One instantiation of the plain combinational core per copy; the strash
@@ -215,10 +226,7 @@ aig::Aig build_self_checking_aig(int n, const synth::StateCodes& codes,
       } else {
         ns = maj(ns_of(0, b), ns_of(1, b), ns_of(2, b));
       }
-      g.add_output(c == 0 ? "ns" + std::to_string(b)
-                          : "c" + std::to_string(c) + "_ns" +
-                                std::to_string(b),
-                   ns);
+      g.add_output(copy_prefix(c).append("ns").append(std::to_string(b)), ns);
     }
   }
 

@@ -93,10 +93,14 @@ FftDesign build_fft_design(const FftDesignOptions& options) {
     d.f[i] = d.graph.add_task(signal_name("F", i + 1), tg::Program{},
                               options.f_area_clbs);
   for (std::size_t j = 0; j < 4; ++j)
-    d.gr[j] = d.graph.add_task("g" + std::to_string(j + 1) + "r",
+    d.gr[j] = d.graph.add_task(std::string("g")
+                                   .append(std::to_string(j + 1))
+                                   .append("r"),
                                tg::Program{}, options.g_area_clbs);
   for (std::size_t j = 0; j < 4; ++j)
-    d.gi[j] = d.graph.add_task("g" + std::to_string(j + 1) + "i",
+    d.gi[j] = d.graph.add_task(std::string("g")
+                                   .append(std::to_string(j + 1))
+                                   .append("i"),
                                tg::Program{}, options.g_area_clbs);
 
   for (std::size_t i = 0; i < 4; ++i)

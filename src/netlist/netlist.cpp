@@ -7,11 +7,11 @@
 namespace rcarb::netlist {
 
 NetId Netlist::new_net(DriverKind kind, std::size_t index, std::string name) {
-  RCARB_CHECK(!net_by_name_.contains(name), "duplicate net name: " + name);
   const NetId id = static_cast<NetId>(driver_kind_.size());
+  RCARB_CHECK(net_by_name_.try_emplace(name, id).second,
+              "duplicate net name: " + name);
   driver_kind_.push_back(kind);
   driver_index_.push_back(index);
-  net_by_name_.emplace(name, id);
   net_name_.push_back(std::move(name));
   return id;
 }
@@ -107,28 +107,39 @@ std::vector<std::vector<std::uint32_t>> Netlist::lut_fanouts() const {
 
 std::vector<std::size_t> Netlist::lut_topo_order() const {
   // Kahn's algorithm over LUT→LUT dependencies (inputs and DFF outputs are
-  // sources and impose no ordering).
-  std::vector<std::size_t> pending(luts_.size(), 0);
-  std::vector<std::vector<std::size_t>> dependents(luts_.size());
-  for (std::size_t i = 0; i < luts_.size(); ++i) {
+  // sources and impose no ordering).  Dependents are kept in CSR form:
+  // dependents of LUT d are dep[start[d], start[d + 1]), one entry per pin
+  // that reads d, filled in ascending sink order.
+  const std::size_t m = luts_.size();
+  std::vector<std::uint32_t> pending(m, 0);
+  std::vector<std::uint32_t> start(m + 1, 0);
+  for (std::size_t i = 0; i < m; ++i) {
     for (NetId in : luts_[i].inputs) {
       if (driver_kind_[in] == DriverKind::kLut) {
         ++pending[i];
-        dependents[driver_index_[in]].push_back(i);
+        ++start[driver_index_[in] + 1];
       }
     }
   }
+  for (std::size_t d = 0; d < m; ++d) start[d + 1] += start[d];
+  std::vector<std::uint32_t> dep(start[m]);
+  std::vector<std::uint32_t> fill(start.begin(), start.end() - 1);
+  for (std::size_t i = 0; i < m; ++i)
+    for (NetId in : luts_[i].inputs)
+      if (driver_kind_[in] == DriverKind::kLut)
+        dep[fill[driver_index_[in]]++] = static_cast<std::uint32_t>(i);
+
   std::vector<std::size_t> order;
-  order.reserve(luts_.size());
-  std::vector<std::size_t> ready;
-  for (std::size_t i = 0; i < luts_.size(); ++i)
-    if (pending[i] == 0) ready.push_back(i);
+  order.reserve(m);
+  std::vector<std::uint32_t> ready;
+  for (std::size_t i = 0; i < m; ++i)
+    if (pending[i] == 0) ready.push_back(static_cast<std::uint32_t>(i));
   while (!ready.empty()) {
-    const std::size_t i = ready.back();
+    const std::uint32_t i = ready.back();
     ready.pop_back();
     order.push_back(i);
-    for (std::size_t dep : dependents[i])
-      if (--pending[dep] == 0) ready.push_back(dep);
+    for (std::uint32_t e = start[i]; e < start[i + 1]; ++e)
+      if (--pending[dep[e]] == 0) ready.push_back(dep[e]);
   }
   RCARB_CHECK(order.size() == luts_.size(),
               "combinational loop detected in netlist");

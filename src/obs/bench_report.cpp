@@ -88,10 +88,8 @@ void BenchReporter::note(const std::string& key, const std::string& value) {
 std::string BenchReporter::write(const std::string& dir) {
   std::string out_dir = dir;
   if (out_dir.empty()) {
-    if (const char* env = std::getenv("RCARB_BENCH_DIR"); env && *env)
-      out_dir = env;
-    else
-      out_dir = ".";
+    const char* env = std::getenv("RCARB_BENCH_DIR");
+    out_dir = std::string(env != nullptr && *env != '\0' ? env : ".");
   }
   // A merely-absent directory is not an error: CI and local runs point
   // RCARB_BENCH_DIR at fresh paths.  Only an unwritable / non-directory
@@ -102,11 +100,12 @@ std::string BenchReporter::write(const std::string& dir) {
   const std::string path = out_dir + "/BENCH_" + name_ + ".json";
   std::ofstream os(path);
   if (!os) {
+    std::string mkdir_error;
+    if (ec) mkdir_error.append(", mkdir: ").append(ec.message());
     std::fprintf(stderr,
                  "BenchReporter: cannot open \"%s\" for writing (dir \"%s\"%s)"
                  " — check RCARB_BENCH_DIR\n",
-                 path.c_str(), out_dir.c_str(),
-                 ec ? (", mkdir: " + ec.message()).c_str() : "");
+                 path.c_str(), out_dir.c_str(), mkdir_error.c_str());
     return "";
   }
 

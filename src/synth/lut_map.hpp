@@ -1,9 +1,15 @@
 // Technology mapping: AIG -> k-input LUT netlist.
 //
-// Classic k-feasible structural cut enumeration with priority cuts: every
-// AIG node keeps a bounded set of cuts ranked by the mapping objective
-// (depth-oriented or area-oriented), the best cut per node induces the LUT
-// cover, and LUT truth tables are computed by cone evaluation.
+// Classic k-feasible structural cut enumeration with priority cuts
+// (Mishchenko et al., ICCAD 2007): every AIG node keeps a bounded set of
+// cuts ranked by the mapping objective (depth-oriented or area-oriented),
+// and the best cut per node induces the LUT cover.  Cuts are fixed-size
+// leaf arrays with a 64-bit leaf signature that rejects oversized merges
+// before the sorted merge runs; all of them live in one pool with
+// per-node offsets.  Each emitted LUT's truth table comes from one
+// bit-parallel walk of its cone: leaf i starts as its projection pattern
+// (0xAAAA, 0xCCCC, 0xF0F0, 0xFF00), so every node's 16-bit word holds its
+// value on all input rows at once.
 #pragma once
 
 #include <cstdint>

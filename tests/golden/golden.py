@@ -36,12 +36,19 @@ BENCHES = {
     "bench_virtual_wires": ["BENCH_virtual_wires.json"],
     "bench_service_load": ["BENCH_service_load.json"],
     "bench_service_faults": ["BENCH_service_faults.json"],
+    "bench_fig6_area": ["BENCH_fig6_area.json"],
+    "bench_fig7_speed": ["BENCH_fig7_speed.json"],
+    "bench_policy_ablation": ["BENCH_policy_ablation.json"],
+    "bench_encoding_ablation": ["BENCH_encoding_ablation.json"],
+    "bench_arbiter_scaling": ["BENCH_arbiter_scaling.json"],
 }
 
-# Extra environment per bench: the service benches are pinned at smoke size.
+# Extra environment per bench: the service benches and the arbiter-scaling
+# sweep are pinned at smoke size.
 BENCH_ENV = {
     "bench_service_load": {"RCARB_SERVICE_SMOKE": "1"},
     "bench_service_faults": {"RCARB_SERVICE_SMOKE": "1"},
+    "bench_arbiter_scaling": {"RCARB_SCALING_SMOKE": "1"},
 }
 
 HOST_KEYS = ("wall_ms", "timestamp_utc", "commit")

@@ -46,7 +46,8 @@ TEST(Aig, OrAndXorAndMuxSemantics) {
 TEST(Aig, LandManyAndLorMany) {
   Aig g;
   std::vector<Lit> ins;
-  for (int i = 0; i < 5; ++i) ins.push_back(g.add_input("i" + std::to_string(i)));
+  for (int i = 0; i < 5; ++i)
+    ins.push_back(g.add_input(std::string("i").append(std::to_string(i))));
   g.add_output("and", g.land_many(ins));
   g.add_output("or", g.lor_many(ins));
   for (std::uint64_t p = 0; p < 32; ++p) {
@@ -61,7 +62,8 @@ TEST(Aig, LandManyAndLorMany) {
 TEST(Aig, DepthOfBalancedTree) {
   Aig g;
   std::vector<Lit> ins;
-  for (int i = 0; i < 8; ++i) ins.push_back(g.add_input("i" + std::to_string(i)));
+  for (int i = 0; i < 8; ++i)
+    ins.push_back(g.add_input(std::string("i").append(std::to_string(i))));
   g.add_output("and", g.land_many(ins));
   EXPECT_EQ(g.depth(), 3);  // balanced 8-input AND
 }
@@ -96,7 +98,7 @@ TEST(AigProperty, FromCoverMatchesCover) {
     Aig g;
     std::vector<Lit> ins;
     for (int v = 0; v < nvars; ++v)
-      ins.push_back(g.add_input("x" + std::to_string(v)));
+      ins.push_back(g.add_input(std::string("x").append(std::to_string(v))));
     g.add_output("f", g.from_cover(f, ins));
     for (std::uint64_t p = 0; p < (1ull << nvars); ++p)
       EXPECT_EQ(g.eval_output(0, p), f.eval(p));
@@ -109,7 +111,8 @@ TEST(AigProperty, SharedPrefixesReduceNodeCount) {
   Aig g;
   std::vector<Lit> r;
   const int n = 10;
-  for (int i = 0; i < n; ++i) r.push_back(g.add_input("r" + std::to_string(i)));
+  for (int i = 0; i < n; ++i)
+    r.push_back(g.add_input(std::string("r").append(std::to_string(i))));
   std::size_t first_count = 0;
   for (int rep = 0; rep < 2; ++rep) {
     for (int j = 0; j < n; ++j) {

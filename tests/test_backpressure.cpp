@@ -170,7 +170,7 @@ struct SaturationRig {
 
   explicit SaturationRig(int hammerers, int banks, int stores_each) {
     for (int k = 0; k < banks; ++k)
-      g.add_segment("s" + std::to_string(k), 128, 16);
+      g.add_segment(std::string("s").append(std::to_string(k)), 128, 16);
     for (int t = 0; t < hammerers; ++t) {
       Program p;
       p.load_imm(0, 0);
@@ -179,7 +179,8 @@ struct SaturationRig {
             .store(t % banks, 0, 1, (t * 3 + k) % 16)
             .compute(1);
       p.halt();
-      tasks.push_back(g.add_task("h" + std::to_string(t), p, 1));
+      tasks.push_back(
+          g.add_task(std::string("h").append(std::to_string(t)), p, 1));
     }
     b.task_to_pe.resize(static_cast<std::size_t>(hammerers));
     for (int t = 0; t < hammerers; ++t)
@@ -187,7 +188,7 @@ struct SaturationRig {
     b.segment_to_bank.resize(static_cast<std::size_t>(banks));
     for (int k = 0; k < banks; ++k) {
       b.segment_to_bank[static_cast<std::size_t>(k)] = k;
-      b.bank_names.push_back("B" + std::to_string(k));
+      b.bank_names.push_back(std::string("B").append(std::to_string(k)));
     }
     b.num_banks = static_cast<std::size_t>(banks);
   }

@@ -35,8 +35,9 @@ TEST(ClbPack, ThreeIndependentLutsNeedTwoClbs) {
   const auto a = nl.add_input("a");
   const auto b = nl.add_input("b");
   for (int i = 0; i < 3; ++i) {
-    const auto f = add_and(nl, a, b, "f" + std::to_string(i));
-    nl.mark_output(f, "o" + std::to_string(i));
+    const auto f =
+        add_and(nl, a, b, std::string("f").append(std::to_string(i)));
+    nl.mark_output(f, std::string("o").append(std::to_string(i)));
   }
   EXPECT_EQ(pack_xc4000e(nl).clbs, 2u);
 }
@@ -93,7 +94,8 @@ TEST(ClbPack, FlipFlopsRideAlongInLogicClbs) {
 TEST(ClbPack, OverflowFlipFlopsGetTheirOwnClbs) {
   netlist::Netlist nl;
   const auto a = nl.add_input("a");
-  for (int i = 0; i < 6; ++i) nl.add_dff(a, false, "q" + std::to_string(i));
+  for (int i = 0; i < 6; ++i)
+    nl.add_dff(a, false, std::string("q").append(std::to_string(i)));
   const ClbReport report = pack_xc4000e(nl);
   EXPECT_EQ(report.ffs, 6u);
   EXPECT_EQ(report.clbs, 3u);  // 6 FFs, 2 per CLB, no logic CLBs
@@ -106,10 +108,11 @@ TEST(ClbPack, MixedDesignAccounting) {
   const auto b = nl.add_input("b");
   std::vector<netlist::NetId> luts;
   for (int i = 0; i < 5; ++i)
-    luts.push_back(add_and(nl, a, b, "f" + std::to_string(i)));
+    luts.push_back(
+        add_and(nl, a, b, std::string("f").append(std::to_string(i))));
   for (int i = 0; i < 8; ++i)
     nl.add_dff(luts[static_cast<std::size_t>(i) % 5], false,
-               "q" + std::to_string(i));
+               std::string("q").append(std::to_string(i)));
   const ClbReport report = pack_xc4000e(nl);
   // 5 LUTs -> 3 logic CLBs (no H patterns: all feed DFFs and nothing else
   // ... feeders are inputs); 3 CLBs hold 6 FFs, 2 overflow -> 1 more CLB.

@@ -282,9 +282,9 @@ TEST_P(SelfCheckNetlist, NetlistMatchesBehavioralModelUnderUpsets) {
       static_cast<std::size_t>(copies));
   for (int c = 0; c < copies; ++c)
     for (int b = 0; b < codes.num_bits; ++b) {
-      const std::string name =
-          (c == 0 ? "state" : "c" + std::to_string(c) + "_state") +
-          std::to_string(b);
+      std::string name;
+      if (c != 0) name.append("c").append(std::to_string(c)).append("_");
+      name.append("state").append(std::to_string(b));
       state_net[static_cast<std::size_t>(c)].push_back(
           *syn.netlist.find_net(name));
     }
@@ -635,7 +635,7 @@ struct TwoBankRig {
       }
       p.halt();
       tasks.push_back(
-          graph.add_task("t" + std::to_string(t), p, 1));
+          graph.add_task(std::string("t").append(std::to_string(t)), p, 1));
     }
     binding.task_to_pe = {0, 1, 2, 3};
     binding.segment_to_bank = {0, 1};
@@ -866,8 +866,10 @@ struct TwoPhysRig {
       for (int k = 0; k < words; ++k)
         cons.recv(1, c).store(c, 0, 1, k);
       cons.halt();
-      prods.push_back(graph.add_task("p" + std::to_string(c), prod, 1));
-      conss.push_back(graph.add_task("q" + std::to_string(c), cons, 1));
+      prods.push_back(
+          graph.add_task(std::string("p").append(std::to_string(c)), prod, 1));
+      conss.push_back(
+          graph.add_task(std::string("q").append(std::to_string(c)), cons, 1));
     }
     for (std::size_t c = 0; c < 4; ++c)
       graph.add_channel("ch" + std::to_string(c), 16, prods[c],

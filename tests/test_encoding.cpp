@@ -40,7 +40,8 @@ TEST(Encoding, CompactCodes) {
 
 TEST(Encoding, GrayCodesDifferInOneBit) {
   Fsm fsm("m8");
-  for (int i = 0; i < 8; ++i) fsm.add_state("s" + std::to_string(i));
+  for (int i = 0; i < 8; ++i)
+    fsm.add_state(std::string("s").append(std::to_string(i)));
   fsm.add_input("in");
   for (StateId s = 0; s < 8; ++s)
     fsm.add_transition(s, logic::Cube(), (s + 1) % 8, 0);

@@ -273,7 +273,7 @@ struct ContentionFixture {
       p.load_imm(0, 0);
       for (int i = 0; i < accesses; ++i) p.store(t, 0, 0, i % 16);
       p.halt();
-      g.add_task("t" + std::to_string(t), p, 1);
+      g.add_task(std::string("t").append(std::to_string(t)), p, 1);
     }
     binding.task_to_pe.assign(2, 0);
     binding.segment_to_bank.assign(g.num_segments(), 0);

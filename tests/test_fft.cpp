@@ -148,7 +148,8 @@ TEST(FftDesign, ComputesTheExactSpectrum) {
   binding.segment_to_bank.resize(12);
   for (int s = 0; s < 12; ++s) binding.segment_to_bank[static_cast<std::size_t>(s)] = s;
   binding.num_banks = 12;
-  for (int b = 0; b < 12; ++b) binding.bank_names.push_back("B" + std::to_string(b));
+  for (int b = 0; b < 12; ++b)
+    binding.bank_names.push_back(std::string("B").append(std::to_string(b)));
   const core::InsertionResult ins =
       core::insert_arbitration(d.graph, binding, {});
 

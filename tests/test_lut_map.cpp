@@ -4,8 +4,11 @@
 #include <cstdint>
 #include <cstring>
 #include <ostream>
+#include <string>
+#include <vector>
 
 #include "aig/aig.hpp"
+#include "core/hier.hpp"
 #include "netlist/simulator.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -20,7 +23,7 @@ aig::Aig random_aig(Rng& rng, int nvars, int nops, int nouts) {
   aig::Aig g;
   std::vector<aig::Lit> pool;
   for (int v = 0; v < nvars; ++v)
-    pool.push_back(g.add_input("x" + std::to_string(v)));
+    pool.push_back(g.add_input(std::string("x").append(std::to_string(v))));
   pool.push_back(aig::kConstTrue);
   for (int i = 0; i < nops; ++i) {
     aig::Lit a = pool[rng.next_below(pool.size())];
@@ -32,7 +35,7 @@ aig::Aig random_aig(Rng& rng, int nvars, int nops, int nouts) {
   for (int o = 0; o < nouts; ++o) {
     aig::Lit d = pool[pool.size() - 1 - rng.next_below(pool.size() / 2)];
     if (rng.chance(1, 4)) d = aig::lit_not(d);
-    g.add_output("y" + std::to_string(o), d);
+    g.add_output(std::string("y").append(std::to_string(o)), d);
   }
   return g;
 }
@@ -168,6 +171,125 @@ TEST(LutMap, DepthObjectiveNeverDeeperThanAreaObjective) {
   }
 }
 
+/// FNV-1a over everything a mapping emits: each LUT's inputs, mask and
+/// output net in creation order, every net name, the returned output nets
+/// and the LUT depth.
+class NetlistHash {
+ public:
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xFF;
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  void add(const std::string& s) {
+    add(s.size());
+    for (const char ch : s) {
+      h_ ^= static_cast<unsigned char>(ch);
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+enum class ArbAig : std::uint8_t { kFlat, kHier, kPrefix };
+
+aig::Aig arbiter_aig(ArbAig kind, int n) {
+  switch (kind) {
+    case ArbAig::kFlat: return core::build_flat_onehot_aig(n);
+    case ArbAig::kHier: return core::build_hierarchical_aig(n);
+    case ArbAig::kPrefix: return core::build_prefix_aig(n);
+  }
+  return {};
+}
+
+/// Maps `g` into a fresh netlist and folds the result into `hash`.
+void hash_mapping(const aig::Aig& g, const MapOptions& options,
+                  NetlistHash& hash) {
+  netlist::Netlist nl;
+  std::vector<netlist::NetId> input_nets;
+  for (std::size_t i = 0; i < g.num_inputs(); ++i)
+    input_nets.push_back(nl.add_input(g.input_name(i)));
+  MapStats stats;
+  const auto out_nets = map_aig(g, options, nl, input_nets, "m_", &stats);
+  for (const netlist::Lut& lut : nl.luts()) {
+    hash.add(lut.inputs.size());
+    for (const netlist::NetId in : lut.inputs) hash.add(in);
+    hash.add(lut.mask);
+    hash.add(lut.output);
+  }
+  for (netlist::NetId net = 0; net < nl.num_nets(); ++net)
+    hash.add(nl.net_name(net));
+  for (const netlist::NetId net : out_nets) hash.add(net);
+  hash.add(static_cast<std::uint64_t>(stats.depth));
+}
+
+// Every LUT, mask and net name the mapper emits for the three arbiter
+// AIGs, pinned so a change to cut enumeration, ranking or the cover shows
+// up here even when the LUT counts in the reports stay put.  Each sweep
+// entry folds the 18 option sets {depth, area} x k in {2, 3, 4} x
+// cuts_per_node in {1, 3, 8} for one (kind, N); the last three entries
+// map at default options.
+TEST(LutMap, MappedNetlistsArePinned) {
+  struct Pin {
+    ArbAig kind;
+    int n;
+    bool sweep;
+    std::uint64_t hash;
+  };
+  const std::vector<Pin> pins = {
+      {ArbAig::kFlat, 2, true, 0xc988a8559a29ee25ull},
+      {ArbAig::kFlat, 5, true, 0x408a1ffe83a74459ull},
+      {ArbAig::kFlat, 8, true, 0x82a43d2555ca5feeull},
+      {ArbAig::kFlat, 16, true, 0x7c665b48682982d3ull},
+      {ArbAig::kFlat, 33, true, 0xde931a79a3cbfc12ull},
+      {ArbAig::kFlat, 64, true, 0x59aaa5afd323acfcull},
+      {ArbAig::kFlat, 256, true, 0x2f37e592a195e8b8ull},
+      {ArbAig::kHier, 2, true, 0x8533bbe394dca0efull},
+      {ArbAig::kHier, 5, true, 0xed80e06807f80a8full},
+      {ArbAig::kHier, 8, true, 0xd4db67819d5e4b58ull},
+      {ArbAig::kHier, 16, true, 0x951a8b8430a6c3cfull},
+      {ArbAig::kHier, 33, true, 0xafab2196a383167bull},
+      {ArbAig::kHier, 64, true, 0x7a7186f020372752ull},
+      {ArbAig::kHier, 256, true, 0x274f9bf7a73a6ff9ull},
+      {ArbAig::kPrefix, 2, true, 0x7a5bfa34e9d5c2ffull},
+      {ArbAig::kPrefix, 5, true, 0xb77a8684254aff27ull},
+      {ArbAig::kPrefix, 8, true, 0x8325a1879aae607eull},
+      {ArbAig::kPrefix, 16, true, 0x6284b299e4980a4eull},
+      {ArbAig::kPrefix, 33, true, 0x5813cc609d86b0fbull},
+      {ArbAig::kPrefix, 64, true, 0x5589f57faf9ebaeeull},
+      {ArbAig::kPrefix, 256, true, 0xd4dc05b7c70feeb7ull},
+      {ArbAig::kFlat, 64, false, 0x99df818619d9c48full},
+      {ArbAig::kHier, 1024, false, 0x7762bc3099a498acull},
+      {ArbAig::kPrefix, 1024, false, 0xb9305306cd298823ull},
+  };
+  for (const Pin& pin : pins) {
+    const aig::Aig g = arbiter_aig(pin.kind, pin.n);
+    NetlistHash hash;
+    if (pin.sweep) {
+      for (const MapObjective objective :
+           {MapObjective::kDepth, MapObjective::kArea})
+        for (const int k : {2, 3, 4})
+          for (const int cuts : {1, 3, 8}) {
+            MapOptions options;
+            options.objective = objective;
+            options.cut_size = k;
+            options.cuts_per_node = cuts;
+            hash_mapping(g, options, hash);
+          }
+    } else {
+      hash_mapping(g, {}, hash);
+    }
+    EXPECT_EQ(hash.value(), pin.hash)
+        << "kind " << static_cast<int>(pin.kind) << " n " << pin.n
+        << (pin.sweep ? " (option sweep)" : " (default options)")
+        << ": got 0x" << std::hex << hash.value() << "ull";
+  }
+}
+
 TEST(LutMap, RejectsBadOptions) {
   aig::Aig g;
   g.add_input("a");
@@ -175,6 +297,9 @@ TEST(LutMap, RejectsBadOptions) {
   const auto a = nl.add_input("a");
   MapOptions options;
   options.cut_size = 7;
+  EXPECT_THROW(map_aig(g, options, nl, {a}, "m_"), rcarb::CheckError);
+  options = {};
+  options.cuts_per_node = 0;
   EXPECT_THROW(map_aig(g, options, nl, {a}, "m_"), rcarb::CheckError);
   EXPECT_THROW(map_aig(g, {}, nl, {}, "m_"), rcarb::CheckError);
 }

@@ -56,7 +56,8 @@ TEST(Estimate, AnnotateFillsOnlyMissingAreas) {
 TaskGraph chain_tasks(int count, std::size_t area) {
   TaskGraph g("chain");
   for (int i = 0; i < count; ++i)
-    g.add_task("t" + std::to_string(i), simple_program(), area);
+    g.add_task(std::string("t").append(std::to_string(i)), simple_program(),
+               area);
   for (int i = 0; i + 1 < count; ++i)
     g.add_control_dep(static_cast<TaskId>(i), static_cast<TaskId>(i + 1));
   return g;
@@ -141,7 +142,8 @@ TEST(Spatial, RespectsPerPeCapacity) {
   TaskGraph g("cap");
   std::vector<TaskId> tasks;
   for (int i = 0; i < 8; ++i)
-    tasks.push_back(g.add_task("t" + std::to_string(i), simple_program(), 200));
+    tasks.push_back(g.add_task(std::string("t").append(std::to_string(i)),
+                               simple_program(), 200));
   const SpatialResult r =
       spatial_partition(g, tasks, board::wildforce(), {});
   for (std::size_t p = 0; p < 4; ++p)
@@ -237,7 +239,7 @@ TEST(MemoryMap, MergesWhenSegmentsExceedBanks) {
   Program p;
   p.load_imm(0, 0);
   for (int s = 0; s < 6; ++s) {
-    g.add_segment("s" + std::to_string(s), 1024, 16);
+    g.add_segment(std::string("s").append(std::to_string(s)), 1024, 16);
     p.store(s, 0, 0);
   }
   p.halt();
@@ -278,10 +280,11 @@ TEST(MemoryMap, ContentionAwarePackingAvoidsHotBanks) {
   Program base;
   std::vector<TaskId> tasks;
   for (int s = 0; s < 8; ++s) {
-    g.add_segment("s" + std::to_string(s), 1024, 16);
+    g.add_segment(std::string("s").append(std::to_string(s)), 1024, 16);
     Program p;
     p.load_imm(0, 0).store(s, 0, 0).halt();
-    tasks.push_back(g.add_task("t" + std::to_string(s), p, 10));
+    tasks.push_back(
+        g.add_task(std::string("t").append(std::to_string(s)), p, 10));
   }
   std::vector<int> pes(8);
   for (int i = 0; i < 8; ++i) pes[static_cast<std::size_t>(i)] = i % 4;
@@ -308,9 +311,11 @@ struct ChannelFixture {
       snd.load_imm(0, i).send(i, 0).halt();
       Program rcv;
       rcv.recv(0, i).halt();
-      const TaskId s = g.add_task("s" + std::to_string(i), snd, 10);
-      const TaskId r = g.add_task("r" + std::to_string(i), rcv, 10);
-      g.add_channel("c" + std::to_string(i), width, s, r);
+      const TaskId s =
+          g.add_task(std::string("s").append(std::to_string(i)), snd, 10);
+      const TaskId r =
+          g.add_task(std::string("r").append(std::to_string(i)), rcv, 10);
+      g.add_channel(std::string("c").append(std::to_string(i)), width, s, r);
       tasks.push_back(s);
       tasks.push_back(r);
       pes.push_back(0);

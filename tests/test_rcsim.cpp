@@ -152,7 +152,7 @@ struct ContentionFixture {
       p.load_imm(0, 0);
       for (int i = 0; i < accesses; ++i) p.store(t, 0, 0, i);
       p.halt();
-      g.add_task("t" + std::to_string(t), p, 1);
+      g.add_task(std::string("t").append(std::to_string(t)), p, 1);
     }
     binding = single_bank_binding(g, 2);
   }

@@ -20,7 +20,7 @@ Binding bare_binding(const TaskGraph& g, std::size_t num_tasks,
   b.channel_to_phys.assign(g.num_channels(), -1);
   b.num_banks = num_banks;
   for (std::size_t i = 0; i < num_banks; ++i)
-    b.bank_names.push_back("B" + std::to_string(i));
+    b.bank_names.push_back(std::string("B").append(std::to_string(i)));
   return b;
 }
 

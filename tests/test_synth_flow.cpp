@@ -40,7 +40,8 @@ void cosimulate(const Fsm& fsm, const SynthResult& result, int cycles,
 Fsm gray_counter() {
   // A 4-state up/down counter with a carry-style Mealy output.
   Fsm fsm("updown");
-  for (int i = 0; i < 4; ++i) fsm.add_state("s" + std::to_string(i));
+  for (int i = 0; i < 4; ++i)
+    fsm.add_state(std::string("s").append(std::to_string(i)));
   fsm.add_input("up");
   fsm.add_output("wrap");
   for (StateId s = 0; s < 4; ++s) {

@@ -40,7 +40,7 @@ TEST(Sta, DeeperLogicIsSlower) {
     const auto dff = nl.num_dffs();
     netlist::NetId n = nl.add_dff(0, false, "q");
     for (int i = 0; i < depth; ++i)
-      n = add_buf(nl, n, "b" + std::to_string(i));
+      n = add_buf(nl, n, std::string("b").append(std::to_string(i)));
     nl.connect_dff_d(dff, n);
     return analyze(nl, DelayModel{}).fmax_mhz;
   };
@@ -54,7 +54,8 @@ TEST(Sta, HigherFanoutIsSlower) {
     const auto dff = nl.num_dffs();
     netlist::NetId q = nl.add_dff(0, false, "q");
     netlist::NetId f = add_buf(nl, q, "main");
-    for (int i = 1; i < fanout; ++i) (void)add_buf(nl, q, "l" + std::to_string(i));
+    for (int i = 1; i < fanout; ++i)
+      (void)add_buf(nl, q, std::string("l").append(std::to_string(i)));
     nl.connect_dff_d(dff, f);
     return analyze(nl, DelayModel{}).reg_to_reg_ns;
   };
