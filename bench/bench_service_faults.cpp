@@ -15,7 +15,10 @@
 // the latch-up scenario places its three permanent events in the first
 // half of the measured window (stratified by fault::plan_service_faults)
 // so the unprotected baseline pays for the dead resources across most of
-// the measurement.
+// the measurement.  After that grid, TMR cells for the hierarchical and
+// prefix arbiters at 256 ports (admit-shed x {fault-free, seu-hi,
+// latchup}) show self-checking at the scalable kinds; they report per
+// cell only and feed none of the grid's aggregates.
 //
 // Cells run in parallel across $RCARB_JOBS workers; every cell's
 // randomness derives from derive_seed(master, cell_index) and the report
@@ -84,7 +87,30 @@ core::CheckMode check_mode(Mode m) {
   return core::CheckMode::kNone;
 }
 
-int copies_of(Mode m) { return m == Mode::kNone ? 1 : m == Mode::kDmr ? 2 : 3; }
+/// Port count of the scalable-kind TMR cells.
+constexpr int kWidePorts = 256;
+
+core::ArbiterChoice choice_of(core::ArbiterKind k) {
+  switch (k) {
+    case core::ArbiterKind::kFlatFsm: return core::ArbiterChoice::kFlatFsm;
+    case core::ArbiterKind::kHierarchical:
+      return core::ArbiterChoice::kHierarchical;
+    case core::ArbiterKind::kPrefix: return core::ArbiterChoice::kPrefix;
+  }
+  return core::ArbiterChoice::kFlatFsm;
+}
+
+/// Register bits of one resource's arbiter (copies included): the SEU
+/// range of the fault plan.
+int register_bits(const ServiceOptions& o) {
+  const core::ArbiterKind kind =
+      core::resolve_arbiter_choice(o.arbiter_kind, o.ports, 0.0);
+  return core::make_system_arbiter(o.ports, {.kind = kind,
+                                             .arity = o.arbiter_arity,
+                                             .rr = {},
+                                             .self_check = o.self_check})
+      .arbiter->num_state_bits();
+}
 
 /// 4 resources x 8 flat-arbitrated ports, 6-cycle service — the
 /// bench_service_load baseline, with the fault-tolerance switches layered
@@ -98,8 +124,8 @@ ServiceOptions base_options() {
   return o;
 }
 
-std::vector<fault::FaultEvent> plan_for(Scenario sc, const ServiceOptions& o,
-                                        int copies) {
+std::vector<fault::FaultEvent> plan_for(Scenario sc,
+                                        const ServiceOptions& o) {
   if (sc == Scenario::kFaultFree) return {};
   fault::ServiceFaultPlanOptions p;
   p.seed = derive_seed(kMasterSeed, 9000 + static_cast<std::uint64_t>(sc));
@@ -128,30 +154,56 @@ std::vector<fault::FaultEvent> plan_for(Scenario sc, const ServiceOptions& o,
     case Scenario::kFaultFree:
       break;
   }
-  return fault::plan_service_faults(o.resources, o.ports, copies, p);
+  return fault::plan_service_faults(o.resources, register_bits(o), p);
 }
 
 struct CellSpec {
   OverloadPolicy policy;
   Mode mode;
   Scenario scenario;
+  /// kFlatFsm: the base grid.  Otherwise a scalable-kind cell at
+  /// kWidePorts ports.
+  core::ArbiterKind kind = core::ArbiterKind::kFlatFsm;
 };
 
-std::string cell_tag(const CellSpec& c) {
+bool wide(const CellSpec& c) { return c.kind != core::ArbiterKind::kFlatFsm; }
+
+/// Policy and mode, plus the kind and width of a scalable-kind cell: the
+/// cells that share one fault-free goodput reference.
+std::string group_tag(const CellSpec& c) {
   std::string tag = to_string(c.policy);
   for (char& ch : tag)
     if (ch == '-') ch = '_';
-  return tag + "_" + to_string(c.mode) + "_" + to_string(c.scenario);
+  tag.append("_").append(to_string(c.mode));
+  if (wide(c))
+    tag.append("_").append(core::to_string(c.kind)).append(
+        std::to_string(kWidePorts));
+  return tag;
+}
+
+std::string cell_tag(const CellSpec& c) {
+  return group_tag(c) + "_" + to_string(c.scenario);
+}
+
+/// The cell's service before load and faults: the base options, widened
+/// to kWidePorts ports of the cell's kind for a scalable-kind cell.
+ServiceOptions cell_options(const CellSpec& spec) {
+  ServiceOptions o = base_options();
+  if (wide(spec)) {
+    o.ports = kWidePorts;
+    o.arbiter_kind = choice_of(spec.kind);
+  }
+  return o;
 }
 
 ServiceStats run_cell(const CellSpec& spec, double capacity,
                       std::uint64_t cell_index) {
-  ServiceOptions o = base_options();
+  ServiceOptions o = cell_options(spec);
   o.policy = spec.policy;
   o.arrivals.rate = 1.5 * capacity;
   o.self_check = check_mode(spec.mode);
   o.degrade.enabled = spec.mode != Mode::kNone;
-  o.faults = plan_for(spec.scenario, o, copies_of(spec.mode));
+  o.faults = plan_for(spec.scenario, o);
   o.seed = derive_seed(kMasterSeed, cell_index);
   return service::run_service(o);
 }
@@ -174,6 +226,8 @@ bool print_grid(obs::BenchReporter& rep) {
     const ServiceOptions o = base_options();
     for (const Mode m : {Mode::kNone, Mode::kDmr, Mode::kTmr})
       (void)degrade::arbiter_reconfig_cycles(d, o.ports, check_mode(m));
+    (void)degrade::arbiter_reconfig_cycles(d, kWidePorts,
+                                           core::CheckMode::kTmr);
   }
 
   const std::vector<OverloadPolicy> policies = {OverloadPolicy::kAdmitShed,
@@ -192,6 +246,23 @@ bool print_grid(obs::BenchReporter& rep) {
     for (const Mode m : modes)
       for (const Scenario sc : scenarios)
         if (sc != Scenario::kFaultFree) cells.push_back({p, m, sc});
+  // The scalable-kind TMR cells, appended so every grid cell above keeps
+  // its index (and seed); each kind's fault-free reference comes first.
+  const std::vector<core::ArbiterKind> wide_kinds = {
+      core::ArbiterKind::kHierarchical, core::ArbiterKind::kPrefix};
+  std::vector<double> wide_capacity;
+  for (const core::ArbiterKind k : wide_kinds) {
+    wide_capacity.push_back(service::measure_capacity(cell_options(
+        {OverloadPolicy::kAdmitShed, Mode::kTmr, Scenario::kFaultFree, k})));
+    for (const Scenario sc :
+         {Scenario::kFaultFree, Scenario::kSeuHi, Scenario::kLatchup})
+      cells.push_back({OverloadPolicy::kAdmitShed, Mode::kTmr, sc, k});
+  }
+  const auto capacity_of = [&](const CellSpec& c) {
+    for (std::size_t k = 0; k < wide_kinds.size(); ++k)
+      if (c.kind == wide_kinds[k]) return wide_capacity[k];
+    return capacity;
+  };
 
   Table table("Fault-tolerant service at 1.5x load: goodput retention, "
               "availability and repair by protection mode");
@@ -199,10 +270,9 @@ bool print_grid(obs::BenchReporter& rep) {
                     "avail", "mttr", "p99", "err", "resync", "quar", "rest",
                     "retd", "corrupt", "consv"});
 
-  std::vector<std::pair<std::string, double>> ref_goodput;  // policy_mode
+  std::vector<std::pair<std::string, double>> ref_goodput;  // group_tag
   const auto ref_of = [&](const CellSpec& c) {
-    const std::string key =
-        std::string(to_string(c.policy)) + "_" + to_string(c.mode);
+    const std::string key = group_tag(c);
     for (const auto& [k, v] : ref_goodput)
       if (k == key) return v;
     return 0.0;
@@ -216,20 +286,21 @@ bool print_grid(obs::BenchReporter& rep) {
 
   ordered_map_reduce<ServiceStats>(
       cells.size(),
-      [&](std::size_t i) { return run_cell(cells[i], capacity, i); },
+      [&](std::size_t i) {
+        return run_cell(cells[i], capacity_of(cells[i]), i);
+      },
       [&](std::size_t i, ServiceStats s) {
         const CellSpec& c = cells[i];
         if (c.scenario == Scenario::kFaultFree)
-          ref_goodput.emplace_back(
-              std::string(to_string(c.policy)) + "_" + to_string(c.mode),
-              s.goodput());
+          ref_goodput.emplace_back(group_tag(c), s.goodput());
         const double ref = ref_of(c);
         const double retention = ref == 0.0 ? 0.0 : s.goodput() / ref;
         const bool ok = conserved(s);
-        all_conserved = all_conserved && ok;
-        if (c.mode != Mode::kNone && (s.corrupted != 0 || s.multi_grants != 0))
+        if (!wide(c)) all_conserved = all_conserved && ok;
+        if (!wide(c) && c.mode != Mode::kNone &&
+            (s.corrupted != 0 || s.multi_grants != 0))
           protected_clean = false;
-        if (c.policy == OverloadPolicy::kAdmitShed &&
+        if (!wide(c) && c.policy == OverloadPolicy::kAdmitShed &&
             c.scenario == Scenario::kLatchup) {
           if (c.mode == Mode::kNone) retention_none_latchup = retention;
           if (c.mode == Mode::kDmr) retention_dmr_latchup = retention;
@@ -243,8 +314,12 @@ bool print_grid(obs::BenchReporter& rep) {
         rep.metric("p99_" + tag,
                    static_cast<double>(s.latency.percentile(0.99)), "cycles");
         rep.metric("conservation_" + tag, ok ? 1.0 : 0.0, "bool");
+        std::string mode = to_string(c.mode);
+        if (wide(c))
+          mode.append("/").append(core::to_string(c.kind)).append(
+              std::to_string(kWidePorts));
         table.add_row(
-            {to_string(c.policy), to_string(c.mode), to_string(c.scenario),
+            {to_string(c.policy), mode, to_string(c.scenario),
              fmt_fixed(s.goodput(), 4), fmt_fixed(retention, 3),
              fmt_fixed(s.availability(), 3), fmt_fixed(s.mttr_cycles(), 0),
              std::to_string(s.latency.percentile(0.99)),
@@ -292,7 +367,7 @@ void BM_FaultedServiceCell(benchmark::State& state) {
     o.arrivals.rate = 1.0;
     o.self_check = check_mode(mode);
     o.degrade.enabled = mode != Mode::kNone;
-    o.faults = plan_for(Scenario::kLatchup, o, copies_of(mode));
+    o.faults = plan_for(Scenario::kLatchup, o);
     benchmark::DoNotOptimize(service::run_service(o));
   }
 }

@@ -63,50 +63,15 @@ ArbiterKind resolve_arbiter_choice(ArbiterChoice choice, int n,
 }
 
 SystemArbiter make_system_arbiter(int n, const SystemArbiterSpec& spec) {
-  SystemArbiter out;
-  if (spec.policy != Policy::kRoundRobin) {
-    // Kind is a round-robin concept; the other policies have one
-    // behavioral model each.
-    out.kind = ArbiterKind::kFlatFsm;
-    out.arbiter = make_arbiter(spec.policy, n, spec.seed);
-    return out;
-  }
-  out.kind = spec.kind;
-  if (spec.self_check != CheckMode::kNone) {
-    RCARB_CHECK(spec.kind == ArbiterKind::kFlatFsm,
-                "self-checking arbiters are flat-only (the DMR/TMR netlists "
-                "replicate the Fig. 5 core)");
-    RCARB_CHECK(n <= 64,
-                "self-checking arbiters top out at 64 ports (per-copy F/C "
-                "state words); shard wider resources or drop self_check");
-    auto sc = std::make_unique<SelfCheckingArbiter>(n, spec.self_check,
-                                                    spec.rr);
-    out.sc = sc.get();
-    out.arbiter = std::move(sc);
-    return out;
-  }
-  switch (spec.kind) {
-    case ArbiterKind::kFlatFsm: {
-      auto rr = std::make_unique<RoundRobinArbiter>(n, spec.rr);
-      out.rr = rr.get();
-      out.arbiter = std::move(rr);
-      break;
-    }
-    case ArbiterKind::kHierarchical: {
-      auto h = std::make_unique<HierarchicalArbiter>(n, spec.arity);
-      out.hier = h.get();
-      out.arbiter = std::move(h);
-      break;
-    }
-    case ArbiterKind::kPrefix: {
-      auto p = std::make_unique<PrefixArbiter>(n);
-      out.prefix = p.get();
-      out.arbiter = std::move(p);
-      break;
-    }
-  }
-  RCARB_CHECK(out.arbiter != nullptr, "unknown arbiter kind");
-  return out;
+  // Kind is a round-robin concept; the other policies have one behavioral
+  // model each.
+  if (spec.policy != Policy::kRoundRobin)
+    return {make_arbiter(spec.policy, n, spec.seed), ArbiterKind::kFlatFsm};
+  if (spec.self_check != CheckMode::kNone)
+    return {std::make_unique<SelfCheckingArbiter>(n, spec.self_check, spec.rr,
+                                                  spec.kind, spec.arity),
+            spec.kind};
+  return {make_scalable_arbiter(spec.kind, n, spec.arity, spec.rr), spec.kind};
 }
 
 }  // namespace rcarb::core

@@ -10,9 +10,9 @@
 //    the pre-characterized cache (select_arbiter_kind).
 //  * make_system_arbiter: builds the behavioral arbiter for a resolved
 //    kind plus the policy/self-check/hardening switches the simulators
-//    need, and hands back typed side pointers so callers keep their fast
-//    paths (last_grant_mask, SEU injection) without downcasting at every
-//    construction site.
+//    need.  Callers drive every kind through core::Arbiter alone: grants,
+//    SEU injection, latch-up and the self-check counters are all on its
+//    state-register surface.
 #pragma once
 
 #include <cstdint>
@@ -64,24 +64,17 @@ struct SystemArbiterSpec {
   /// Preemption/hardening; flat-only — the scalable kinds have no one-hot
   /// register to harden and no hold counter, so these are ignored there.
   RoundRobinOptions rr;
-  /// Replication; flat-only (the self-checking netlists duplicate the
-  /// Fig. 5 core) and capped at 64 ports (the behavioral model compares
-  /// per-copy F/C state words).  Combining it with a non-flat kind or a
-  /// wider resource CHECK-fails.
+  /// Replication of any kind at any width (SelfCheckingArbiter); ignored
+  /// for non-round-robin policies.
   CheckMode self_check = CheckMode::kNone;
   std::uint64_t seed = 1;  // kRandom policy only
 };
 
-/// A constructed arbiter plus typed views into it.  Exactly one of the
-/// side pointers is set when the matching subclass was built; all alias
-/// `arbiter` and share its lifetime.
+/// A constructed arbiter and the round-robin structure it was built as
+/// (kFlatFsm for the other policies).
 struct SystemArbiter {
   std::unique_ptr<Arbiter> arbiter;
   ArbiterKind kind = ArbiterKind::kFlatFsm;
-  RoundRobinArbiter* rr = nullptr;
-  SelfCheckingArbiter* sc = nullptr;
-  HierarchicalArbiter* hier = nullptr;
-  PrefixArbiter* prefix = nullptr;
 };
 
 /// The single construction path for system-layer arbiters (service engine

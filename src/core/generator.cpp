@@ -23,6 +23,26 @@ const char* to_string(GeneratorMode m) {
   return "?";
 }
 
+namespace {
+
+/// Times the synthesized netlist and fills the characteristics row.
+void characterize(GeneratedArbiter& out, int n, synth::FlowKind flow,
+                  const timing::DelayModel& model) {
+  out.timing = timing::analyze(out.synth.netlist, model);
+  out.chars.n = n;
+  out.chars.encoding = out.synth.used_encoding;
+  out.chars.flow = flow;
+  out.chars.clbs = out.synth.clb.clbs;
+  out.chars.luts = out.synth.clb.luts;
+  out.chars.ffs = out.synth.clb.ffs;
+  out.chars.lut_depth = out.synth.map.depth;
+  out.chars.fmax_mhz = out.timing.fmax_mhz;
+  out.chars.aig_ands = out.synth.aig_ands;
+  out.chars.overhead_cycles = kProtocolOverheadCycles;
+}
+
+}  // namespace
+
 GeneratedArbiter generate_round_robin(int n, synth::FlowKind flow,
                                       synth::Encoding encoding,
                                       const timing::DelayModel& model,
@@ -50,99 +70,50 @@ GeneratedArbiter generate_round_robin(int n, synth::FlowKind flow,
     options.encoding = encoding;
     out.synth = synth::synthesize_fsm(build_round_robin_fsm(n), options);
   }
-  out.timing = timing::analyze(out.synth.netlist, model);
-
-  out.chars.n = n;
-  out.chars.encoding = out.synth.used_encoding;
-  out.chars.flow = flow;
-  out.chars.clbs = out.synth.clb.clbs;
-  out.chars.luts = out.synth.clb.luts;
-  out.chars.ffs = out.synth.clb.ffs;
-  out.chars.lut_depth = out.synth.map.depth;
-  out.chars.fmax_mhz = out.timing.fmax_mhz;
-  out.chars.aig_ands = out.synth.aig_ands;
-  out.chars.overhead_cycles = kProtocolOverheadCycles;
+  characterize(out, n, flow, model);
   return out;
 }
 
 GeneratedArbiter generate_self_checking(int n, CheckMode mode,
                                         synth::Encoding encoding,
                                         const timing::DelayModel& model) {
-  RCARB_CHECK(mode != CheckMode::kNone,
-              "generate_self_checking needs kDuplicate or kTmr");
   const synth::Fsm fsm = build_round_robin_fsm(n);
   const synth::StateCodes codes = synth::encode_states(fsm, encoding);
-  const std::uint64_t reset = codes.code[fsm.reset_state()];
-  const int copies = mode == CheckMode::kDuplicate ? 2 : 3;
-  const aig::Aig comb = build_self_checking_aig(n, codes, mode, reset);
-
+  const std::uint64_t code = codes.code[fsm.reset_state()];
+  std::vector<bool> reset(static_cast<std::size_t>(codes.num_bits));
+  for (std::size_t b = 0; b < reset.size(); ++b)
+    reset[b] = ((code >> b) & 1u) != 0;
   // Every copy's register bank resets to the same per-copy code,
   // concatenated copy-major to match the AIG's state-input order.
-  std::uint64_t full_reset = 0;
-  for (int c = 0; c < copies; ++c)
-    full_reset |= reset << (c * codes.num_bits);
+  std::vector<bool> bank;
+  for (int c = 0; c < num_copies(mode); ++c)
+    bank.insert(bank.end(), reset.begin(), reset.end());
 
   synth::MapOptions map_options;
   map_options.objective = synth::MapObjective::kDepth;
 
   GeneratedArbiter out;
   out.synth = synth::finish_machine_synthesis(
-      comb, /*num_inputs=*/n, copies * codes.num_bits, full_reset,
-      map_options);
+      build_self_checking_aig(build_round_robin_aig(n, codes), n, reset, mode),
+      /*num_inputs=*/n, static_cast<int>(bank.size()), bank, map_options);
   out.synth.used_encoding = encoding;
-  out.timing = timing::analyze(out.synth.netlist, model);
-
-  out.chars.n = n;
-  out.chars.encoding = encoding;
-  out.chars.flow = synth::FlowKind::kExpressLike;
-  out.chars.clbs = out.synth.clb.clbs;
-  out.chars.luts = out.synth.clb.luts;
-  out.chars.ffs = out.synth.clb.ffs;
-  out.chars.lut_depth = out.synth.map.depth;
-  out.chars.fmax_mhz = out.timing.fmax_mhz;
-  out.chars.aig_ands = out.synth.aig_ands;
-  out.chars.overhead_cycles = kProtocolOverheadCycles;
+  characterize(out, n, synth::FlowKind::kExpressLike, model);
   return out;
 }
 
 GeneratedArbiter generate_scalable(ArbiterKind kind, int n, int arity,
                                    const timing::DelayModel& model) {
-  aig::Aig comb;
-  int num_state_bits = 0;
-  switch (kind) {
-    case ArbiterKind::kFlatFsm:
-      comb = build_flat_onehot_aig(n);
-      num_state_bits = 2 * n;
-      break;
-    case ArbiterKind::kHierarchical:
-      comb = build_hierarchical_aig(n, arity);
-      num_state_bits = make_hier_shape(n, arity).num_state_bits();
-      break;
-    case ArbiterKind::kPrefix:
-      comb = build_prefix_aig(n);
-      num_state_bits = n;
-      break;
-  }
+  const aig::Aig comb = build_scalable_aig(kind, n, arity);
+  const std::vector<bool> reset = scalable_reset_bits(kind, n, arity);
   synth::MapOptions map_options;
   map_options.objective = synth::MapObjective::kDepth;
 
   GeneratedArbiter out;
   out.synth = synth::finish_machine_synthesis(
-      comb, /*num_inputs=*/n, num_state_bits,
-      scalable_reset_bits(kind, n, arity), map_options);
+      comb, /*num_inputs=*/n, static_cast<int>(reset.size()), reset,
+      map_options);
   out.synth.used_encoding = synth::Encoding::kOneHot;
-  out.timing = timing::analyze(out.synth.netlist, model);
-
-  out.chars.n = n;
-  out.chars.encoding = synth::Encoding::kOneHot;
-  out.chars.flow = synth::FlowKind::kExpressLike;
-  out.chars.clbs = out.synth.clb.clbs;
-  out.chars.luts = out.synth.clb.luts;
-  out.chars.ffs = out.synth.clb.ffs;
-  out.chars.lut_depth = out.synth.map.depth;
-  out.chars.fmax_mhz = out.timing.fmax_mhz;
-  out.chars.aig_ands = out.synth.aig_ands;
-  out.chars.overhead_cycles = kProtocolOverheadCycles;
+  characterize(out, n, synth::FlowKind::kExpressLike, model);
   return out;
 }
 
@@ -155,17 +126,7 @@ GeneratedArbiter characterize_fsm(const synth::Fsm& fsm, int n,
   options.kind = flow;
   options.encoding = encoding;
   out.synth = synth::synthesize_fsm(fsm, options);
-  out.timing = timing::analyze(out.synth.netlist, model);
-  out.chars.n = n;
-  out.chars.encoding = out.synth.used_encoding;
-  out.chars.flow = flow;
-  out.chars.clbs = out.synth.clb.clbs;
-  out.chars.luts = out.synth.clb.luts;
-  out.chars.ffs = out.synth.clb.ffs;
-  out.chars.lut_depth = out.synth.map.depth;
-  out.chars.fmax_mhz = out.timing.fmax_mhz;
-  out.chars.aig_ands = out.synth.aig_ands;
-  out.chars.overhead_cycles = kProtocolOverheadCycles;
+  characterize(out, n, flow, model);
   return out;
 }
 

@@ -104,7 +104,6 @@ HierShape make_hier_shape(int n, int arity) {
 HierarchicalArbiter::HierarchicalArbiter(int n, int arity)
     : Arbiter(WideTag{}, n), shape_(make_hier_shape(n, arity)) {
   ptr_.assign(shape_.nodes.size(), 0);
-  grant_.assign(word_count(n), 0);
   req_scratch_.assign(word_count(n), 0);
   any_scratch_.assign(std::max<std::size_t>(shape_.nodes.size(), 1), 0);
 }
@@ -113,7 +112,7 @@ void HierarchicalArbiter::reset() {
   std::fill(ptr_.begin(), ptr_.end(), 0);
   held_ = 0;
   valid_ = false;
-  std::fill(grant_.begin(), grant_.end(), 0);
+  grant_only(-1);
 }
 
 std::string HierarchicalArbiter::describe() const {
@@ -121,7 +120,8 @@ std::string HierarchicalArbiter::describe() const {
          ", arity=" + std::to_string(shape_.arity) + ")";
 }
 
-int HierarchicalArbiter::step_wide(const std::vector<std::uint64_t>& requests) {
+int HierarchicalArbiter::do_step_wide(
+    const std::vector<std::uint64_t>& requests) {
   const int g = step_wide_impl(requests);
   notify_wide(requests, g);
   return g;
@@ -131,7 +131,6 @@ int HierarchicalArbiter::step_wide_impl(
     const std::vector<std::uint64_t>& requests) {
   RCARB_CHECK(requests.size() >= grant_.size(),
               "request vector narrower than the arbiter");
-  std::fill(grant_.begin(), grant_.end(), 0);
 
   int g = -1;
   bool new_grant = false;
@@ -189,10 +188,7 @@ int HierarchicalArbiter::step_wide_impl(
 
   if (new_grant) held_ = g;
   valid_ = g >= 0;
-  if (g >= 0)
-    grant_[static_cast<std::size_t>(g) >> 6] |=
-        1ull << (static_cast<unsigned>(g) & 63u);
-  return g;
+  return grant_only(g);
 }
 
 int HierarchicalArbiter::do_step(std::uint64_t requests) {
@@ -203,21 +199,20 @@ int HierarchicalArbiter::do_step(std::uint64_t requests) {
   return step_wide_impl(req_scratch_);
 }
 
-std::uint64_t HierarchicalArbiter::state_bits() const {
-  RCARB_CHECK(shape_.num_state_bits() <= 64,
-              "packed state requires <= 64 state bits");
-  std::uint64_t bits = 0;
-  for (std::size_t k = 0; k < shape_.nodes.size(); ++k)
-    bits |= static_cast<std::uint64_t>(ptr_[k])
-            << shape_.nodes[k].first_state_bit;
-  bits |= static_cast<std::uint64_t>(held_) << shape_.ptr_bits_total;
-  if (valid_) bits |= 1ull << (shape_.num_state_bits() - 1);
-  return bits;
+void HierarchicalArbiter::read_state(std::vector<std::uint64_t>& words) const {
+  words.assign(word_count(shape_.num_state_bits()), 0);
+  for (std::size_t k = 0; k < shape_.nodes.size(); ++k) {
+    const auto ptr = static_cast<std::uint64_t>(ptr_[k]);
+    deposit_bits(&ptr, shape_.nodes[k].ptr_bits, words,
+                 shape_.nodes[k].first_state_bit);
+  }
+  const auto held = static_cast<std::uint64_t>(held_);
+  deposit_bits(&held, shape_.held_bits, words, shape_.ptr_bits_total);
+  const std::uint64_t valid = valid_ ? 1 : 0;
+  deposit_bits(&valid, 1, words, shape_.num_state_bits() - 1);
 }
 
-void HierarchicalArbiter::inject_state_bit(int bit) {
-  RCARB_CHECK(bit >= 0 && bit < shape_.num_state_bits(),
-              "state bit out of range");
+void HierarchicalArbiter::flip_bit(int bit) {
   if (bit < shape_.ptr_bits_total) {
     for (std::size_t k = 0; k < shape_.nodes.size(); ++k) {
       const HierShape::Node& nd = shape_.nodes[k];
@@ -239,21 +234,20 @@ void HierarchicalArbiter::inject_state_bit(int bit) {
 PrefixArbiter::PrefixArbiter(int n) : Arbiter(WideTag{}, n) {
   ptr_.assign(word_count(n), 0);
   ptr_[0] = 1;
-  grant_.assign(word_count(n), 0);
   req_scratch_.assign(word_count(n), 0);
 }
 
 void PrefixArbiter::reset() {
   std::fill(ptr_.begin(), ptr_.end(), 0);
   ptr_[0] = 1;
-  std::fill(grant_.begin(), grant_.end(), 0);
+  grant_only(-1);
 }
 
 std::string PrefixArbiter::describe() const {
   return "prefix-rr(n=" + std::to_string(n_) + ")";
 }
 
-int PrefixArbiter::step_wide(const std::vector<std::uint64_t>& requests) {
+int PrefixArbiter::do_step_wide(const std::vector<std::uint64_t>& requests) {
   const int g = step_wide_impl(requests);
   notify_wide(requests, g);
   return g;
@@ -262,7 +256,6 @@ int PrefixArbiter::step_wide(const std::vector<std::uint64_t>& requests) {
 int PrefixArbiter::step_wide_impl(const std::vector<std::uint64_t>& requests) {
   RCARB_CHECK(requests.size() >= grant_.size(),
               "request vector narrower than the arbiter");
-  std::fill(grant_.begin(), grant_.end(), 0);
 
   // Thermometer mask from the lowest pointer bit (an SEU can leave the
   // register multi-hot — the mask still starts at the lowest hot bit, or
@@ -298,10 +291,8 @@ int PrefixArbiter::step_wide_impl(const std::vector<std::uint64_t>& requests) {
     std::fill(ptr_.begin(), ptr_.end(), 0);
     ptr_[static_cast<std::size_t>(g) >> 6] =
         1ull << (static_cast<unsigned>(g) & 63u);
-    grant_[static_cast<std::size_t>(g) >> 6] =
-        1ull << (static_cast<unsigned>(g) & 63u);
   }
-  return g;
+  return grant_only(g);
 }
 
 int PrefixArbiter::do_step(std::uint64_t requests) {
@@ -310,22 +301,17 @@ int PrefixArbiter::do_step(std::uint64_t requests) {
   return step_wide_impl(req_scratch_);
 }
 
-std::uint64_t PrefixArbiter::state_bits() const {
-  RCARB_CHECK(n_ <= 64, "packed state requires <= 64 state bits");
-  return ptr_[0];
-}
-
-void PrefixArbiter::inject_state_bit(int bit) {
-  RCARB_CHECK(bit >= 0 && bit < n_, "state bit out of range");
+void PrefixArbiter::flip_bit(int bit) {
   ptr_[static_cast<std::size_t>(bit) >> 6] ^=
       1ull << (static_cast<unsigned>(bit) & 63u);
 }
 
 std::unique_ptr<Arbiter> make_scalable_arbiter(ArbiterKind kind, int n,
-                                               int arity) {
+                                               int arity,
+                                               RoundRobinOptions flat) {
   switch (kind) {
     case ArbiterKind::kFlatFsm:
-      return std::make_unique<RoundRobinArbiter>(n);
+      return std::make_unique<RoundRobinArbiter>(n, flat);
     case ArbiterKind::kHierarchical:
       return std::make_unique<HierarchicalArbiter>(n, arity);
     case ArbiterKind::kPrefix:
@@ -540,26 +526,28 @@ aig::Aig build_flat_onehot_aig(int n) {
   return g;
 }
 
-std::vector<bool> scalable_reset_bits(ArbiterKind kind, int n, int arity) {
+aig::Aig build_scalable_aig(ArbiterKind kind, int n, int arity) {
   switch (kind) {
-    case ArbiterKind::kFlatFsm: {
-      std::vector<bool> bits(2 * static_cast<std::size_t>(n), false);
-      bits[0] = true;  // F0
-      return bits;
-    }
-    case ArbiterKind::kHierarchical: {
-      const HierShape shape = make_hier_shape(n, arity);
-      return std::vector<bool>(
-          static_cast<std::size_t>(shape.num_state_bits()), false);
-    }
-    case ArbiterKind::kPrefix: {
-      std::vector<bool> bits(static_cast<std::size_t>(n), false);
-      bits[0] = true;  // pointer at port 0
-      return bits;
-    }
+    case ArbiterKind::kFlatFsm:
+      return build_flat_onehot_aig(n);
+    case ArbiterKind::kHierarchical:
+      return build_hierarchical_aig(n, arity);
+    case ArbiterKind::kPrefix:
+      return build_prefix_aig(n);
   }
   RCARB_CHECK(false, "unknown arbiter kind");
   return {};
+}
+
+std::vector<bool> scalable_reset_bits(ArbiterKind kind, int n, int arity) {
+  // The behavioral model's reset register, bit for bit.
+  const auto arbiter = make_scalable_arbiter(kind, n, arity);
+  std::vector<std::uint64_t> words;
+  arbiter->read_state(words);
+  std::vector<bool> bits(static_cast<std::size_t>(arbiter->num_state_bits()));
+  for (std::size_t b = 0; b < bits.size(); ++b)
+    bits[b] = ((words[b >> 6] >> (b & 63)) & 1u) != 0;
+  return bits;
 }
 
 }  // namespace rcarb::core

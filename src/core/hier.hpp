@@ -90,34 +90,24 @@ struct HierShape {
 
 /// Behavioral tree-of-arbiters.  Widths above 64 use step_wide(); the
 /// word-based Arbiter::step() addresses ports 0..63 of a wider instance.
+/// The state register is packed in the canonical HierShape bit order.
 class HierarchicalArbiter final : public Arbiter {
  public:
   explicit HierarchicalArbiter(int n, int arity = 4);
   void reset() override;
   [[nodiscard]] std::string describe() const override;
 
-  /// One cycle over a words-encoded request vector (bit i of word i/64 =
-  /// port i).  Returns the granted port or -1.
-  int step_wide(const std::vector<std::uint64_t>& requests) override;
-
-  /// Grants asserted by the last step, words-encoded (one-hot or empty).
-  [[nodiscard]] const std::vector<std::uint64_t>& last_grant_words() const {
-    return grant_;
+  [[nodiscard]] int num_state_bits() const override {
+    return shape_.num_state_bits();
   }
-
-  [[nodiscard]] const HierShape& shape() const { return shape_; }
-  [[nodiscard]] int num_state_bits() const { return shape_.num_state_bits(); }
-  /// Packed state register in the canonical HierShape bit order.  Requires
-  /// num_state_bits() <= 64 (the exhaustive model checker's sizes).
-  [[nodiscard]] std::uint64_t state_bits() const;
-  /// SEU injection: XOR one bit of the packed state register.
-  void inject_state_bit(int bit);
-  [[nodiscard]] std::uint64_t waiting_bound(int input) const {
-    return shape_.waiting_bound(input);
-  }
+  void read_state(std::vector<std::uint64_t>& words) const override;
 
  protected:
   int do_step(std::uint64_t requests) override;
+  /// One cycle over a words-encoded request vector (bit i of word i/64 =
+  /// port i); fires on_step_wide at every width.
+  int do_step_wide(const std::vector<std::uint64_t>& requests) override;
+  void flip_bit(int bit) override;
 
  private:
   int step_wide_impl(const std::vector<std::uint64_t>& requests);
@@ -125,50 +115,41 @@ class HierarchicalArbiter final : public Arbiter {
   std::vector<int> ptr_;  // per node, in [0, 1 << ptr_bits)
   int held_ = 0;          // holder index, meaningful while valid_
   bool valid_ = false;
-  std::vector<std::uint64_t> grant_;
   std::vector<std::uint64_t> req_scratch_;
   std::vector<char> any_scratch_;
 };
 
 /// Behavioral Kogge-Stone thermometer-mask arbiter.  The state is an
-/// N-bit one-hot pointer at the last granted port (reset: port 0); grants
-/// scan from the pointer, so a requesting holder is re-granted and the
-/// pointer advances only when the grant moves.
+/// N-bit one-hot pointer at the last granted port (reset: port 0; state
+/// bit i = pointer bit i); grants scan from the pointer, so a requesting
+/// holder is re-granted and the pointer advances only when the grant moves.
 class PrefixArbiter final : public Arbiter {
  public:
   explicit PrefixArbiter(int n);
   void reset() override;
   [[nodiscard]] std::string describe() const override;
 
-  int step_wide(const std::vector<std::uint64_t>& requests) override;
-  [[nodiscard]] const std::vector<std::uint64_t>& last_grant_words() const {
-    return grant_;
-  }
-
-  [[nodiscard]] int num_state_bits() const { return n_; }
-  /// Packed pointer register (bit i = ptr_i).  Requires n <= 64.
-  [[nodiscard]] std::uint64_t state_bits() const;
-  void inject_state_bit(int bit);
-  [[nodiscard]] std::uint64_t waiting_bound(int) const {
-    return static_cast<std::uint64_t>(n_ - 1);
+  [[nodiscard]] int num_state_bits() const override { return n_; }
+  void read_state(std::vector<std::uint64_t>& words) const override {
+    words = ptr_;
   }
 
  protected:
   int do_step(std::uint64_t requests) override;
+  int do_step_wide(const std::vector<std::uint64_t>& requests) override;
+  void flip_bit(int bit) override;
 
  private:
   int step_wide_impl(const std::vector<std::uint64_t>& requests);
   std::vector<std::uint64_t> ptr_;
-  std::vector<std::uint64_t> grant_;
   std::vector<std::uint64_t> req_scratch_;
 };
 
 /// Behavioral factory over the kind.  kFlatFsm returns the Fig. 5
-/// RoundRobinArbiter; every kind accepts up to kMaxWideInputs.  `arity`
-/// only affects kHierarchical.
-[[nodiscard]] std::unique_ptr<Arbiter> make_scalable_arbiter(ArbiterKind kind,
-                                                             int n,
-                                                             int arity = 4);
+/// RoundRobinArbiter with `flat` options; every kind accepts up to
+/// kMaxWideInputs.  `arity` only affects kHierarchical.
+[[nodiscard]] std::unique_ptr<Arbiter> make_scalable_arbiter(
+    ArbiterKind kind, int n, int arity = 4, RoundRobinOptions flat = {});
 
 // ---- AIG generators -------------------------------------------------------
 //
@@ -190,6 +171,10 @@ class PrefixArbiter final : public Arbiter {
 /// state bits, node for node build_round_robin_aig's one-hot netlist.
 /// Reset: F0 (bit 0).
 [[nodiscard]] aig::Aig build_flat_onehot_aig(int n);
+
+/// The kind's generator above (kFlatFsm: build_flat_onehot_aig).
+[[nodiscard]] aig::Aig build_scalable_aig(ArbiterKind kind, int n,
+                                          int arity = 4);
 
 /// Reset vector matching the kind's AIG state-bit layout.
 [[nodiscard]] std::vector<bool> scalable_reset_bits(ArbiterKind kind, int n,

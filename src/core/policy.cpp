@@ -21,18 +21,64 @@ Arbiter::Arbiter(int n) : n_(n) {
   // N=1 is degenerate (the sole requester always wins) but well-defined;
   // the self-checking model checks cover it.
   RCARB_CHECK(n >= 1 && n <= 64, "arbiter size must be in [1, 64]");
+  grant_.assign(1, 0);
 }
 
 Arbiter::Arbiter(WideTag, int n) : n_(n) {
   RCARB_CHECK(n >= 1 && n <= kMaxWideInputs,
               "wide arbiter size must be in [1, kMaxWideInputs]");
+  grant_.assign(static_cast<std::size_t>((n + 63) / 64), 0);
 }
 
-int Arbiter::step_wide(const std::vector<std::uint64_t>& requests) {
+int Arbiter::do_step_wide(const std::vector<std::uint64_t>& requests) {
   RCARB_CHECK(n_ <= 64,
               "this arbiter kind is word-width; widths past 64 ports need a "
               "wide kind (core/hier.hpp)");
-  return step(requests.empty() ? 0 : requests[0]);
+  return step_word(requests.empty() ? 0 : requests[0]);
+}
+
+void Arbiter::flip_state_bit(int bit) {
+  RCARB_CHECK(bit >= 0 && bit < num_state_bits(), "state bit out of range");
+  flip_bit(bit);
+}
+
+void Arbiter::flip_bit(int) {
+  RCARB_CHECK(false, "this arbiter has no state register");
+}
+
+void Arbiter::load_state(const std::vector<std::uint64_t>& words) {
+  std::vector<std::uint64_t> now;
+  read_state(now);
+  RCARB_CHECK(words.size() == now.size(), "state width mismatch");
+  for (std::size_t w = 0; w < now.size(); ++w)
+    for (std::uint64_t d = now[w] ^ words[w]; d != 0; d &= d - 1)
+      flip_bit(static_cast<int>(w * 64) + std::countr_zero(d));
+}
+
+void Arbiter::freeze() {
+  frozen_ = true;
+  read_state(frozen_state_);
+}
+
+int Arbiter::grant_only(int g) {
+  std::fill(grant_.begin(), grant_.end(), 0);
+  grant_count_ = g >= 0 ? 1 : 0;
+  if (g >= 0)
+    grant_[static_cast<std::size_t>(g) >> 6] |=
+        1ull << (static_cast<unsigned>(g) & 63u);
+  return g;
+}
+
+void deposit_bits(const std::uint64_t* src, int nbits,
+                  std::vector<std::uint64_t>& dst, int offset) {
+  const unsigned shift = static_cast<unsigned>(offset) & 63u;
+  std::size_t at = static_cast<std::size_t>(offset) >> 6;
+  for (int done = 0; done < nbits; done += 64, ++at) {
+    std::uint64_t v = src[static_cast<std::size_t>(done) >> 6];
+    if (nbits - done < 64) v &= (1ull << (nbits - done)) - 1;
+    dst[at] |= v << shift;
+    if (shift != 0 && at + 1 < dst.size()) dst[at + 1] |= v >> (64 - shift);
+  }
 }
 
 // ---------------------------------------------------------------- RoundRobin
@@ -44,7 +90,6 @@ RoundRobinArbiter::RoundRobinArbiter(int n, RoundRobinOptions options)
   f_bits_.assign(words, 0);
   f_bits_[0] = 1;
   c_bits_.assign(words, 0);
-  grant_.assign(words, 0);
   req_scratch_.assign(words, 0);
 }
 
@@ -115,6 +160,7 @@ int RoundRobinArbiter::step_words(const std::uint64_t* requests) {
   // and a branch rather than a memset call.
   for (std::uint64_t& w : grant_)
     if (w != 0) w = 0;
+  grant_count_ = 0;
   int hot_count = 0;
   int hot = first_hot(f_bits_, c_bits_, n_, &hot_count);
   if (hot_count != 1) {
@@ -142,6 +188,7 @@ int RoundRobinArbiter::step_words(const std::uint64_t* requests) {
       clear_bit(c_bits_, index);
       set_bit(c_bits_, j);
       set_bit(grant_, j);
+      grant_count_ = 1;
       held_cycles_ = 1;
       return j;
     }
@@ -161,6 +208,7 @@ int RoundRobinArbiter::step_words(const std::uint64_t* requests) {
   clear_bit(in_c ? c_bits_ : f_bits_, index);
   set_bit(c_bits_, granted);
   set_bit(grant_, granted);
+  grant_count_ = 1;
   return granted;
 }
 
@@ -187,6 +235,7 @@ int RoundRobinArbiter::step_multi_hot(const std::uint64_t* requests) {
   if (!any_request) return -1;
   std::fill(f_bits_.begin(), f_bits_.end(), 0);
   c_bits_ = grant_;
+  for (const std::uint64_t w : grant_) grant_count_ += std::popcount(w);
   return scan(grant_.data(), n_, 0);
 }
 
@@ -198,8 +247,9 @@ int RoundRobinArbiter::do_step(std::uint64_t requests) {
   return step_words(req_scratch_.data());
 }
 
-int RoundRobinArbiter::step_wide(const std::vector<std::uint64_t>& requests) {
-  if (n_ <= 64) return Arbiter::step_wide(requests);
+int RoundRobinArbiter::do_step_wide(
+    const std::vector<std::uint64_t>& requests) {
+  if (n_ <= 64) return Arbiter::do_step_wide(requests);
   RCARB_CHECK(requests.size() >= grant_.size(),
               "request vector narrower than the arbiter");
   const int g = step_words(requests.data());
@@ -211,7 +261,7 @@ void RoundRobinArbiter::reset() {
   std::fill(f_bits_.begin(), f_bits_.end(), 0);
   f_bits_[0] = 1;
   std::fill(c_bits_.begin(), c_bits_.end(), 0);
-  std::fill(grant_.begin(), grant_.end(), 0);
+  grant_only(-1);
   held_cycles_ = 0;
 }
 
@@ -228,14 +278,10 @@ std::string RoundRobinArbiter::state_name() const {
   return name;
 }
 
-std::uint64_t RoundRobinArbiter::state_bits() const {
-  RCARB_CHECK(n_ <= 32, "state_bits requires 2n <= 64");
-  return f_bits_[0] | (c_bits_[0] << n_);
-}
-
-RoundRobinArbiter::StateWords RoundRobinArbiter::state_words() const {
-  RCARB_CHECK(n_ <= 64, "state_words requires n <= 64");
-  return {f_bits_[0], c_bits_[0]};
+void RoundRobinArbiter::read_state(std::vector<std::uint64_t>& words) const {
+  words.assign(static_cast<std::size_t>((2 * n_ + 63) / 64), 0);
+  deposit_bits(f_bits_.data(), n_, words, 0);
+  deposit_bits(c_bits_.data(), n_, words, n_);
 }
 
 bool RoundRobinArbiter::state_legal() const {
@@ -244,14 +290,7 @@ bool RoundRobinArbiter::state_legal() const {
   return count == 1;
 }
 
-int RoundRobinArbiter::last_grant_count() const {
-  int count = 0;
-  for (const std::uint64_t w : grant_) count += std::popcount(w);
-  return count;
-}
-
-void RoundRobinArbiter::inject_bit_flip(int bit) {
-  RCARB_CHECK(bit >= 0 && bit < 2 * n_, "state bit out of range");
+void RoundRobinArbiter::flip_bit(int bit) {
   std::vector<std::uint64_t>& reg = bit < n_ ? f_bits_ : c_bits_;
   const int i = bit < n_ ? bit : bit - n_;
   reg[static_cast<std::size_t>(i) >> 6] ^=
@@ -274,7 +313,7 @@ int FifoArbiter::do_step(std::uint64_t requests) {
   }
 
   // Holder keeps the grant while it requests.
-  if (holder_ >= 0 && ((requests >> holder_) & 1u)) return holder_;
+  if (holder_ >= 0 && ((requests >> holder_) & 1u)) return grant_only(holder_);
   holder_ = -1;
 
   // Otherwise serve the oldest still-live request.
@@ -284,13 +323,14 @@ int FifoArbiter::do_step(std::uint64_t requests) {
     enqueued_ &= ~(1ull << t);
     if ((requests >> t) & 1u) {
       holder_ = t;
-      return t;
+      return grant_only(t);
     }
   }
-  return -1;
+  return grant_only(-1);
 }
 
 void FifoArbiter::reset() {
+  grant_only(-1);
   queue_.clear();
   enqueued_ = 0;
   holder_ = -1;
@@ -305,14 +345,17 @@ std::string FifoArbiter::describe() const {
 PriorityArbiter::PriorityArbiter(int n) : Arbiter(n) {}
 
 int PriorityArbiter::do_step(std::uint64_t requests) {
-  if (holder_ >= 0 && ((requests >> holder_) & 1u)) return holder_;
+  if (holder_ >= 0 && ((requests >> holder_) & 1u)) return grant_only(holder_);
   holder_ = -1;
-  if (requests == 0) return -1;
+  if (requests == 0) return grant_only(-1);
   holder_ = std::countr_zero(requests);  // lowest index = highest priority
-  return holder_;
+  return grant_only(holder_);
 }
 
-void PriorityArbiter::reset() { holder_ = -1; }
+void PriorityArbiter::reset() {
+  grant_only(-1);
+  holder_ = -1;
+}
 
 std::string PriorityArbiter::describe() const {
   return "priority(" + std::to_string(n_) + ")";
@@ -324,16 +367,16 @@ RandomArbiter::RandomArbiter(int n, std::uint64_t seed)
     : Arbiter(n), seed_(seed), rng_(seed) {}
 
 int RandomArbiter::do_step(std::uint64_t requests) {
-  if (holder_ >= 0 && ((requests >> holder_) & 1u)) return holder_;
+  if (holder_ >= 0 && ((requests >> holder_) & 1u)) return grant_only(holder_);
   holder_ = -1;
   const int waiting = std::popcount(requests);
-  if (waiting == 0) return -1;
+  if (waiting == 0) return grant_only(-1);
   auto pick = static_cast<int>(rng_.next_below(static_cast<std::uint64_t>(waiting)));
   for (int t = 0; t < n_; ++t) {
     if (!((requests >> t) & 1u)) continue;
     if (pick-- == 0) {
       holder_ = t;
-      return t;
+      return grant_only(t);
     }
   }
   RCARB_ASSERT(false, "unreachable: requests were nonzero");
@@ -341,6 +384,7 @@ int RandomArbiter::do_step(std::uint64_t requests) {
 }
 
 void RandomArbiter::reset() {
+  grant_only(-1);
   rng_ = Rng(seed_);
   holder_ = -1;
 }

@@ -61,7 +61,9 @@ class ArbiterObserver {
   }
 };
 
-/// Cycle-level behavioral arbiter.
+/// Cycle-level behavioral arbiter.  Its state register — the thing a fault
+/// hits (Fig. 5) — is one surface for every kind: packed reads, upsets, a
+/// legality check and latch-up.  FIFO, priority and random model none.
 class Arbiter {
  public:
   virtual ~Arbiter() = default;
@@ -71,6 +73,107 @@ class Arbiter {
   /// most one task is ever granted (mutual exclusion).  With no observer
   /// attached the hook costs one pointer test.
   int step(std::uint64_t requests) {
+    if (frozen_) hold_frozen();
+    return step_word(requests);
+  }
+
+  /// One clock cycle over a words-encoded request vector (bit i of word
+  /// i/64 = port i).  Word-width arbiters forward to step() (and
+  /// CHECK-fail past 64 ports); the wide ones accept up to kMaxWideInputs.
+  int step_wide(const std::vector<std::uint64_t>& requests) {
+    if (frozen_) hold_frozen();
+    return do_step_wide(requests);
+  }
+
+  /// Attaches (or detaches, with nullptr) a borrowed observer.
+  void set_observer(ArbiterObserver* observer) { observer_ = observer; }
+
+  /// Returns to the reset state.  A frozen register keeps its frozen value
+  /// (the next step re-presents it): only thaw() clears a latch-up.
+  virtual void reset() = 0;
+
+  [[nodiscard]] int size() const { return n_; }
+  [[nodiscard]] virtual std::string describe() const = 0;
+
+  // ---- The state register. ----
+
+  /// Register width, bits in the synthesized netlist's DFF order
+  /// (copy-major for a replicated arbiter).
+  [[nodiscard]] virtual int num_state_bits() const { return 0; }
+  /// Packed read at any width: state bit b is bit b % 64 of word b / 64.
+  virtual void read_state(std::vector<std::uint64_t>& words) const {
+    words.clear();
+  }
+  /// SEU injection: XOR state bit `bit` (0 <= bit < num_state_bits()).
+  void flip_state_bit(int bit);
+  /// Rewrites the register to `words` by flipping every differing bit.
+  void load_state(const std::vector<std::uint64_t>& words);
+  /// False on a code the netlist never reaches from reset (a non-one-hot
+  /// flat register).
+  [[nodiscard]] virtual bool state_legal() const { return true; }
+
+  /// Latch-up: pins the register at its current value.  Every clock edge
+  /// re-presents it, so resets, rewrites and upsets last until the next
+  /// step; the grant logic still runs on it.  A self-checking arbiter pins
+  /// copy 0.  thaw() (reconfiguration) clears it.
+  virtual void freeze();
+  virtual void thaw() { frozen_ = false; }
+  [[nodiscard]] virtual bool frozen() const { return frozen_; }
+  /// Re-presents a frozen register's pinned value: both step entries do so
+  /// first, and so does a wrapper sampling its copies before stepping them.
+  void hold_frozen() {
+    if (frozen_) load_state(frozen_state_);
+  }
+
+  /// Every grant asserted by the last step, words-encoded.  Legal states
+  /// assert at most one; an unhardened multi-hot flat register can assert
+  /// several (the mutual-exclusion violation a fault campaign must surface).
+  [[nodiscard]] const std::vector<std::uint64_t>& last_grant_words() const {
+    return grant_;
+  }
+  /// Number of grants asserted by the last step, at any width.
+  [[nodiscard]] int last_grant_count() const { return grant_count_; }
+  /// Self-check comparator output of the last step (false without one).
+  [[nodiscard]] bool error() const { return error_; }
+
+  /// Steps on which the self-check comparator fired.
+  [[nodiscard]] std::uint64_t error_cycles() const { return error_cycles_; }
+  /// Self-check resyncs: DMR reset reloads / TMR minority rewrites.
+  [[nodiscard]] std::uint64_t resyncs() const { return resyncs_; }
+  /// Illegal-state recoveries of a hardened flat register.
+  [[nodiscard]] std::uint64_t recoveries() const { return recoveries_; }
+
+ protected:
+  explicit Arbiter(int n);
+  /// Wide-arbiter constructor tag: lifts the 64-input cap to
+  /// kMaxWideInputs.  Word-request step() only addresses the first 64
+  /// ports of a wide arbiter; step_wide() reaches the rest.
+  struct WideTag {};
+  Arbiter(WideTag, int n);
+  /// Policy-specific transition; `requests` is already width-masked.
+  virtual int do_step(std::uint64_t requests) = 0;
+  /// The step_wide transition; the default serves word-width arbiters.
+  virtual int do_step_wide(const std::vector<std::uint64_t>& requests);
+  /// XORs one state bit; `bit` is already range-checked.
+  virtual void flip_bit(int bit);
+  /// For do_step_wide overrides: fires the observer's wide hook.
+  void notify_wide(const std::vector<std::uint64_t>& requests, int granted) {
+    if (observer_ != nullptr) observer_->on_step_wide(requests, granted);
+  }
+  /// Sets the grant words to exactly `g` (none when g < 0); returns g.
+  int grant_only(int g);
+
+  int n_;
+  std::vector<std::uint64_t> grant_;  // (n + 63) / 64 words
+  int grant_count_ = 0;               // hot bits of grant_
+  bool error_ = false;
+  std::uint64_t error_cycles_ = 0;
+  std::uint64_t resyncs_ = 0;
+  std::uint64_t recoveries_ = 0;
+
+ private:
+  /// step() after the latch-up hold.
+  int step_word(std::uint64_t requests) {
     // Wide arbiters (n > 64) accept every bit of the word; the rest are
     // masked to their width (the >= keeps the shift in range for both).
     requests &= (n_ >= 64) ? ~0ull : ((1ull << n_) - 1);
@@ -79,40 +182,15 @@ class Arbiter {
     return granted;
   }
 
-  /// One clock cycle over a words-encoded request vector (bit i of word
-  /// i/64 = port i).  The base implementation serves word-width arbiters
-  /// by forwarding to step() (and CHECK-fails past 64 ports); the wide
-  /// arbiters (RoundRobinArbiter, core/hier.hpp) override it, notify
-  /// observers through on_step_wide, and accept up to kMaxWideInputs.
-  virtual int step_wide(const std::vector<std::uint64_t>& requests);
-
-  /// Attaches (or detaches, with nullptr) a borrowed observer.
-  void set_observer(ArbiterObserver* observer) { observer_ = observer; }
-
-  /// Returns to the reset state.
-  virtual void reset() = 0;
-
-  [[nodiscard]] int size() const { return n_; }
-  [[nodiscard]] virtual std::string describe() const = 0;
-
- protected:
-  explicit Arbiter(int n);
-  /// Wide-arbiter constructor tag: lifts the 64-input cap to
-  /// kMaxWideInputs.  Word-request step() only addresses the first 64
-  /// ports of a wide arbiter; subclasses expose a vector-request entry.
-  struct WideTag {};
-  Arbiter(WideTag, int n);
-  /// Policy-specific transition; `requests` is already width-masked.
-  virtual int do_step(std::uint64_t requests) = 0;
-  /// For step_wide overrides: fires the observer's wide hook.
-  void notify_wide(const std::vector<std::uint64_t>& requests, int granted) {
-    if (observer_ != nullptr) observer_->on_step_wide(requests, granted);
-  }
-  int n_;
-
- private:
   ArbiterObserver* observer_ = nullptr;
+  bool frozen_ = false;
+  std::vector<std::uint64_t> frozen_state_;
 };
+
+/// Copies state bits [0, nbits) of `src` into `dst` starting at bit
+/// `offset` (both packed as Arbiter::read_state); `dst` must be sized.
+void deposit_bits(const std::uint64_t* src, int nbits,
+                  std::vector<std::uint64_t>& dst, int offset);
 
 /// Options for the round-robin model.
 struct RoundRobinOptions {
@@ -135,59 +213,29 @@ struct RoundRobinOptions {
 /// port i — so single-event upsets can be injected and the hardened
 /// recovery modeled bit-exactly against the synthesized netlist.  One
 /// masked count-trailing-zeros scan, cyclic from the priority index, picks
-/// the grant on the legal, multi-hot and preemption paths alike.
+/// the grant on the legal, multi-hot and preemption paths alike.  State
+/// bit i is Fi and bit n+i is Ci.
 class RoundRobinArbiter final : public Arbiter {
  public:
   explicit RoundRobinArbiter(int n, RoundRobinOptions options = {});
   void reset() override;
   [[nodiscard]] std::string describe() const override;
 
-  /// Up to 64 ports this is the base forwarding to step() (word observer
-  /// hook); past 64 it steps the full vector and fires on_step_wide.
-  int step_wide(const std::vector<std::uint64_t>& requests) override;
-
   /// Exposed for FSM-equivalence tests: current state as "Ci"/"Fi" text.
   /// Requires a legal (exactly one-hot) register.
   [[nodiscard]] std::string state_name() const;
 
-  /// The one-hot state register: bit i = Fi, bit n+i = Ci.  Requires
-  /// n <= 32 (2n bits must fit one word).
-  [[nodiscard]] std::uint64_t state_bits() const;
-
-  /// The state register as separate words (f = Fi one-hots, c = Ci
-  /// one-hots) — the form the self-checking wrapper compares and votes.
-  /// Requires n <= 64.
-  struct StateWords {
-    std::uint64_t f = 0;
-    std::uint64_t c = 0;
-    [[nodiscard]] bool operator==(const StateWords&) const = default;
-  };
-  [[nodiscard]] StateWords state_words() const;
-
+  [[nodiscard]] int num_state_bits() const override { return 2 * n_; }
+  void read_state(std::vector<std::uint64_t>& words) const override;
   /// True when the register holds exactly one hot bit.
-  [[nodiscard]] bool state_legal() const;
-
-  /// SEU injection: XOR one bit of the state register (0 <= bit < 2n:
-  /// bit i = Fi, bit n+i = Ci).
-  void inject_bit_flip(int bit);
-
-  /// Every grant asserted by the last step(), words-encoded.  Legal states
-  /// assert at most one; an unhardened multi-hot register can assert
-  /// several (the mutual-exclusion violation a fault campaign must
-  /// surface).
-  [[nodiscard]] const std::vector<std::uint64_t>& last_grant_words() const {
-    return grant_;
-  }
-  /// Ports 0..63 of last_grant_words() — all of it up to 64 ports.
-  [[nodiscard]] std::uint64_t last_grant_mask() const { return grant_[0]; }
-  /// Number of grants asserted by the last step, at any width.
-  [[nodiscard]] int last_grant_count() const;
-
-  /// Illegal-state recoveries performed so far (hardened mode only).
-  [[nodiscard]] std::uint64_t recoveries() const { return recoveries_; }
+  [[nodiscard]] bool state_legal() const override;
 
  protected:
   int do_step(std::uint64_t requests) override;
+  /// Up to 64 ports this is the base (word observer hook); past 64 it
+  /// steps the full vector and fires on_step_wide.
+  int do_step_wide(const std::vector<std::uint64_t>& requests) override;
+  void flip_bit(int bit) override;
 
  private:
   /// The Fig. 5 transition over (n + 63) / 64 request words.
@@ -198,9 +246,7 @@ class RoundRobinArbiter final : public Arbiter {
   RoundRobinOptions options_;
   std::vector<std::uint64_t> f_bits_;  // one-hot among F0..F(n-1); reset F0
   std::vector<std::uint64_t> c_bits_;  // one-hot among C0..C(n-1)
-  std::vector<std::uint64_t> grant_;
   std::vector<std::uint64_t> req_scratch_;  // step() past 64 ports
-  std::uint64_t recoveries_ = 0;
   int held_cycles_ = 0;
 };
 

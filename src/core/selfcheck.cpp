@@ -3,7 +3,6 @@
 #include <bit>
 #include <string>
 
-#include "core/structural.hpp"
 #include "support/check.hpp"
 
 namespace rcarb::core {
@@ -17,48 +16,43 @@ const char* to_string(CheckMode m) {
   return "?";
 }
 
+int num_copies(CheckMode m) {
+  switch (m) {
+    case CheckMode::kNone: return 1;
+    case CheckMode::kDuplicate: return 2;
+    case CheckMode::kTmr: return 3;
+  }
+  return 1;
+}
+
 SelfCheckingArbiter::SelfCheckingArbiter(int n, CheckMode mode,
-                                         RoundRobinOptions options)
-    : Arbiter(n), mode_(mode) {
+                                         RoundRobinOptions options,
+                                         ArbiterKind kind, int arity)
+    : Arbiter(WideTag{}, n), mode_(mode) {
   RCARB_CHECK(mode != CheckMode::kNone,
               "SelfCheckingArbiter needs kDuplicate or kTmr");
-  RCARB_CHECK(n <= 64, "self-checking model requires n <= 64");
   // The copies stay unhardened: the replication layer *is* the hardening,
   // and per-copy recovery logic would let the copies resync to different
   // legal states, pinning the comparator high forever.
   options.harden = false;
-  const int copies = mode == CheckMode::kDuplicate ? 2 : 3;
-  for (int c = 0; c < copies; ++c) copies_.emplace_back(n, options);
-  latched_state_.assign(copies_.size(), {});
-  latched_.assign(copies_.size(), false);
+  for (int c = 0; c < core::num_copies(mode); ++c)
+    copies_.push_back(make_scalable_arbiter(kind, n, arity, options));
+  copy_bits_ = copies_[0]->num_state_bits();
+  copies_[0]->read_state(reset_state_);
+  state_.resize(copies_.size());
+  req_scratch_.assign(grant_.size(), 0);
 }
 
-void SelfCheckingArbiter::force_state(int copy,
-                                      RoundRobinArbiter::StateWords want) {
-  auto& a = copies_[static_cast<std::size_t>(copy)];
-  std::uint64_t diff = a.state_words().f ^ want.f;
-  while (diff != 0) {
-    a.inject_bit_flip(std::countr_zero(diff));
-    diff &= diff - 1;
-  }
-  diff = a.state_words().c ^ want.c;
-  while (diff != 0) {
-    a.inject_bit_flip(n_ + std::countr_zero(diff));
-    diff &= diff - 1;
-  }
-}
-
-int SelfCheckingArbiter::do_step(std::uint64_t requests) {
-  grant_mask_ = 0;
-  // A latched-up register refuses every load: re-assert the frozen value
-  // before the comparator samples.
-  for (std::size_t c = 0; c < copies_.size(); ++c)
-    if (latched_[c]) force_state(static_cast<int>(c), latched_state_[c]);
-
-  const RoundRobinArbiter::StateWords s0 = copies_[0].state_words();
+int SelfCheckingArbiter::clock(const std::vector<std::uint64_t>& requests) {
+  // A latched-up copy re-presents its frozen register before the
+  // comparator samples.
+  for (auto& copy : copies_) copy->hold_frozen();
+  copies_[0]->read_state(state_[0]);
   error_ = false;
-  for (std::size_t c = 1; c < copies_.size(); ++c)
-    error_ = error_ || !(copies_[c].state_words() == s0);
+  for (std::size_t c = 1; c < copies_.size(); ++c) {
+    copies_[c]->read_state(state_[c]);
+    error_ = error_ || state_[c] != state_[0];
+  }
   if (error_) ++error_cycles_;
 
   if (mode_ == CheckMode::kDuplicate) {
@@ -66,84 +60,96 @@ int SelfCheckingArbiter::do_step(std::uint64_t requests) {
       // Fail-safe: grants gated off; both registers reload the reset code
       // at this clock edge (one-cycle grant gap, then clean resync).
       ++resyncs_;
-      force_state(0, {1, 0});
-      force_state(1, {1, 0});
-      return -1;
+      for (auto& copy : copies_) copy->load_state(reset_state_);
+      return grant_only(-1);
     }
-    const int g = copies_[0].step(requests);
-    copies_[1].step(requests);
-    grant_mask_ = copies_[0].last_grant_mask();
+    const int g = copies_[0]->step_wide(requests);
+    copies_[1]->step_wide(requests);
+    grant_ = copies_[0]->last_grant_words();
+    grant_count_ = copies_[0]->last_grant_count();
     return g;
   }
 
   // TMR: step all copies, vote grants and next states bitwise, rewrite
-  // every copy with the voted words — the minority is outvoted in 1 clock
-  // and the voted grants never gap.
-  RoundRobinArbiter::StateWords next[3];
-  std::uint64_t mask[3] = {0, 0, 0};
+  // every copy with the voted register — the minority is outvoted in 1
+  // clock and the voted grants never gap.
   for (std::size_t c = 0; c < copies_.size(); ++c) {
-    copies_[c].step(requests);
-    next[c] = copies_[c].state_words();
-    mask[c] = copies_[c].last_grant_mask();
+    copies_[c]->step_wide(requests);
+    copies_[c]->read_state(state_[c]);
   }
-  const RoundRobinArbiter::StateWords voted = {
-      (next[0].f & next[1].f) | (next[0].f & next[2].f) |
-          (next[1].f & next[2].f),
-      (next[0].c & next[1].c) | (next[0].c & next[2].c) |
-          (next[1].c & next[2].c)};
-  grant_mask_ =
-      (mask[0] & mask[1]) | (mask[0] & mask[2]) | (mask[1] & mask[2]);
+  auto maj = [](std::uint64_t a, std::uint64_t b, std::uint64_t c) {
+    return (a & b) | (a & c) | (b & c);
+  };
+  voted_.resize(state_[0].size());
+  for (std::size_t w = 0; w < voted_.size(); ++w)
+    voted_[w] = maj(state_[0][w], state_[1][w], state_[2][w]);
+  int g = -1;
+  grant_count_ = 0;
+  for (std::size_t w = 0; w < grant_.size(); ++w) {
+    grant_[w] = maj(copies_[0]->last_grant_words()[w],
+                    copies_[1]->last_grant_words()[w],
+                    copies_[2]->last_grant_words()[w]);
+    grant_count_ += std::popcount(grant_[w]);
+    if (g < 0 && grant_[w] != 0)
+      g = static_cast<int>(w * 64) + std::countr_zero(grant_[w]);
+  }
   bool rewrote = false;
   for (std::size_t c = 0; c < copies_.size(); ++c) {
-    if (next[c] == voted) continue;
-    force_state(static_cast<int>(c), voted);
+    if (state_[c] == voted_) continue;
+    copies_[c]->load_state(voted_);
     rewrote = true;
   }
   if (rewrote) ++resyncs_;
-  return grant_mask_ == 0 ? -1 : std::countr_zero(grant_mask_);
+  return g;
+}
+
+int SelfCheckingArbiter::do_step(std::uint64_t requests) {
+  req_scratch_[0] = requests;  // the word entry addresses ports 0..63
+  return clock(req_scratch_);
+}
+
+int SelfCheckingArbiter::do_step_wide(
+    const std::vector<std::uint64_t>& requests) {
+  if (n_ <= 64) return Arbiter::do_step_wide(requests);
+  RCARB_CHECK(requests.size() >= grant_.size(),
+              "request vector narrower than the arbiter");
+  const int g = clock(requests);
+  notify_wide(requests, g);
+  return g;
 }
 
 void SelfCheckingArbiter::reset() {
-  for (RoundRobinArbiter& a : copies_) a.reset();
+  for (auto& copy : copies_) copy->reset();
   error_ = false;
-  grant_mask_ = 0;
+  grant_only(-1);
 }
 
 std::string SelfCheckingArbiter::describe() const {
-  return std::string(to_string(mode_)) + "(round-robin(" +
-         std::to_string(n_) + "))";
+  return std::string(to_string(mode_)) + "(" + copies_[0]->describe() + ")";
 }
 
-std::uint64_t SelfCheckingArbiter::state_bits(int copy) const {
-  RCARB_CHECK(copy >= 0 && copy < num_copies(), "copy out of range");
-  return copies_[static_cast<std::size_t>(copy)].state_bits();
+void SelfCheckingArbiter::read_state(std::vector<std::uint64_t>& words) const {
+  words.assign(static_cast<std::size_t>((num_state_bits() + 63) / 64), 0);
+  std::vector<std::uint64_t> copy;
+  for (std::size_t c = 0; c < copies_.size(); ++c) {
+    copies_[c]->read_state(copy);
+    deposit_bits(copy.data(), copy_bits_, words,
+                 static_cast<int>(c) * copy_bits_);
+  }
 }
 
-RoundRobinArbiter::StateWords SelfCheckingArbiter::state_words(
-    int copy) const {
-  RCARB_CHECK(copy >= 0 && copy < num_copies(), "copy out of range");
-  return copies_[static_cast<std::size_t>(copy)].state_words();
+void SelfCheckingArbiter::flip_bit(int bit) {
+  copies_[static_cast<std::size_t>(bit / copy_bits_)]->flip_state_bit(
+      bit % copy_bits_);
 }
 
-void SelfCheckingArbiter::inject_bit_flip(int copy, int bit) {
-  RCARB_CHECK(copy >= 0 && copy < num_copies(), "copy out of range");
-  copies_[static_cast<std::size_t>(copy)].inject_bit_flip(bit);
+void SelfCheckingArbiter::thaw() {
+  for (auto& copy : copies_) copy->thaw();
 }
 
-void SelfCheckingArbiter::latch_up(int copy) {
-  RCARB_CHECK(copy >= 0 && copy < num_copies(), "copy out of range");
-  latched_[static_cast<std::size_t>(copy)] = true;
-  latched_state_[static_cast<std::size_t>(copy)] =
-      copies_[static_cast<std::size_t>(copy)].state_words();
-}
-
-void SelfCheckingArbiter::clear_latch_up() {
-  latched_.assign(copies_.size(), false);
-}
-
-bool SelfCheckingArbiter::latched() const {
-  for (const bool l : latched_)
-    if (l) return true;
+bool SelfCheckingArbiter::frozen() const {
+  for (const auto& copy : copies_)
+    if (copy->frozen()) return true;
   return false;
 }
 
@@ -159,14 +165,17 @@ std::string copy_prefix(int c) {
 
 }  // namespace
 
-aig::Aig build_self_checking_aig(int n, const synth::StateCodes& codes,
-                                 CheckMode mode, std::uint64_t reset_code) {
+aig::Aig build_self_checking_aig(const aig::Aig& plain, int n,
+                                 const std::vector<bool>& reset_bits,
+                                 CheckMode mode) {
   RCARB_CHECK(mode != CheckMode::kNone,
               "build_self_checking_aig needs kDuplicate or kTmr");
-  const int copies = mode == CheckMode::kDuplicate ? 2 : 3;
-  const int nb = codes.num_bits;
-  RCARB_CHECK(copies * nb <= 64, "replicated state must fit 64 bits");
-  const aig::Aig plain = build_round_robin_aig(n, codes);
+  const int copies = core::num_copies(mode);
+  const int nb = static_cast<int>(reset_bits.size());
+  RCARB_CHECK(plain.num_inputs() == static_cast<std::size_t>(n + nb) &&
+                  plain.num_outputs() == static_cast<std::size_t>(nb + n),
+              "plain arbiter AIG must map n requests + state to next state + "
+              "n grants");
 
   aig::Aig g;
   std::vector<aig::Lit> req(static_cast<std::size_t>(n));
@@ -220,8 +229,9 @@ aig::Aig build_self_checking_aig(int n, const synth::StateCodes& codes,
     for (int b = 0; b < nb; ++b) {
       aig::Lit ns;
       if (mode == CheckMode::kDuplicate) {
-        const aig::Lit reset_bit =
-            ((reset_code >> b) & 1u) ? aig::kConstTrue : aig::kConstFalse;
+        const aig::Lit reset_bit = reset_bits[static_cast<std::size_t>(b)]
+                                       ? aig::kConstTrue
+                                       : aig::kConstFalse;
         ns = g.mux(error, reset_bit, ns_of(c, b));
       } else {
         ns = maj(ns_of(0, b), ns_of(1, b), ns_of(2, b));

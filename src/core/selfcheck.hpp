@@ -4,9 +4,10 @@
 // invisible to the rest of the system until grants misbehave — too late
 // for clean quarantine.  The classic fix is concurrent error detection:
 // replicate the FSM and compare.  Two variants are provided, both as
-// cycle-level behavioral models (wrapping the proven Fig. 5 model of
-// core/policy) and as synthesizable structures (copies of the structural
-// round-robin AIG stitched together with a comparator):
+// cycle-level behavioral models (copies of any round-robin kind, driven
+// through core::Arbiter's state-register surface) and as synthesizable
+// structures (copies of the round-robin AIG stitched together with a
+// comparator):
 //
 //   * kDuplicate — duplicate-and-compare (DMR).  Two unhardened copies
 //     share the request inputs but keep separate state registers.  The
@@ -26,11 +27,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "aig/aig.hpp"
+#include "core/hier.hpp"
 #include "core/policy.hpp"
-#include "synth/encoding.hpp"
 
 namespace rcarb::core {
 
@@ -43,18 +45,21 @@ enum class CheckMode : std::uint8_t {
 
 [[nodiscard]] const char* to_string(CheckMode m);
 
-/// Behavioral self-checking round-robin arbiter.  Clock-accurate against
-/// the synthesized structure from build_self_checking_aig: the comparator
-/// samples the *current* state registers, so a single-bit upset raises
+/// Register copies of a mode: 1 (plain), 2 (DMR) or 3 (TMR).
+[[nodiscard]] int num_copies(CheckMode m);
+
+/// Behavioral self-checking arbiter over 2 or 3 copies of any round-robin
+/// kind (make_scalable_arbiter), at any width up to kMaxWideInputs.
+/// Clock-accurate against the synthesized structure: the comparator
+/// samples the *current* copy registers, so a single-bit upset raises
 /// `error()` on the very next step, and the resync (DMR reset reload / TMR
-/// majority rewrite) happens at that step's clock edge.  Requires
-/// n <= 64: the per-copy registers are compared and voted as separate
-/// F/C words (RoundRobinArbiter::StateWords), so the model covers the
-/// full word-width service arbiters even where the replicated *netlist*
-/// (copies x 2n register bits in one bank) cannot be synthesized.
+/// majority rewrite) happens at that step's clock edge.  Comparing, voting
+/// and rewriting all go through the copies' Arbiter state surface.  The
+/// register is the copies' registers copy-major; freeze() latches copy 0.
 class SelfCheckingArbiter final : public Arbiter {
  public:
-  SelfCheckingArbiter(int n, CheckMode mode, RoundRobinOptions options = {});
+  SelfCheckingArbiter(int n, CheckMode mode, RoundRobinOptions options = {},
+                      ArbiterKind kind = ArbiterKind::kFlatFsm, int arity = 4);
 
   void reset() override;
   [[nodiscard]] std::string describe() const override;
@@ -64,69 +69,52 @@ class SelfCheckingArbiter final : public Arbiter {
     return static_cast<int>(copies_.size());
   }
 
-  /// Comparator output of the last step(): any pairwise state mismatch.
-  [[nodiscard]] bool error() const { return error_; }
+  [[nodiscard]] int num_state_bits() const override {
+    return num_copies() * copy_bits_;
+  }
+  void read_state(std::vector<std::uint64_t>& words) const override;
 
-  /// Cycles (steps) on which the comparator fired, cumulatively.
-  [[nodiscard]] std::uint64_t error_cycles() const { return error_cycles_; }
-
-  /// Resync events: DMR reset reloads / TMR minority rewrites.
-  [[nodiscard]] std::uint64_t resyncs() const { return resyncs_; }
-
-  /// Every grant asserted by the last step() (DMR: gated off while the
-  /// comparator fires; TMR: bitwise majority of the copies).
-  [[nodiscard]] std::uint64_t last_grant_mask() const { return grant_mask_; }
-
-  /// One copy's state register (bit i = Fi, bit n+i = Ci).  Requires
-  /// n <= 32 (the packed form); state_words covers the full width.
-  [[nodiscard]] std::uint64_t state_bits(int copy) const;
-
-  /// One copy's state register as separate F/C words, valid for n <= 64.
-  [[nodiscard]] RoundRobinArbiter::StateWords state_words(int copy) const;
-
-  /// SEU injection into one copy's state register (0 <= bit < 2n).
-  void inject_bit_flip(int copy, int bit);
-
-  /// Permanent-fault injection: freezes `copy`'s register at its current
-  /// value — every later load (step, resync, reset) is ignored, so the
-  /// comparator fires persistently.  Cleared only by clear_latch_up()
-  /// (modeling reconfiguration of the arbiter's region).
-  void latch_up(int copy);
-  void clear_latch_up();
-  [[nodiscard]] bool latched() const;
+  /// Permanent fault: copy 0's register is pinned (re-presented at every
+  /// clock edge), so the comparator fires persistently (DMR fail-stops,
+  /// TMR votes through).
+  void freeze() override { copies_[0]->freeze(); }
+  void thaw() override;
+  [[nodiscard]] bool frozen() const override;
 
  protected:
   int do_step(std::uint64_t requests) override;
+  int do_step_wide(const std::vector<std::uint64_t>& requests) override;
+  void flip_bit(int bit) override;
 
  private:
-  void force_state(int copy, RoundRobinArbiter::StateWords want);
+  int clock(const std::vector<std::uint64_t>& requests);
 
   CheckMode mode_;
-  std::vector<RoundRobinArbiter> copies_;
-  // Per copy; valid when latched.
-  std::vector<RoundRobinArbiter::StateWords> latched_state_;
-  std::vector<bool> latched_;
-  bool error_ = false;
-  std::uint64_t grant_mask_ = 0;
-  std::uint64_t error_cycles_ = 0;
-  std::uint64_t resyncs_ = 0;
+  std::vector<std::unique_ptr<Arbiter>> copies_;
+  int copy_bits_ = 0;
+  std::vector<std::uint64_t> reset_state_;  // one copy's reset register
+  std::vector<std::vector<std::uint64_t>> state_;  // per-copy scratch
+  std::vector<std::uint64_t> voted_;
+  std::vector<std::uint64_t> req_scratch_;  // step() requests as words
 };
 
 /// Combinational AIG of the self-checking arbiter: `copies` instantiations
-/// of the structural round-robin AIG over per-copy state inputs, plus the
-/// comparator, grant gating/voting and next-state mux/vote.
+/// of a plain arbiter's cloud over per-copy state inputs, plus the
+/// comparator, grant gating/voting and next-state mux/vote.  `plain` maps
+/// [req0..req{n-1}, state0..state{nb-1}] to [ns0..ns{nb-1},
+/// grant0..grant{n-1}] (every generator in core/hier.hpp, and
+/// build_round_robin_aig under any encoding); `reset_bits` is the
+/// *single-copy* reset register, nb bits.
 ///   Inputs:  req0..req{n-1}, then copy 0 state bits "state<b>", then
 ///            copy c >= 1 state bits "c<c>_state<b>".
 ///   Outputs: per-copy next-state bits (copy-major), then
 ///            grant0..grant{n-1}, then "error".
-/// `reset_code` is the *single-copy* reset code.  Feed the result to
-/// synth::finish_machine_synthesis with num_state_bits = copies *
-/// codes.num_bits and the per-copy reset codes concatenated copy-major;
-/// the DFF bank then carries one register per copy bit and "error"
-/// becomes a primary output net of the netlist.
-[[nodiscard]] aig::Aig build_self_checking_aig(int n,
-                                               const synth::StateCodes& codes,
-                                               CheckMode mode,
-                                               std::uint64_t reset_code);
+/// Feed the result to synth::finish_machine_synthesis with num_state_bits
+/// = copies * nb and the per-copy reset bits concatenated copy-major; the
+/// DFF bank then carries one register per copy bit and "error" becomes a
+/// primary output net of the netlist.
+[[nodiscard]] aig::Aig build_self_checking_aig(
+    const aig::Aig& plain, int n, const std::vector<bool>& reset_bits,
+    CheckMode mode);
 
 }  // namespace rcarb::core

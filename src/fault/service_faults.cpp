@@ -18,12 +18,9 @@ bool service_kind(FaultKind k) {
 }  // namespace
 
 std::vector<FaultEvent> plan_service_faults(
-    int resources, int ports, int copies,
-    const ServiceFaultPlanOptions& options) {
+    int resources, int state_bits, const ServiceFaultPlanOptions& options) {
   RCARB_CHECK(resources >= 1, "plan needs at least one resource");
-  RCARB_CHECK(ports >= 1 && ports <= 64,
-              "service fault plans target word-width arbiters (<= 64 ports)");
-  RCARB_CHECK(copies >= 1 && copies <= 3, "copies must be 1 (plain), 2 or 3");
+  RCARB_CHECK(state_bits >= 1, "SEUs need a state register to hit");
   RCARB_CHECK(options.rate >= 0.0, "negative fault rate");
   RCARB_CHECK(options.horizon > options.inject_after,
               "fault window is empty (horizon <= inject_after)");
@@ -58,9 +55,8 @@ std::vector<FaultEvent> plan_service_faults(
         e.cycle = options.inject_after + rng.next_below(span);
         e.arbiter = static_cast<int>(
             rng.next_below(static_cast<std::uint64_t>(resources)));
-        e.bit = static_cast<int>(rng.next_below(
-            static_cast<std::uint64_t>(copies) * 2u *
-            static_cast<std::uint64_t>(ports)));
+        e.bit = static_cast<int>(
+            rng.next_below(static_cast<std::uint64_t>(state_bits)));
         break;
       }
       case FaultKind::kArbiterLatchup:

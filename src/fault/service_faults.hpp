@@ -3,14 +3,14 @@
 // plan_faults (fault.hpp) schedules against the rcsim shape — arbiters,
 // physical channels, memory banks.  The open-loop service has a simpler
 // injectable surface: R resources, each with one (possibly replicated)
-// round-robin arbiter of `ports` request lines, and a datapath that either
-// works or is dead.  This planner reuses the FaultEvent/FaultKind
-// vocabulary against that shape, with coordinates the service engine
-// interprets directly:
+// round-robin arbiter whose state register is `state_bits` wide, and a
+// datapath that either works or is dead.  This planner reuses the
+// FaultEvent/FaultKind vocabulary against that shape, with coordinates the
+// service engine interprets directly:
 //
 //   * kFsmBitFlip     — transient SEU.  `arbiter` = resource, `bit` in
-//     [0, copies * 2 * ports): the engine maps bit / (2 * ports) to the
-//     replica copy and bit % (2 * ports) into that copy's F/C register.
+//     [0, state_bits): a bit of core::Arbiter's register, copy-major for a
+//     replicated arbiter (a flat one has 2 * ports bits per copy).
 //   * kArbiterLatchup — permanent.  `arbiter` = resource.  Latch-up
 //     wedges a register at a *corrupt* value (a cell stuck mid-flip): a
 //     replicated arbiter freezes copy 0 at a corrupted state, so the
@@ -55,11 +55,10 @@ struct ServiceFaultPlanOptions {
 };
 
 /// Builds a deterministic, cycle-sorted schedule against a service of
-/// `resources` resources with `ports`-line arbiters replicated `copies`
-/// times (1 = plain, 2 = DMR, 3 = TMR; widens the SEU bit range).
+/// `resources` resources whose arbiters carry `state_bits` register bits
+/// each (core::Arbiter::num_state_bits, copies included; >= 1).
 /// Identical arguments yield an identical plan.
 [[nodiscard]] std::vector<FaultEvent> plan_service_faults(
-    int resources, int ports, int copies,
-    const ServiceFaultPlanOptions& options);
+    int resources, int state_bits, const ServiceFaultPlanOptions& options);
 
 }  // namespace rcarb::fault

@@ -53,24 +53,12 @@ void RunState::inject_faults() {
   while (f.flip_next < f.flips.size() && f.flips[f.flip_next].cycle <= cycle) {
     const fault::FaultEvent& e = f.flips[f.flip_next++];
     const auto a = static_cast<std::size_t>(e.arbiter);
-    ArbiterLane& lane = lanes[a];
-    // The flat kinds flip their one-hot register pair; the scalable kinds
-    // keep packed (pointer/held) registers and upsets land in that layout.
-    const int bits = lane.rr != nullptr || lane.sc != nullptr
-                         ? 2 * result.arbiters[a].ports
-                     : lane.hier != nullptr   ? lane.hier->num_state_bits()
-                     : lane.prefix != nullptr ? lane.prefix->num_state_bits()
-                                              : 0;
+    core::Arbiter& arb = *lanes[a].arbiter;
+    // Upsets land in the first copy's register (the whole register of an
+    // unreplicated arbiter): one copy at a time.
+    const int bits = arb.num_state_bits() / core::num_copies(opt.self_check);
     if (bits == 0) continue;
-    const int bit = e.bit >= 0 ? e.bit % bits : 0;
-    if (lane.rr != nullptr)
-      lane.rr->inject_bit_flip(bit);
-    else if (lane.sc != nullptr)
-      lane.sc->inject_bit_flip(0, bit);  // upsets hit one copy at a time
-    else if (lane.hier != nullptr)
-      lane.hier->inject_state_bit(bit);
-    else
-      lane.prefix->inject_state_bit(bit);
+    arb.flip_state_bit(e.bit >= 0 ? e.bit % bits : 0);
     trace(obs::TraceKind::kFault, -1, static_cast<int>(a),
           plan().arbiters[a].resource, static_cast<std::int64_t>(e.kind));
   }
@@ -90,16 +78,17 @@ void RunState::inject_faults() {
   while (f.latch_next < f.latchups.size() &&
          f.latchups[f.latch_next].first <= cycle) {
     const std::size_t a = f.latchups[f.latch_next++].second;
-    ArbiterLane& lane = lanes[a];
-    if (lane.sc != nullptr) {
-      lane.sc->latch_up(0);  // freeze copy 0's register at its current state
-    } else if (lane.rr != nullptr && result.arbiters[a].ports <= 32) {
-      // A latched plain register is modeled as frozen at the illegal
-      // all-zero code: the FSM grants nobody, and neither reset nor
-      // hardening clears a latch-up (it is re-frozen before every sample
-      // in phase 1) — only reconfiguration can.
-      lane.latched_plain = true;
-    }
+    core::Arbiter& arb = *lanes[a].arbiter;
+    // A latch-up pins a register: an unreplicated one at the all-zero code
+    // (illegal for the flat FSM, which then grants nobody), a
+    // self-checking arbiter's copy 0 at its current value (the comparator
+    // catches the divergence).  Neither reset nor hardening clears it —
+    // it is re-presented before every sample in phase 1 — only
+    // reconfiguration can.
+    if (opt.self_check == core::CheckMode::kNone)
+      arb.load_state(std::vector<std::uint64_t>(
+          static_cast<std::size_t>((arb.num_state_bits() + 63) / 64), 0));
+    arb.freeze();
     trace(obs::TraceKind::kFault, -1, static_cast<int>(a),
           plan().arbiters[a].resource,
           static_cast<std::int64_t>(fault::FaultKind::kArbiterLatchup));
@@ -107,54 +96,48 @@ void RunState::inject_faults() {
 }
 
 // ---- Phase 1: the arbiters sample the request lines. ----
-void RunState::check_registers(std::size_t a, std::uint64_t mask) {
+void RunState::check_registers(std::size_t a, std::uint64_t mask,
+                               bool illegal) {
   ArbiterLane& lane = lanes[a];
+  const core::Arbiter& arb = *lane.arbiter;
   const core::ArbiterInstance& inst = plan().arbiters[a];
   // Self-checking arbiters expose a real error wire: every comparator-high
   // cycle is supervisor evidence (and a service gap under DMR, whose
   // grants are gated by ~error).
-  if (lane.sc != nullptr) {
-    if (lane.sc->error()) {
-      ++result.self_check_errors;
-      degraded_cycle = true;
-      if (!lane.was_illegal) {
-        ++result.illegal_fsm_states;
-        diagnose(DiagKind::kIllegalFsmState, -1, inst.resource, [&] {
-          return "self-checking arbiter " + inst.resource_name +
-                 " raised its error output (copy state mismatch)";
-        });
-      }
-      lane.was_illegal = true;
-      strike(inst.resource, degrade::StrikeSource::kSelfCheckError);
-    } else {
-      lane.was_illegal = false;
-    }
-    const std::uint64_t rs = lane.sc->resyncs();
-    if (rs != lane.prev_recoveries) {
-      result.self_check_resyncs += rs - lane.prev_recoveries;
-      lane.prev_recoveries = rs;
-    }
-  }
-  if (lane.rr != nullptr) {
-    const std::uint64_t rec = lane.rr->recoveries();
-    if (rec != lane.prev_recoveries) {
-      result.fsm_recoveries += rec - lane.prev_recoveries;
-      lane.prev_recoveries = rec;
-      diagnose(DiagKind::kFsmRecovery, -1, inst.resource, [&] {
-        return "hardened arbiter " + inst.resource_name +
-               " recovered to the all-free reset state";
+  if (arb.error()) {
+    ++result.self_check_errors;
+    degraded_cycle = true;
+    if (!lane.was_illegal) {
+      ++result.illegal_fsm_states;
+      diagnose(DiagKind::kIllegalFsmState, -1, inst.resource, [&] {
+        return "self-checking arbiter " + inst.resource_name +
+               " raised its error output (copy state mismatch)";
       });
     }
-    if (std::popcount(mask) > 1) {
-      ++result.multi_grant_cycles;
-      if (result.multi_grant_cycles == 1 || result.diagnostics.empty() ||
-          result.diagnostics.back().kind != DiagKind::kMultipleGrants)
-        diagnose(DiagKind::kMultipleGrants, -1, inst.resource, [&] {
-          return "arbiter " + inst.resource_name + " asserted " +
-                 std::to_string(std::popcount(mask)) +
-                 " grants at once (mutual exclusion violated)";
-        });
-    }
+    strike(inst.resource, degrade::StrikeSource::kSelfCheckError);
+  }
+  lane.was_illegal = illegal || arb.error();
+  if (arb.resyncs() != lane.prev_resyncs) {
+    result.self_check_resyncs += arb.resyncs() - lane.prev_resyncs;
+    lane.prev_resyncs = arb.resyncs();
+  }
+  if (arb.recoveries() != lane.prev_recoveries) {
+    result.fsm_recoveries += arb.recoveries() - lane.prev_recoveries;
+    lane.prev_recoveries = arb.recoveries();
+    diagnose(DiagKind::kFsmRecovery, -1, inst.resource, [&] {
+      return "hardened arbiter " + inst.resource_name +
+             " recovered to the all-free reset state";
+    });
+  }
+  if (std::popcount(mask) > 1) {
+    ++result.multi_grant_cycles;
+    if (result.multi_grant_cycles == 1 || result.diagnostics.empty() ||
+        result.diagnostics.back().kind != DiagKind::kMultipleGrants)
+      diagnose(DiagKind::kMultipleGrants, -1, inst.resource, [&] {
+        return "arbiter " + inst.resource_name + " asserted " +
+               std::to_string(std::popcount(mask)) +
+               " grants at once (mutual exclusion violated)";
+      });
   }
 }
 
@@ -219,15 +202,9 @@ void RunState::arbitrate() {
         default: break;
       }
     }
-    // Latch-up freeze: re-assert the frozen all-zero state before the
-    // register samples, so reset/hardening cannot clear it.
-    if (lane.latched_plain && lane.rr != nullptr) {
-      std::uint64_t bits = lane.rr->state_bits();
-      while (bits != 0) {
-        lane.rr->inject_bit_flip(std::countr_zero(bits));
-        bits &= bits - 1;
-      }
-    }
+    // Latch-up: re-present the frozen register before it is checked and
+    // sampled, so reset/hardening cannot clear it.
+    lane.arbiter->hold_frozen();
     // Quarantine gating: a draining resource only lets its current holder's
     // request through (so the in-flight burst can reach its <=M batch
     // boundary); a reconfiguring or capacity-exhausted resource is offline
@@ -251,29 +228,22 @@ void RunState::arbitrate() {
     lane.force_release = 0;
     if (opt.record_request_trace) result.request_trace[a].push_back(eff);
     // Unhardened illegal registers are reported when they appear.
-    if (lane.rr != nullptr) {
-      const bool illegal = !lane.rr->state_legal();
-      if (illegal && !lane.was_illegal) {
-        ++result.illegal_fsm_states;
-        diagnose(DiagKind::kIllegalFsmState, -1, inst.resource, [&] {
-          return "arbiter " + inst.resource_name +
-                 " state register left the one-hot set (state=0x" +
-                 std::to_string(lane.rr->state_bits()) + ")";
-        });
-      }
-      lane.was_illegal = illegal;
-      // Without a checker the illegal register is invisible to the
-      // supervisor (no error wire — the monitor here is simulator
-      // omniscience), but the availability metric still records the
-      // outage.
-      if (illegal) degraded_cycle = true;
+    const bool illegal = !lane.arbiter->state_legal();
+    if (illegal && !lane.was_illegal) {
+      ++result.illegal_fsm_states;
+      diagnose(DiagKind::kIllegalFsmState, -1, inst.resource, [&] {
+        return "arbiter " + inst.resource_name +
+               " state register left the legal set (state=0x" +
+               hex_state(*lane.arbiter) + ")";
+      });
     }
+    // Without a checker the illegal register is invisible to the
+    // supervisor (no error wire — the monitor here is simulator
+    // omniscience), but the availability metric still records the outage.
+    if (illegal) degraded_cycle = true;
     const int g = lane.arbiter->step(eff);
-    const std::uint64_t mask = lane.rr != nullptr ? lane.rr->last_grant_mask()
-                               : lane.sc != nullptr
-                                   ? lane.sc->last_grant_mask()
-                                   : (g >= 0 ? (1ull << g) : 0);
-    check_registers(a, mask);
+    const std::uint64_t mask = lane.arbiter->last_grant_words()[0];
+    check_registers(a, mask, illegal);
     lane.grant_mask_vis = mask & ~grant_suppress;
     hand_off(a, g);
   }

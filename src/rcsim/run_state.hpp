@@ -113,10 +113,9 @@ struct TaskCtx {
   TaskStats stats;
 };
 
-/// One behavioral arbiter (with its typed views) and its per-run
-/// bookkeeping.  Lanes are built from the plan when the run starts and
-/// appended when the supervisor regenerates an arbiter; the index is the
-/// plan's arbiter index.
+/// One behavioral arbiter and its per-run bookkeeping.  Lanes are built
+/// from the plan when the run starts and appended when the supervisor
+/// regenerates an arbiter; the index is the plan's arbiter index.
 struct ArbiterLane : core::SystemArbiter {
   std::unique_ptr<obs::ArbiterProbe> probe;  // SimOptions::arbiter_metrics
   // Request lines per port, rebuilt each cycle from task state (phase 4).
@@ -130,15 +129,12 @@ struct ArbiterLane : core::SystemArbiter {
   std::uint64_t grant_mask_vis = 0;  // grants past grant stuck-at faults
   std::uint64_t hold_since = 0;      // cycle the holder was granted
   std::uint64_t force_release = 0;   // requests masked at the next sample
-  std::uint64_t prev_recoveries = 0; // recovery / resync counter seen
+  std::uint64_t prev_recoveries = 0; // hardened-recovery counter seen
+  std::uint64_t prev_resyncs = 0;    // self-check resync counter seen
   int hold_streak = 0;               // idle-hold cycles (watchdog)
   bool hung_reported = false;  // the watchdog reported this hold
   bool was_illegal = false;
   bool holder_accessed = false;  // the holder retired an access this cycle
-  // A plain arbiter wedged by a latch-up: its register is re-frozen to the
-  // (illegal) all-zero code before every sample — reset and hardening
-  // cannot clear a latch-up, only reconfiguration can.
-  bool latched_plain = false;
 
   void restart_hold() {
     hold_streak = 0;
@@ -156,6 +152,10 @@ struct FrozenMove {
   std::vector<int> moved;  // segments (kBank) or logical channels
 };
 
+/// An arbiter's packed state register as hex digits (most significant
+/// first), at any width.
+[[nodiscard]] std::string hex_state(const core::Arbiter& arbiter);
+
 struct RunState {
   RunState(const tg::TaskGraph& graph, const core::Binding& binding,
            const core::ArbitrationPlan& plan, const SimOptions& options,
@@ -172,7 +172,8 @@ struct RunState {
   void run_watchdog();
   void account_serving();
   // Phase 1, per arbiter.
-  void check_registers(std::size_t a, std::uint64_t mask);
+  /// `illegal`: the register failed state_legal() before the step.
+  void check_registers(std::size_t a, std::uint64_t mask, bool illegal);
   void hand_off(std::size_t a, int g);
   // Phase 3, per task: one handler per op family.
   void step_task(TaskCtx& c);

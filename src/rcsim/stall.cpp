@@ -1,6 +1,7 @@
 // Stall attribution: the wait-for graph over a stalled run's outstanding
 // waits, reported as a deadlock cycle or as a no-progress task dump.
 #include <algorithm>
+#include <cstdio>
 
 #include "rcsim/run_state.hpp"
 
@@ -106,12 +107,11 @@ void RunState::attribute_stall() {
     if (!why[t].empty()) detail += " [" + why[t] + "]";
   }
   for (std::size_t a = 0; a < lanes.size(); ++a) {
-    const ArbiterLane& lane = lanes[a];
-    if (lane.rr != nullptr && !lane.rr->state_legal())
+    const core::Arbiter& arb = *lanes[a].arbiter;
+    if (!arb.state_legal())
       detail += "\n  arbiter " + plan().arbiters[a].resource_name +
-                " register illegal (state=0x" +
-                std::to_string(lane.rr->state_bits()) + ")";
-    else if (lane.sc != nullptr && lane.sc->error())
+                " register illegal (state=0x" + hex_state(arb) + ")";
+    else if (arb.error())
       detail += "\n  arbiter " + plan().arbiters[a].resource_name +
                 " self-check error asserted";
   }
@@ -121,6 +121,20 @@ void RunState::attribute_stall() {
                 " permanently failed (" + degrade::to_string(quarantine(r)) +
                 ")";
   diagnose(DiagKind::kNoProgress, -1, -1, [&] { return detail; });
+}
+
+std::string hex_state(const core::Arbiter& arbiter) {
+  std::vector<std::uint64_t> words;
+  arbiter.read_state(words);
+  std::string out;
+  char digits[17];
+  for (std::size_t w = words.size(); w-- > 0;) {
+    if (out.empty() && words[w] == 0 && w > 0) continue;  // leading zeros
+    std::snprintf(digits, sizeof digits, out.empty() ? "%llx" : "%016llx",
+                  static_cast<unsigned long long>(words[w]));
+    out += digits;
+  }
+  return out;
 }
 
 }  // namespace rcarb::rcsim::detail

@@ -21,6 +21,7 @@
 #include "core/selfcheck.hpp"
 #include "degrade/degrade.hpp"
 #include "fault/fault.hpp"
+#include "obs/diagnostic.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "taskgraph/taskgraph.hpp"
@@ -64,10 +65,10 @@ struct SimOptions {
   std::vector<fault::FaultEvent> faults;
 
   // ---- Graceful degradation (permanent faults). ----
-  /// Replicate every round-robin arbiter as a self-checking variant
-  /// (duplicate-and-compare or TMR-voted).  The comparator's `error`
-  /// output is the evidence stream the degradation supervisor classifies;
-  /// kNone (the default) instantiates the plain single-copy arbiters.
+  /// Replicate every round-robin arbiter, of any kind, as a self-checking
+  /// variant (duplicate-and-compare or TMR-voted).  The comparator's
+  /// `error` output is the evidence stream the degradation supervisor
+  /// classifies; kNone (the default) instantiates the plain arbiters.
   core::CheckMode self_check = core::CheckMode::kNone;
   /// Round-robin arbiter structure (core/arbiter_factory.hpp).  kAuto (the
   /// default) follows each ArbiterInstance's resolved kind from the
@@ -75,8 +76,7 @@ struct SimOptions {
   /// otherwise — so plans and simulation stay in agreement; an explicit
   /// choice overrides the plan for every instance.  The scalable kinds
   /// have no one-hot register: `harden`/`rr_max_hold` do not apply to
-  /// them, FSM upsets land in their packed state registers, and
-  /// self_check (flat-only replication) must stay kNone.
+  /// them; upsets and latch-ups land in their packed state registers.
   core::ArbiterChoice arbiter_kind = core::ArbiterChoice::kAuto;
   int arbiter_arity = 4;  // tree arity for kHierarchical
   /// Supervisory recovery controller: classify permanent faults (K strikes
@@ -126,42 +126,11 @@ struct SimOptions {
   int retry_budget = 0;
 };
 
-/// What went wrong (or was repaired), as a machine-checkable record.
-enum class DiagKind : std::uint8_t {
-  kBankConflict,      // two simultaneous drivers of a single-port bank
-  kChannelConflict,   // two simultaneous drivers of a physical channel
-  kProtocolViolation, // Fig. 8 protocol broken (access without Req, ...)
-  kOutOfBounds,       // address outside the segment
-  kIllegalFsmState,   // arbiter register left the legal one-hot set
-  kMultipleGrants,    // mutual exclusion violated (multi-hot register)
-  kFsmRecovery,       // hardened arbiter recovered to the reset state
-  kHungGrant,         // grant pinned on an idle holder past the watchdog
-  kWatchdogRecovery,  // watchdog force-released the hung holder
-  kDataCorruption,    // channel word corrupted (detected or corrected)
-  kDeadlock,          // wait-for-graph cycle over requests/grants/channels
-  kNoProgress,        // stall with no wait-for cycle (hang / livelock)
-  kMaxCycles,         // simulation exceeded max_cycles
-  kQuarantine,        // supervisor classified a resource fault as permanent
-  kRemap,             // quarantined resource's load moved onto a survivor
-  kCapacityExhausted, // no survivor can take the load; stall-with-diagnostic
-  kRejected,          // admission control refused a request at the edge
-  kTimedOut,          // retry budget exhausted; client now waits patiently
-  kShed,              // service frontend shed the request before enqueue
-};
-
-[[nodiscard]] const char* to_string(DiagKind k);
-
-/// One attributed diagnostic.  `task` / `resource` are -1 when the event is
-/// not tied to one task / one shared resource.
-struct SimDiagnostic {
-  DiagKind kind = DiagKind::kNoProgress;
-  std::uint64_t cycle = 0;
-  int task = -1;      // tg::TaskId
-  int resource = -1;  // unified Binding resource id
-  std::string detail;
-
-  [[nodiscard]] std::string format() const;
-};
+// The diagnostic vocabulary is shared with the service engine; it lives in
+// obs so the service does not link rcsim.
+using obs::DiagKind;
+using obs::SimDiagnostic;
+using obs::to_string;
 
 struct TaskStats {
   bool ran = false;

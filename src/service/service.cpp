@@ -123,9 +123,9 @@ struct ResourceState {
   int busy_window = 0;   // serving cycles in the current util window
   bool shed_armed = false;
   // ---- Injected permanent faults. ----
-  bool latched = false;  // unprotected latch-up: register frozen, no grants
+  bool latched = false;  // latch-up: the arbiter is frozen until restored
   bool failed = false;   // resource datapath dead: completions are lost
-  std::uint64_t sc_resyncs_seen = 0;  // cumulative-counter delta tracking
+  std::uint64_t resyncs_seen = 0;  // cumulative-counter delta tracking
 };
 
 /// Re-initializes the measured fields of one ResourceStats in place —
@@ -204,11 +204,6 @@ class Engine {
 
  private:
   void validate_fault_plan() const {
-    if (opt_.faults.empty()) return;
-    RCARB_CHECK(kind_ == core::ArbiterKind::kFlatFsm && opt_.ports <= 64,
-                "service fault injection needs the flat word-width arbiter "
-                "(<= 64 ports): the SEU/latch-up surface is its one-hot "
-                "register pair");
     std::uint64_t prev = 0;
     for (const fault::FaultEvent& e : opt_.faults) {
       RCARB_CHECK(e.cycle >= prev, "fault plan must be cycle-sorted");
@@ -240,30 +235,26 @@ class Engine {
       ++stats_.faults_injected;
       switch (e.kind) {
         case fault::FaultKind::kFsmBitFlip: {
-          ResourceState& st = *res_[static_cast<std::size_t>(e.arbiter)];
-          const int per_copy = 2 * opt_.ports;
-          if (st.arb.sc != nullptr) {
-            const int total = st.arb.sc->num_copies() * per_copy;
-            const int b = e.bit >= 0 ? e.bit % total : 0;
-            st.arb.sc->inject_bit_flip(b / per_copy, b % per_copy);
-          } else if (st.arb.rr != nullptr) {
-            st.arb.rr->inject_bit_flip(e.bit >= 0 ? e.bit % per_copy : 0);
-          }
+          // Upsets spread over the whole register, copies included
+          // (copy-major), as fault::plan_service_faults draws them.
+          core::Arbiter& arb = *res_[static_cast<std::size_t>(e.arbiter)]
+                                    ->arb.arbiter;
+          if (arb.num_state_bits() > 0)
+            arb.flip_state_bit(e.bit >= 0 ? e.bit % arb.num_state_bits()
+                                          : 0);
           break;
         }
         case fault::FaultKind::kArbiterLatchup: {
+          // Latch-up wedges a register at a *corrupt* value (a cell stuck
+          // mid-flip): copy 0's under self-checking, the whole register
+          // otherwise.  Corrupt-then-freeze matters: frozen at a clean
+          // value a copy could coast undetected for as long as the grant
+          // happens to pin, which is not a latch-up — it is nothing.
           ResourceState& st = *res_[static_cast<std::size_t>(e.arbiter)];
-          if (st.arb.sc != nullptr) {
-            // Latch-up wedges the copy's register at a *corrupt* value (a
-            // cell stuck mid-flip).  Corrupt-then-freeze matters: frozen
-            // at a clean value the copy could coast undetected for as
-            // long as the grant happens to pin, which is not a latch-up —
-            // it is nothing.
-            st.arb.sc->inject_bit_flip(0, 0);
-            st.arb.sc->latch_up(0);
-          } else {
-            st.latched = true;  // frozen register: the resource goes silent
-          }
+          core::Arbiter& arb = *st.arb.arbiter;
+          if (arb.num_state_bits() > 0) arb.flip_state_bit(0);
+          arb.freeze();
+          st.latched = true;
           break;
         }
         case fault::FaultKind::kBankFailure:
@@ -333,17 +324,17 @@ class Engine {
           case degrade::ResourceSupervisor::Transition::kRestored:
             ++stats_.restored;
             st.latched = false;
-            if (st.arb.sc != nullptr) st.arb.sc->clear_latch_up();
+            st.arb.arbiter->thaw();
             st.arb.arbiter->reset();
             st.busy_window = 0;  // estimator restarts with the resource
             st.shed_armed = false;
             rebuild_live();
-            diag(rcsim::DiagKind::kRemap, r);
+            diag(obs::DiagKind::kRemap, r);
             break;
           case degrade::ResourceSupervisor::Transition::kRetired:
             ++stats_.retired;
             rebuild_live();
-            diag(rcsim::DiagKind::kRemap, r);
+            diag(obs::DiagKind::kRemap, r);
             break;
           default:
             break;
@@ -398,23 +389,26 @@ class Engine {
   /// One arbitration clock for resource r: step the (possibly replicated)
   /// arbiter on the Req words, sample the error net, serve the grant.
   void arbitrate_and_serve(int r, ResourceState& st, ResourceStats& rs) {
-    if (st.latched) return;  // frozen register: no clocking, no grants
+    // A latch-up silences an unprotected arbiter (no clocking, no grants);
+    // a self-checking one keeps clocking on its healthy copies.
+    if (st.latched && opt_.self_check == core::CheckMode::kNone) return;
+    core::Arbiter& arb = *st.arb.arbiter;
     // Fig. 8 request lines: waiting and serving slots keep Req asserted.
-    // Words-encoded so widths past 64 work; at <= 64 ports the base
-    // step_wide forwards to the word-based step() unchanged.
-    const int g = st.arb.arbiter->step_wide(st.req_words);
-    if (st.arb.sc != nullptr) {
-      // Self-checking wrapper: harvest the error net and resync counter.
-      const std::uint64_t rsy = st.arb.sc->resyncs();
-      stats_.resyncs += rsy - st.sc_resyncs_seen;
-      rs.arbiter.resyncs += rsy - st.sc_resyncs_seen;
-      st.sc_resyncs_seen = rsy;
-      if (st.arb.sc->error()) {
-        ++stats_.error_net_trips;
-        ++rs.arbiter.error_net_trips;
-        strike(r, degrade::StrikeSource::kSelfCheckError);
-      }
-    } else if (st.arb.rr != nullptr && st.arb.rr->last_grant_count() > 1) {
+    // Words-encoded so widths past 64 work; at <= 64 ports the word-width
+    // arbiters forward to the word-based step() unchanged.
+    const int g = arb.step_wide(st.req_words);
+    // Harvest the error net and resync counter (both stay at zero without
+    // self-checking).
+    if (arb.resyncs() != st.resyncs_seen) {
+      stats_.resyncs += arb.resyncs() - st.resyncs_seen;
+      rs.arbiter.resyncs += arb.resyncs() - st.resyncs_seen;
+      st.resyncs_seen = arb.resyncs();
+    }
+    if (arb.error()) {
+      ++stats_.error_net_trips;
+      ++rs.arbiter.error_net_trips;
+      strike(r, degrade::StrikeSource::kSelfCheckError);
+    } else if (arb.last_grant_count() > 1) {
       // Unprotected multi-hot register: several grants at once drive the
       // single-ported datapath.  Whatever is in flight is served to
       // completion and worth nothing — the silent-corruption failure mode
@@ -438,15 +432,12 @@ class Engine {
   }
 
   /// Can this resource's arbiter actually grant work right now?
-  [[nodiscard]] static bool functioning(const ResourceState& st) {
-    if (st.failed || st.latched) return false;
-    if (st.arb.sc != nullptr)
-      // A latched DMR copy pins the comparator and gates every grant; a
-      // latched TMR copy is outvoted, so the triple still serves.
-      return !(st.arb.sc->latched() &&
-               st.arb.sc->mode() == core::CheckMode::kDuplicate);
-    if (st.arb.rr != nullptr) return st.arb.rr->state_legal();
-    return true;
+  [[nodiscard]] bool functioning(const ResourceState& st) const {
+    if (st.failed) return false;
+    // A latched DMR copy pins the comparator and gates every grant; a
+    // latched TMR copy is outvoted, so the triple still serves.
+    if (st.latched) return opt_.self_check == core::CheckMode::kTmr;
+    return st.arb.arbiter->state_legal();
   }
 
   void strike(int r, degrade::StrikeSource source) {
@@ -463,7 +454,7 @@ class Engine {
   void begin_quarantine(int r) {
     ResourceState& st = *res_[static_cast<std::size_t>(r)];
     ++stats_.quarantines;
-    diag(rcsim::DiagKind::kQuarantine, r);
+    diag(obs::DiagKind::kQuarantine, r);
     rebuild_live();
     for (const Request& req : st.queue) requeue(req, r);
     st.queue.clear();
@@ -480,7 +471,7 @@ class Engine {
     ++stats_.requeued;
     ++stats_.rejected;
     ++stats_.per_resource[static_cast<std::size_t>(r)].rejected;
-    diag(rcsim::DiagKind::kRejected, r);
+    diag(obs::DiagKind::kRejected, r);
     retry_or_fail(req);
   }
 
@@ -525,7 +516,7 @@ class Engine {
       // not.  This is the mechanism behind blocking's congestion collapse.
       ++stats_.timed_out;
       ++rs.timed_out;
-      diag(rcsim::DiagKind::kTimedOut, r);
+      diag(obs::DiagKind::kTimedOut, r);
     } else {
       ++stats_.completed;
       ++rs.completed;
@@ -540,7 +531,7 @@ class Engine {
       // to route.  Typed capacity-exhausted rejection; the retry loop may
       // find a restored resource by the time the backoff expires.
       ++stats_.rejected;
-      diag(rcsim::DiagKind::kCapacityExhausted, -1);
+      diag(obs::DiagKind::kCapacityExhausted, -1);
       retry_or_fail(req);
       return;
     }
@@ -559,7 +550,7 @@ class Engine {
         if (st.shed_armed && depth >= opt_.admit_queue_threshold) {
           ++stats_.shed;
           ++rs.shed;
-          diag(rcsim::DiagKind::kShed, r);
+          diag(obs::DiagKind::kShed, r);
           retry_or_fail(req);
           return;
         }
@@ -589,7 +580,7 @@ class Engine {
   void reject(const Request& req, int r) {
     ++stats_.rejected;
     ++stats_.per_resource[static_cast<std::size_t>(r)].rejected;
-    diag(rcsim::DiagKind::kRejected, r);
+    diag(obs::DiagKind::kRejected, r);
     retry_or_fail(req);
   }
 
@@ -605,7 +596,7 @@ class Engine {
     wheel_[due % wheel_.size()].push_back(next);
   }
 
-  void diag(rcsim::DiagKind kind, int resource) {
+  void diag(obs::DiagKind kind, int resource) {
     if (static_cast<int>(stats_.diagnostics.size()) >= opt_.max_diagnostics)
       return;
     stats_.diagnostics.push_back({kind, cycle_, -1, resource, {}});

@@ -59,8 +59,8 @@
 #include "core/arbiter_factory.hpp"
 #include "degrade/degrade.hpp"
 #include "fault/fault.hpp"
+#include "obs/diagnostic.hpp"
 #include "obs/metrics.hpp"
-#include "rcsim/system_sim.hpp"
 #include "service/arrivals.hpp"
 #include "support/rng.hpp"
 
@@ -161,10 +161,8 @@ struct ServiceOptions {
   // ---- Fault tolerance. ----
   /// Replicate each resource's arbiter as a self-checking DMR pair
   /// (kDuplicate: fail-stop, the error net gates grants until resync) or
-  /// TMR triple (kTriplicate: the vote masks a faulty copy and the error
-  /// net reports it).  Requires the flat structure and ports <= 64 (the
-  /// behavioral model compares per-copy F/C state words) — combining it
-  /// with another kind or a wider resource CHECK-fails in the factory.
+  /// TMR triple (kTmr: the vote masks a faulty copy and the error net
+  /// reports it), for every arbiter kind and port count.
   core::CheckMode self_check = core::CheckMode::kNone;
   /// Strike classification + quarantine/repair supervision
   /// (degrade::ResourceSupervisor).  Disabled (`enabled = false`) the
@@ -174,9 +172,9 @@ struct ServiceOptions {
   /// Cycle-sorted fault events injected live into the engine, normally
   /// from fault::plan_service_faults.  Only the service-injectable kinds
   /// are accepted (kFsmBitFlip, kArbiterLatchup, kBankFailure; `arbiter`
-  /// / `bank` name the target resource).  Non-empty plans require the
-  /// flat arbiter structure with ports <= 64 — the SEU/latch-up surface
-  /// is its one-hot register pair.
+  /// / `bank` name the target resource).  SEUs and latch-ups hit the
+  /// arbiter's state register (core::Arbiter::num_state_bits bits, copies
+  /// included) for every kind and width.
   std::vector<fault::FaultEvent> faults;
 };
 
@@ -211,7 +209,7 @@ struct ServiceStats {
   /// Typed records (kRejected / kShed / kTimedOut, plus kQuarantine /
   /// kRemap / kCapacityExhausted under faults), capped at
   /// ServiceOptions::max_diagnostics.
-  std::vector<rcsim::SimDiagnostic> diagnostics;
+  std::vector<obs::SimDiagnostic> diagnostics;
 
   // ---- Fault tolerance (live injection + supervision). ----
   std::uint64_t faults_injected = 0;  // plan events applied in the window

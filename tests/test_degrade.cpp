@@ -20,6 +20,7 @@
 #include "core/policy.hpp"
 #include "core/rr_fsm.hpp"
 #include "core/selfcheck.hpp"
+#include "core/structural.hpp"
 #include "degrade/degrade.hpp"
 #include "fault/fault.hpp"
 #include "netlist/simulator.hpp"
@@ -56,6 +57,15 @@ void PrintTo(const ScParam& p, std::ostream* os) {
   ::testing::internal::PrintBytesInObjectTo(bytes, sizeof bytes, os);
 }
 
+/// One copy's register (bit i = Fi, bit n+i = Ci) out of the copy-major
+/// packed read (the model-check sizes fit one word).
+std::uint64_t copy_state(const SelfCheckingArbiter& a, int c) {
+  const int bits = a.num_state_bits() / a.num_copies();
+  std::vector<std::uint64_t> words;
+  a.read_state(words);
+  return (words[0] >> (c * bits)) & ((1ull << bits) - 1);
+}
+
 void replay(SelfCheckingArbiter& a, const std::vector<std::uint64_t>& w) {
   for (const std::uint64_t req : w) a.step(req);
 }
@@ -70,7 +80,7 @@ std::vector<std::vector<std::uint64_t>> reachable_witnesses(int n,
   std::deque<std::vector<std::uint64_t>> work;
   {
     SelfCheckingArbiter a(n, mode);
-    seen.emplace(a.state_bits(0), std::vector<std::uint64_t>{});
+    seen.emplace(copy_state(a, 0), std::vector<std::uint64_t>{});
   }
   work.emplace_back();
   const std::uint64_t reqs = 1ull << n;
@@ -81,7 +91,7 @@ std::vector<std::vector<std::uint64_t>> reachable_witnesses(int n,
       SelfCheckingArbiter a(n, mode);
       replay(a, w);
       a.step(req);
-      const std::uint64_t s = a.state_bits(0);
+      const std::uint64_t s = copy_state(a, 0);
       if (seen.count(s) != 0) continue;
       std::vector<std::uint64_t> w2 = w;
       w2.push_back(req);
@@ -107,10 +117,10 @@ TEST_P(SelfCheckModel, EveryReachableStateKeepsMutualExclusion) {
       SelfCheckingArbiter a(n, mode);
       replay(a, w);
       for (int c = 0; c < a.num_copies(); ++c)
-        ASSERT_EQ(a.state_bits(c), a.state_bits(0))
+        ASSERT_EQ(copy_state(a, c), copy_state(a, 0))
             << "fault-free copies diverged";
       const int g = a.step(req);
-      const std::uint64_t mask = a.last_grant_mask();
+      const std::uint64_t mask = a.last_grant_words()[0];
       ASSERT_FALSE(a.error()) << "comparator fired without a fault";
       ASSERT_LE(std::popcount(mask), 1) << "mutual exclusion violated";
       ASSERT_EQ(mask & ~req, 0u) << "granted a non-requester";
@@ -127,7 +137,7 @@ TEST_P(SelfCheckModel, MatchesThePlainArbiterFaultFree) {
   for (int cyc = 0; cyc < 1000; ++cyc) {
     const std::uint64_t req = rng.next_below(1ull << n);
     EXPECT_EQ(sc.step(req), plain.step(req)) << "cycle " << cyc;
-    EXPECT_EQ(sc.last_grant_mask(), plain.last_grant_mask());
+    EXPECT_EQ(sc.last_grant_words()[0], plain.last_grant_words()[0]);
     EXPECT_FALSE(sc.error());
   }
   EXPECT_EQ(sc.error_cycles(), 0u);
@@ -171,7 +181,7 @@ TEST_P(SelfCheckModel, EverySingleBitUpsetRecoversOrRaisesErrorInOneClock) {
           SelfCheckingArbiter ref(n, mode);  // uncorrupted twin
           replay(a, w);
           replay(ref, w);
-          a.inject_bit_flip(c, b);
+          a.flip_state_bit(c * bits + b);
           const int g = a.step(req);
           const int gr = ref.step(req);
           ASSERT_TRUE(a.error())
@@ -180,12 +190,12 @@ TEST_P(SelfCheckModel, EverySingleBitUpsetRecoversOrRaisesErrorInOneClock) {
           if (mode == CheckMode::kDuplicate) {
             // Fail-safe: a suspect DMR arbiter grants nobody.
             ASSERT_EQ(g, -1);
-            ASSERT_EQ(a.last_grant_mask(), 0u);
+            ASSERT_EQ(a.last_grant_words()[0], 0u);
           } else {
             // TMR outvotes the minority with no grant gap.
             ASSERT_EQ(g, gr);
-            ASSERT_EQ(a.last_grant_mask(), ref.last_grant_mask());
-            ASSERT_EQ(a.state_bits(c), ref.state_bits(0))
+            ASSERT_EQ(a.last_grant_words()[0], ref.last_grant_words()[0]);
+            ASSERT_EQ(copy_state(a, c), copy_state(ref, 0))
                 << "minority copy not rewritten at the clock edge";
           }
           // DMR always reloads on error; a TMR minority may converge via
@@ -200,7 +210,7 @@ TEST_P(SelfCheckModel, EverySingleBitUpsetRecoversOrRaisesErrorInOneClock) {
           a.step(all);
           ASSERT_FALSE(a.error()) << "recovery took more than 1 clock";
           for (int c2 = 0; c2 < copies; ++c2)
-            ASSERT_EQ(a.state_bits(c2), a.state_bits(0));
+            ASSERT_EQ(copy_state(a, c2), copy_state(a, 0));
         }
       }
     }
@@ -213,8 +223,8 @@ TEST_P(SelfCheckModel, LatchUpPinsTheErrorOutputUntilCleared) {
   SelfCheckingArbiter a(n, mode);
   a.step(all);
   a.step(0);
-  a.latch_up(0);
-  EXPECT_TRUE(a.latched());
+  a.freeze();  // latches copy 0
+  EXPECT_TRUE(a.frozen());
   // Walk the healthy copies away from the frozen one, then observe a
   // persistent comparator: neither resync nor reset clears a latch-up.
   int error_steps = 0;
@@ -231,7 +241,7 @@ TEST_P(SelfCheckModel, LatchUpPinsTheErrorOutputUntilCleared) {
   a.step(all);
   a.step(0);
   EXPECT_TRUE(a.error()) << "reset must not clear a latch-up";
-  a.clear_latch_up();  // reconfiguration of the arbiter's region
+  a.thaw();  // reconfiguration of the arbiter's region
   a.reset();
   a.step(all);
   EXPECT_FALSE(a.error());
@@ -259,14 +269,18 @@ TEST_P(SelfCheckNetlist, NetlistMatchesBehavioralModelUnderUpsets) {
   const synth::Fsm fsm = core::build_round_robin_fsm(n);
   const synth::StateCodes codes =
       synth::encode_states(fsm, synth::Encoding::kOneHot);
-  const std::uint64_t reset = codes.code[fsm.reset_state()];
-  const aig::Aig comb = core::build_self_checking_aig(n, codes, mode, reset);
+  const std::uint64_t code = codes.code[fsm.reset_state()];
+  std::vector<bool> reset(static_cast<std::size_t>(codes.num_bits));
+  for (std::size_t b = 0; b < reset.size(); ++b)
+    reset[b] = ((code >> b) & 1u) != 0;
+  const aig::Aig comb = core::build_self_checking_aig(
+      core::build_round_robin_aig(n, codes), n, reset, mode);
   const int copies = mode == CheckMode::kDuplicate ? 2 : 3;
-  std::uint64_t full_reset = 0;
+  std::vector<bool> bank;
   for (int c = 0; c < copies; ++c)
-    full_reset |= reset << (c * codes.num_bits);
+    bank.insert(bank.end(), reset.begin(), reset.end());
   const synth::SynthResult syn = synth::finish_machine_synthesis(
-      comb, n, copies * codes.num_bits, full_reset, {});
+      comb, n, static_cast<int>(bank.size()), bank, {});
 
   netlist::Simulator sim(syn.netlist);
   SelfCheckingArbiter beh(n, mode);
@@ -299,7 +313,7 @@ TEST_P(SelfCheckNetlist, NetlistMatchesBehavioralModelUnderUpsets) {
           static_cast<std::uint64_t>(copies)));
       const int b = static_cast<int>(rng.next_below(
           static_cast<std::uint64_t>(codes.num_bits)));
-      beh.inject_bit_flip(c, b);
+      beh.flip_state_bit(c * codes.num_bits + b);
       const netlist::NetId net =
           state_net[static_cast<std::size_t>(c)][static_cast<std::size_t>(b)];
       sim.poke_register(net, !sim.get(net));
@@ -311,7 +325,7 @@ TEST_P(SelfCheckNetlist, NetlistMatchesBehavioralModelUnderUpsets) {
     beh.step(req);
     for (int i = 0; i < n; ++i)
       ASSERT_EQ(sim.get(grant_net[static_cast<std::size_t>(i)]),
-                ((beh.last_grant_mask() >> i) & 1) != 0)
+                ((beh.last_grant_words()[0] >> i) & 1) != 0)
           << "grant" << i << " diverged at cycle " << cyc;
     ASSERT_EQ(sim.get(error_net), beh.error())
         << "`error` net diverged at cycle " << cyc;

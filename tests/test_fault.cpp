@@ -84,7 +84,7 @@ TEST(FaultArbiter, HardenedRecoversWithinOneCycle) {
   RoundRobinArbiter arb(4, RoundRobinOptions{0, true});
   (void)arb.step(0b0100);  // -> C2
   ASSERT_EQ(arb.state_name(), "C2");
-  arb.inject_bit_flip(0);  // F0 also hot: two-hot illegal
+  arb.flip_state_bit(0);  // F0 also hot: two-hot illegal
   EXPECT_FALSE(arb.state_legal());
   const int g = arb.step(0b0010);
   EXPECT_TRUE(arb.state_legal()) << "recovery must complete within one cycle";
@@ -95,7 +95,7 @@ TEST(FaultArbiter, HardenedRecoversWithinOneCycle) {
 
 TEST(FaultArbiter, UnhardenedZeroHotIsDead) {
   RoundRobinArbiter arb(3);
-  arb.inject_bit_flip(0);  // reset state F0 cleared: zero-hot
+  arb.flip_state_bit(0);  // reset state F0 cleared: zero-hot
   EXPECT_FALSE(arb.state_legal());
   for (int i = 0; i < 10; ++i)
     EXPECT_EQ(arb.step(0b111), -1) << "no recognizer fires in a dead machine";
@@ -105,18 +105,18 @@ TEST(FaultArbiter, UnhardenedZeroHotIsDead) {
 
 TEST(FaultArbiter, UnhardenedMultiHotViolatesMutualExclusion) {
   RoundRobinArbiter arb(3);
-  arb.inject_bit_flip(1);  // F0 and F1 both hot
+  arb.flip_state_bit(1);  // F0 and F1 both hot
   EXPECT_FALSE(arb.state_legal());
   (void)arb.step(0b011);  // F0 grants 0, F1 grants 1 — both fire
-  EXPECT_EQ(arb.last_grant_mask(), 0b011u);
-  EXPECT_EQ(std::popcount(arb.last_grant_mask()), 2);
+  EXPECT_EQ(arb.last_grant_words()[0], 0b011u);
+  EXPECT_EQ(std::popcount(arb.last_grant_words()[0]), 2);
 }
 
 TEST(FaultArbiter, UnhardenedMultiHotCanReconverge) {
   // When every hot state's scan picks the same winner the register
   // collapses back to one-hot on its own.
   RoundRobinArbiter arb(3);
-  arb.inject_bit_flip(1);
+  arb.flip_state_bit(1);
   (void)arb.step(0b100);  // all hot states grant 2 -> C2 only
   EXPECT_TRUE(arb.state_legal());
   EXPECT_EQ(arb.state_name(), "C2");

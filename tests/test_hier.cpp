@@ -25,6 +25,7 @@
 #include "core/hier.hpp"
 #include "core/policy.hpp"
 #include "core/rr_fsm.hpp"
+#include "core/selfcheck.hpp"
 #include "core/structural.hpp"
 #include "netlist/simulator.hpp"
 #include "support/check.hpp"
@@ -104,90 +105,44 @@ const char* to_string(MKind k) {
   return "?";
 }
 
-class Model {
- public:
-  virtual ~Model() = default;
-  virtual int step(std::uint64_t req) = 0;
-  [[nodiscard]] virtual std::uint64_t grant_mask() const = 0;
-  [[nodiscard]] virtual std::uint64_t state() const = 0;
-  [[nodiscard]] virtual int num_state_bits() const = 0;
-  virtual void inject(int bit) = 0;
-  [[nodiscard]] virtual std::uint64_t bound(int input) const = 0;
-};
+ArbiterKind arbiter_kind(MKind k) {
+  switch (k) {
+    case MKind::kFlat: return ArbiterKind::kFlatFsm;
+    case MKind::kHier2:
+    case MKind::kHier4: return ArbiterKind::kHierarchical;
+    case MKind::kPrefix: return ArbiterKind::kPrefix;
+  }
+  return ArbiterKind::kFlatFsm;
+}
 
-class FlatModel final : public Model {
- public:
-  explicit FlatModel(int n) : arb_(n), n_(n) {}
-  int step(std::uint64_t req) override { return arb_.step(req); }
-  [[nodiscard]] std::uint64_t grant_mask() const override {
-    return arb_.last_grant_mask();
-  }
-  [[nodiscard]] std::uint64_t state() const override {
-    return arb_.state_bits();
-  }
-  [[nodiscard]] int num_state_bits() const override { return 2 * n_; }
-  void inject(int bit) override { arb_.inject_bit_flip(bit); }
-  [[nodiscard]] std::uint64_t bound(int) const override {
-    return static_cast<std::uint64_t>(n_ - 1);
-  }
+int arity_of(MKind k) { return k == MKind::kHier2 ? 2 : 4; }
 
- private:
-  RoundRobinArbiter arb_;
-  int n_;
-};
+/// The behavioral arbiter under test, driven through core::Arbiter alone.
+std::unique_ptr<core::Arbiter> make_model(MKind kind, int n) {
+  return core::make_scalable_arbiter(arbiter_kind(kind), n, arity_of(kind));
+}
 
-class HierModel final : public Model {
- public:
-  HierModel(int n, int arity) : arb_(n, arity) {}
-  int step(std::uint64_t req) override { return arb_.step(req); }
-  [[nodiscard]] std::uint64_t grant_mask() const override {
-    return arb_.last_grant_words()[0];
-  }
-  [[nodiscard]] std::uint64_t state() const override {
-    return arb_.state_bits();
-  }
-  [[nodiscard]] int num_state_bits() const override {
-    return arb_.num_state_bits();
-  }
-  void inject(int bit) override { arb_.inject_state_bit(bit); }
-  [[nodiscard]] std::uint64_t bound(int input) const override {
-    return arb_.waiting_bound(input);
-  }
+/// Grants of the last step, ports 0..63.
+std::uint64_t grant_mask(const core::Arbiter& a) {
+  return a.last_grant_words()[0];
+}
 
- private:
-  HierarchicalArbiter arb_;
-};
+/// The packed register.
+std::vector<std::uint64_t> state_of(const core::Arbiter& a) {
+  std::vector<std::uint64_t> words;
+  a.read_state(words);
+  return words;
+}
 
-class PrefixModel final : public Model {
- public:
-  explicit PrefixModel(int n) : arb_(n) {}
-  int step(std::uint64_t req) override { return arb_.step(req); }
-  [[nodiscard]] std::uint64_t grant_mask() const override {
-    return arb_.last_grant_words()[0];
-  }
-  [[nodiscard]] std::uint64_t state() const override {
-    return arb_.state_bits();
-  }
-  [[nodiscard]] int num_state_bits() const override {
-    return arb_.num_state_bits();
-  }
-  void inject(int bit) override { arb_.inject_state_bit(bit); }
-  [[nodiscard]] std::uint64_t bound(int input) const override {
-    return arb_.waiting_bound(input);
-  }
+/// The packed register (the model-check sizes fit one word).
+std::uint64_t packed_state(const core::Arbiter& a) { return state_of(a)[0]; }
 
- private:
-  PrefixArbiter arb_;
-};
-
-std::unique_ptr<Model> make_model(MKind kind, int n) {
-  switch (kind) {
-    case MKind::kFlat: return std::make_unique<FlatModel>(n);
-    case MKind::kHier2: return std::make_unique<HierModel>(n, 2);
-    case MKind::kHier4: return std::make_unique<HierModel>(n, 4);
-    case MKind::kPrefix: return std::make_unique<PrefixModel>(n);
-  }
-  return nullptr;
+/// Exact waiting bound of `input` under continuous contention: the
+/// composed per-leaf bound for the tree, N-1 for the flat and prefix kinds.
+std::uint64_t waiting_bound(MKind kind, int n, int input) {
+  if (arbiter_kind(kind) == ArbiterKind::kHierarchical)
+    return core::make_hier_shape(n, arity_of(kind)).waiting_bound(input);
+  return static_cast<std::uint64_t>(n - 1);
 }
 
 // ===================================================== exhaustive model check
@@ -211,7 +166,7 @@ std::vector<std::vector<std::uint64_t>> reachable_witnesses(MKind kind,
   std::deque<std::vector<std::uint64_t>> work;
   {
     auto m = make_model(kind, n);
-    seen.emplace(m->state(), std::vector<std::uint64_t>{});
+    seen.emplace(packed_state(*m), std::vector<std::uint64_t>{});
   }
   work.emplace_back();
   const std::uint64_t reqs = 1ull << n;
@@ -222,7 +177,7 @@ std::vector<std::vector<std::uint64_t>> reachable_witnesses(MKind kind,
       auto m = make_model(kind, n);
       for (const std::uint64_t r : w) m->step(r);
       m->step(req);
-      const std::uint64_t s = m->state();
+      const std::uint64_t s = packed_state(*m);
       if (seen.count(s) != 0) continue;
       std::vector<std::uint64_t> w2 = w;
       w2.push_back(req);
@@ -247,7 +202,7 @@ TEST_P(ScalableModel, EveryReachableStateKeepsMutualExclusion) {
       auto m = make_model(kind, n);
       for (const std::uint64_t r : w) m->step(r);
       const int g = m->step(req);
-      const std::uint64_t mask = m->grant_mask();
+      const std::uint64_t mask = grant_mask(*m);
       ASSERT_LE(std::popcount(mask), 1) << "mutual exclusion violated";
       ASSERT_EQ(mask & ~req, 0u) << "granted a non-requester";
       ASSERT_EQ(g >= 0 ? (1ull << g) : 0ull, mask);
@@ -279,7 +234,8 @@ TEST_P(ScalableModel, WaitingIsBoundedFromEveryReachableState) {
       if (g >= 0) {
         const std::size_t gi = static_cast<std::size_t>(g);
         if (others[gi] >= 0) {
-          ASSERT_LE(static_cast<std::uint64_t>(others[gi]), m->bound(g))
+          ASSERT_LE(static_cast<std::uint64_t>(others[gi]),
+                    waiting_bound(kind, n, g))
               << "port " << g << " waited past its bound at cycle " << cyc;
         }
         for (int i = 0; i < n; ++i)
@@ -366,23 +322,11 @@ struct AigRecipe {
 };
 
 AigRecipe make_recipe(MKind kind, int n) {
-  switch (kind) {
-    case MKind::kFlat:
-      return {core::build_flat_onehot_aig(n),
-              core::scalable_reset_bits(ArbiterKind::kFlatFsm, n), 2 * n};
-    case MKind::kHier2:
-      return {core::build_hierarchical_aig(n, 2),
-              core::scalable_reset_bits(ArbiterKind::kHierarchical, n, 2),
-              core::make_hier_shape(n, 2).num_state_bits()};
-    case MKind::kHier4:
-      return {core::build_hierarchical_aig(n, 4),
-              core::scalable_reset_bits(ArbiterKind::kHierarchical, n, 4),
-              core::make_hier_shape(n, 4).num_state_bits()};
-    case MKind::kPrefix:
-      return {core::build_prefix_aig(n),
-              core::scalable_reset_bits(ArbiterKind::kPrefix, n), n};
-  }
-  return {aig::Aig{}, {}, 0};
+  std::vector<bool> reset =
+      core::scalable_reset_bits(arbiter_kind(kind), n, arity_of(kind));
+  const int bits = static_cast<int>(reset.size());
+  return {core::build_scalable_aig(arbiter_kind(kind), n, arity_of(kind)),
+          std::move(reset), bits};
 }
 
 class ScalableLockstep : public ::testing::TestWithParam<MParam> {};
@@ -390,8 +334,7 @@ class ScalableLockstep : public ::testing::TestWithParam<MParam> {};
 TEST_P(ScalableLockstep, NetlistMatchesBehavioralModelUnderUpsets) {
   const auto [kind, n] = GetParam();
   AigRecipe recipe = make_recipe(kind, n);
-  ASSERT_EQ(recipe.reset.size(),
-            static_cast<std::size_t>(recipe.num_state_bits));
+  ASSERT_EQ(make_model(kind, n)->num_state_bits(), recipe.num_state_bits);
   const synth::SynthResult syn = synth::finish_machine_synthesis(
       recipe.comb, n, recipe.num_state_bits, recipe.reset, {});
 
@@ -415,7 +358,7 @@ TEST_P(ScalableLockstep, NetlistMatchesBehavioralModelUnderUpsets) {
       // state onward (zero-hot pointers, out-of-range held indices, ...).
       const int b = static_cast<int>(rng.next_below(
           static_cast<std::uint64_t>(recipe.num_state_bits)));
-      beh->inject(b);
+      beh->flip_state_bit(b);
       const netlist::NetId net = state_net[static_cast<std::size_t>(b)];
       sim.poke_register(net, !sim.get(net));
     }
@@ -425,7 +368,7 @@ TEST_P(ScalableLockstep, NetlistMatchesBehavioralModelUnderUpsets) {
                     ((req >> i) & 1) != 0);
     sim.settle();
     beh->step(req);
-    const std::uint64_t mask = beh->grant_mask();
+    const std::uint64_t mask = grant_mask(*beh);
     for (int i = 0; i < n; ++i)
       ASSERT_EQ(sim.get(grant_net[static_cast<std::size_t>(i)]),
                 ((mask >> i) & 1) != 0)
@@ -504,23 +447,20 @@ class WideFuzz : public ::testing::TestWithParam<WideParam> {};
 TEST_P(WideFuzz, OneHotGrantsAndNoStarvationOver1e5Cycles) {
   const auto [kind, n, arity] = GetParam();
   auto holder = core::make_scalable_arbiter(kind, n, arity);
-  // Access the wide surface through the concrete types.
-  auto* hier = dynamic_cast<HierarchicalArbiter*>(holder.get());
-  auto* prefix = dynamic_cast<PrefixArbiter*>(holder.get());
-  auto* flat = dynamic_cast<RoundRobinArbiter*>(holder.get());
-  ASSERT_TRUE(hier != nullptr || prefix != nullptr || flat != nullptr);
   auto step_wide = [&](const std::vector<std::uint64_t>& req) {
     return holder->step_wide(req);
   };
   auto grant_words = [&]() -> const std::vector<std::uint64_t>& {
-    if (hier != nullptr) return hier->last_grant_words();
-    if (prefix != nullptr) return prefix->last_grant_words();
-    return flat->last_grant_words();
+    return holder->last_grant_words();
   };
+  const core::HierShape shape =
+      core::make_hier_shape(n, kind == ArbiterKind::kHierarchical ? arity : 4);
   auto bound = [&](int i) {
-    if (hier != nullptr) return hier->waiting_bound(i);
-    if (prefix != nullptr) return prefix->waiting_bound(i);
-    return static_cast<std::uint64_t>(n - 1);  // the flat chain's N - 1
+    // The tree's composed per-leaf bound; the flat chain's and the prefix
+    // arbiter's N - 1.
+    return kind == ArbiterKind::kHierarchical
+               ? shape.waiting_bound(i)
+               : static_cast<std::uint64_t>(n - 1);
   };
 
   const std::size_t words = static_cast<std::size_t>((n + 63) / 64);
@@ -636,7 +576,7 @@ TEST(FlatRoundRobin, MatchesTheOneHotNetlistAcrossWordBoundaries) {
       if (cyc % 29 == 11) {
         const int b = static_cast<int>(
             rng.next_below(static_cast<std::uint64_t>(bits)));
-        rr.inject_bit_flip(b);
+        rr.flip_state_bit(b);
         const netlist::NetId net = state_net[static_cast<std::size_t>(b)];
         sim.poke_register(net, !sim.get(net));
       }
@@ -781,98 +721,283 @@ TEST(ArbiterFactory, SelectionHonorsTheBudgetInAreaOrder) {
       CheckError);
 }
 
-TEST(ArbiterFactory, BuildsTheMatchingSubclassWithTypedViews) {
+TEST(ArbiterFactory, BuildsTheMatchingKindAtEveryWidth) {
   using core::SystemArbiterSpec;
   auto flat = core::make_system_arbiter(8, SystemArbiterSpec{});
-  ASSERT_NE(flat.rr, nullptr);
-  EXPECT_EQ(flat.rr, flat.arbiter.get());
   EXPECT_EQ(flat.kind, ArbiterKind::kFlatFsm);
+  EXPECT_EQ(flat.arbiter->describe(), "round-robin(8)");
+  EXPECT_EQ(flat.arbiter->num_state_bits(), 16);
 
   SystemArbiterSpec wide_spec;
   wide_spec.kind = ArbiterKind::kFlatFsm;
   auto wide = core::make_system_arbiter(128, wide_spec);
-  ASSERT_NE(wide.rr, nullptr) << "one flat class at every width";
-  EXPECT_EQ(wide.rr, wide.arbiter.get());
+  EXPECT_EQ(wide.arbiter->num_state_bits(), 256)
+      << "one flat class at every width";
 
   SystemArbiterSpec hier_spec;
   hier_spec.kind = ArbiterKind::kHierarchical;
   hier_spec.arity = 2;
   auto hier = core::make_system_arbiter(96, hier_spec);
-  ASSERT_NE(hier.hier, nullptr);
   EXPECT_EQ(hier.kind, ArbiterKind::kHierarchical);
+  EXPECT_EQ(hier.arbiter->num_state_bits(),
+            core::make_hier_shape(96, 2).num_state_bits());
 
   SystemArbiterSpec prefix_spec;
   prefix_spec.kind = ArbiterKind::kPrefix;
   auto prefix = core::make_system_arbiter(96, prefix_spec);
-  ASSERT_NE(prefix.prefix, nullptr);
+  EXPECT_EQ(prefix.kind, ArbiterKind::kPrefix);
+  EXPECT_EQ(prefix.arbiter->num_state_bits(), 96);
 
-  core::SystemArbiterSpec dmr;
-  dmr.self_check = core::CheckMode::kDuplicate;
-  ASSERT_NE(core::make_system_arbiter(8, dmr).sc, nullptr);
-  dmr.kind = ArbiterKind::kPrefix;
-  EXPECT_THROW((void)core::make_system_arbiter(8, dmr), CheckError)
-      << "self-checking is flat-only";
-
-  // The self-checking service path covers the full word width: one F/C
-  // state *word* pair per copy past 32 ports, same factory entry point the
-  // fault-tolerant service uses.
+  // Self-checking wraps every kind at every width: the register is the
+  // copies' registers copy-major, a single corrupted copy trips the
+  // comparator on the next step, and the resync clears it.
   for (const auto& [mode, copies] :
        {std::pair{core::CheckMode::kDuplicate, 2},
         std::pair{core::CheckMode::kTmr, 3}}) {
-    for (const int n : {48, 64}) {
-      core::SystemArbiterSpec spec;
-      spec.self_check = mode;
-      auto sys = core::make_system_arbiter(n, spec);
-      ASSERT_NE(sys.sc, nullptr) << core::to_string(mode) << " n=" << n;
-      EXPECT_EQ(sys.sc, sys.arbiter.get());
-      EXPECT_EQ(sys.rr, nullptr) << "typed views are exclusive";
-      EXPECT_EQ(sys.sc->num_copies(), copies);
-      // Error-net side view: a single corrupted copy trips the comparator
-      // on the next step and the resync clears it.
-      EXPECT_FALSE(sys.sc->error());
-      sys.sc->inject_bit_flip(copies - 1, 3);  // second F-word token bit
-      (void)sys.sc->step(0b101ull);
-      EXPECT_TRUE(sys.sc->error()) << core::to_string(mode) << " n=" << n;
-      EXPECT_GE(sys.sc->error_cycles(), 1u);
-      if (mode == core::CheckMode::kDuplicate) {
-        EXPECT_EQ(sys.sc->resyncs(), 1u) << "DMR reloads the reset code";
+    for (const ArbiterKind kind :
+         {ArbiterKind::kFlatFsm, ArbiterKind::kHierarchical,
+          ArbiterKind::kPrefix}) {
+      for (const int n : {48, 64, 65, 300}) {
+        core::SystemArbiterSpec spec;
+        spec.kind = kind;
+        spec.self_check = mode;
+        auto sys = core::make_system_arbiter(n, spec);
+        core::Arbiter& arb = *sys.arbiter;
+        const std::string what = std::string(core::to_string(mode)) + " " +
+                                 core::to_string(kind) + " n=" +
+                                 std::to_string(n);
+        const int per_copy = core::make_scalable_arbiter(kind, n)
+                                 ->num_state_bits();
+        EXPECT_EQ(arb.num_state_bits(), copies * per_copy) << what;
+        EXPECT_FALSE(arb.error());
+        arb.flip_state_bit((copies - 1) * per_copy + 3);  // last copy
+        const std::vector<std::uint64_t> req(
+            static_cast<std::size_t>((n + 63) / 64), 0b101ull);
+        (void)arb.step_wide(req);
+        EXPECT_TRUE(arb.error()) << what;
+        EXPECT_GE(arb.error_cycles(), 1u);
+        if (mode == core::CheckMode::kDuplicate) {
+          EXPECT_EQ(arb.resyncs(), 1u) << "DMR reloads the reset code";
+        }
+        (void)arb.step_wide(req);
+        EXPECT_FALSE(arb.error()) << "copies reconverge within one step";
       }
-      (void)sys.sc->step(0b101ull);
-      EXPECT_FALSE(sys.sc->error()) << "copies reconverge within one step";
     }
   }
-  // Past the word width there is no per-copy state-word model: refuse.
-  core::SystemArbiterSpec sc65;
-  sc65.self_check = core::CheckMode::kTmr;
-  EXPECT_THROW((void)core::make_system_arbiter(65, sc65), CheckError);
-  // ... and the other scalable structures stay un-replicable too.
-  core::SystemArbiterSpec sc_hier;
-  sc_hier.self_check = core::CheckMode::kDuplicate;
-  sc_hier.kind = ArbiterKind::kHierarchical;
-  EXPECT_THROW((void)core::make_system_arbiter(16, sc_hier), CheckError);
 
   // rr preemption/hardening carry to every width: at 128 ports a holder
   // of port 5 is preempted for port 100 after max_hold_cycles grants.
   core::SystemArbiterSpec held;
   held.rr.max_hold_cycles = 4;
-  ASSERT_NE(core::make_system_arbiter(8, held).rr, nullptr);
   auto held128 = core::make_system_arbiter(128, held);
-  ASSERT_NE(held128.rr, nullptr);
   const std::vector<std::uint64_t> two = {1ull << 5, 1ull << (100 - 64)};
   std::vector<int> grants;
   for (int cyc = 0; cyc < 6; ++cyc)
     grants.push_back(held128.arbiter->step_wide(two));
   EXPECT_EQ(grants, (std::vector<int>{5, 5, 5, 5, 100, 100}));
 
-  // Non-round-robin policies ignore the kind machinery entirely.
+  // Non-round-robin policies ignore the kind machinery entirely and have
+  // no modelled register.
   core::SystemArbiterSpec fifo;
   fifo.policy = core::Policy::kFifo;
   fifo.kind = ArbiterKind::kPrefix;
+  fifo.self_check = core::CheckMode::kTmr;
   const auto f = core::make_system_arbiter(8, fifo);
-  EXPECT_EQ(f.rr, nullptr);
-  EXPECT_EQ(f.prefix, nullptr);
-  EXPECT_NE(f.arbiter, nullptr);
+  ASSERT_NE(f.arbiter, nullptr);
+  EXPECT_EQ(f.arbiter->describe(), "fifo(8)");
+  EXPECT_EQ(f.arbiter->num_state_bits(), 0);
 }
+
+// ============================================== the state-register surface
+
+const std::vector<ArbiterKind> kAllKinds = {
+    ArbiterKind::kFlatFsm, ArbiterKind::kHierarchical, ArbiterKind::kPrefix};
+const std::vector<core::CheckMode> kAllModes = {
+    core::CheckMode::kNone, core::CheckMode::kDuplicate, core::CheckMode::kTmr};
+
+/// The netlist the behavioral register models: the kind's generator,
+/// replicated with the comparator / voter under DMR and TMR.
+synth::SynthResult synthesize_arbiter(ArbiterKind kind, int n,
+                                      core::CheckMode mode) {
+  const aig::Aig plain = core::build_scalable_aig(kind, n);
+  const std::vector<bool> reset = core::scalable_reset_bits(kind, n);
+  if (mode == core::CheckMode::kNone)
+    return synth::finish_machine_synthesis(
+        plain, n, static_cast<int>(reset.size()), reset, {});
+  std::vector<bool> bank;  // every copy resets alike, copy-major
+  for (int c = 0; c < core::num_copies(mode); ++c)
+    bank.insert(bank.end(), reset.begin(), reset.end());
+  return synth::finish_machine_synthesis(
+      core::build_self_checking_aig(plain, n, reset, mode), n,
+      static_cast<int>(bank.size()), bank, {});
+}
+
+std::unique_ptr<core::Arbiter> make_arbiter_of(ArbiterKind kind, int n,
+                                               core::CheckMode mode) {
+  core::SystemArbiterSpec spec;
+  spec.kind = kind;
+  spec.self_check = mode;
+  return core::make_system_arbiter(n, spec).arbiter;
+}
+
+TEST(StateRegister, WidthMatchesTheSynthesizedFlipFlops) {
+  for (const ArbiterKind kind : kAllKinds)
+    for (const core::CheckMode mode : kAllModes)
+      for (const int n : {1, 3, 8, 17}) {
+        const synth::SynthResult syn = synthesize_arbiter(kind, n, mode);
+        EXPECT_EQ(static_cast<std::size_t>(
+                      make_arbiter_of(kind, n, mode)->num_state_bits()),
+                  syn.clb.ffs)
+            << core::to_string(kind) << " " << core::to_string(mode)
+            << " n=" << n;
+      }
+}
+
+TEST(StateRegister, FlippingAnyBitTwiceRestoresTheRegister) {
+  for (const ArbiterKind kind : kAllKinds)
+    for (const core::CheckMode mode : kAllModes)
+      for (const int n : {5, 64, 65, 130}) {
+        auto arb = make_arbiter_of(kind, n, mode);
+        const std::string what = std::string(core::to_string(kind)) + " " +
+                                 core::to_string(mode) + " n=" +
+                                 std::to_string(n);
+        // Leave the reset state first, so set and clear bits both occur.
+        std::vector<std::uint64_t> req(static_cast<std::size_t>((n + 63) / 64),
+                                       0);
+        req.back() = 1ull << ((n - 1) % 64);
+        (void)arb->step_wide(req);
+        const std::vector<std::uint64_t> before = state_of(*arb);
+        ASSERT_EQ(before.size(),
+                  static_cast<std::size_t>((arb->num_state_bits() + 63) / 64))
+            << what;
+        for (int b = 0; b < arb->num_state_bits(); ++b) {
+          arb->flip_state_bit(b);
+          std::vector<std::uint64_t> flipped = state_of(*arb);
+          flipped[static_cast<std::size_t>(b / 64)] ^= 1ull << (b % 64);
+          ASSERT_EQ(flipped, before) << what << ": bit " << b
+                                     << " did not flip alone";
+          arb->flip_state_bit(b);
+          ASSERT_EQ(state_of(*arb), before) << what << ": bit " << b;
+        }
+        EXPECT_THROW(arb->flip_state_bit(arb->num_state_bits()), CheckError);
+        // load_state rewrites through the same flips.
+        std::vector<std::uint64_t> zero(before.size(), 0);
+        arb->load_state(zero);
+        EXPECT_EQ(state_of(*arb), zero) << what;
+        arb->load_state(before);
+        EXPECT_EQ(state_of(*arb), before) << what;
+      }
+}
+
+TEST(StateRegister, FreezeReassertsThePinnedRegisterEveryStep) {
+  for (const ArbiterKind kind : kAllKinds) {
+    const int n = 70;
+    auto arb = make_arbiter_of(kind, n, core::CheckMode::kNone);
+    const std::vector<std::uint64_t> all(2, ~0ull);
+    (void)arb->step_wide(all);
+    arb->freeze();
+    const std::vector<std::uint64_t> pinned = state_of(*arb);
+    // Upsets, resets and the steps' own next states all last at most
+    // until the next clock edge re-presents the pinned value.
+    arb->flip_state_bit(1);
+    arb->reset();
+    for (int cyc = 0; cyc < 5; ++cyc) {
+      (void)arb->step_wide(cyc % 2 == 0 ? all
+                                        : std::vector<std::uint64_t>(2, 0));
+      arb->hold_frozen();
+      ASSERT_EQ(state_of(*arb), pinned) << core::to_string(kind);
+    }
+    EXPECT_TRUE(arb->frozen());
+    arb->thaw();
+    EXPECT_FALSE(arb->frozen());
+    arb->reset();
+    EXPECT_EQ(state_of(*arb),
+              state_of(*make_arbiter_of(kind, n, core::CheckMode::kNone)))
+        << "thawed, reset clears the register again";
+  }
+}
+
+struct ScLockParam {
+  ArbiterKind kind;
+  core::CheckMode mode;
+  int n;
+};
+
+void PrintTo(const ScLockParam& p, std::ostream* os) {
+  *os << core::to_string(p.kind) << "_" << core::to_string(p.mode) << "_n"
+      << p.n;
+}
+
+class SelfCheckLockstep : public ::testing::TestWithParam<ScLockParam> {};
+
+TEST_P(SelfCheckLockstep, NetlistMatchesTheWrapperUnderUpsets) {
+  // SelfCheckingArbiter over copies of each kind against the replicated
+  // netlist: every grant and the `error` net must agree, cycle for cycle,
+  // through single-bit upsets in any copy.
+  const auto [kind, mode, n] = GetParam();
+  const synth::SynthResult syn = synthesize_arbiter(kind, n, mode);
+  auto beh = make_arbiter_of(kind, n, mode);
+  const int copies = core::num_copies(mode);
+  const int per_copy = beh->num_state_bits() / copies;
+  std::vector<netlist::NetId> req_net, grant_net, state_net;
+  for (int i = 0; i < n; ++i) {
+    req_net.push_back(*syn.netlist.find_net("req" + std::to_string(i)));
+    grant_net.push_back(*syn.netlist.find_net("grant" + std::to_string(i)));
+  }
+  for (int c = 0; c < copies; ++c)
+    for (int b = 0; b < per_copy; ++b) {
+      std::string name;
+      if (c != 0) name.append("c").append(std::to_string(c)).append("_");
+      name.append("state").append(std::to_string(b));
+      state_net.push_back(*syn.netlist.find_net(name));
+    }
+  const netlist::NetId error_net = *syn.netlist.find_net("error");
+  netlist::Simulator sim(syn.netlist);
+  Rng rng(52000 + static_cast<std::uint64_t>(n) * 16 +
+          static_cast<std::uint64_t>(kind) * 4 +
+          static_cast<std::uint64_t>(mode));
+  for (int cyc = 0; cyc < 900; ++cyc) {
+    if (cyc % 23 == 7) {
+      const int b = static_cast<int>(rng.next_below(
+          static_cast<std::uint64_t>(beh->num_state_bits())));
+      beh->flip_state_bit(b);
+      const netlist::NetId net = state_net[static_cast<std::size_t>(b)];
+      sim.poke_register(net, !sim.get(net));
+    }
+    const std::uint64_t req = rng.next_below(1ull << n);
+    for (int i = 0; i < n; ++i)
+      sim.set_input(req_net[static_cast<std::size_t>(i)],
+                    ((req >> i) & 1) != 0);
+    sim.settle();
+    (void)beh->step(req);
+    for (int i = 0; i < n; ++i)
+      ASSERT_EQ(sim.get(grant_net[static_cast<std::size_t>(i)]),
+                ((grant_mask(*beh) >> i) & 1) != 0)
+          << "grant" << i << " diverged at cycle " << cyc;
+    ASSERT_EQ(sim.get(error_net), beh->error())
+        << "`error` diverged at cycle " << cyc;
+    sim.clock();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, SelfCheckLockstep,
+    ::testing::Values(
+        ScLockParam{ArbiterKind::kFlatFsm, core::CheckMode::kDuplicate, 5},
+        ScLockParam{ArbiterKind::kFlatFsm, core::CheckMode::kTmr, 5},
+        ScLockParam{ArbiterKind::kHierarchical, core::CheckMode::kDuplicate, 3},
+        ScLockParam{ArbiterKind::kHierarchical, core::CheckMode::kDuplicate, 7},
+        ScLockParam{ArbiterKind::kHierarchical, core::CheckMode::kTmr, 3},
+        ScLockParam{ArbiterKind::kHierarchical, core::CheckMode::kTmr, 7},
+        ScLockParam{ArbiterKind::kPrefix, core::CheckMode::kDuplicate, 3},
+        ScLockParam{ArbiterKind::kPrefix, core::CheckMode::kDuplicate, 7},
+        ScLockParam{ArbiterKind::kPrefix, core::CheckMode::kTmr, 3},
+        ScLockParam{ArbiterKind::kPrefix, core::CheckMode::kTmr, 7}),
+    [](const auto& pi) {
+      return std::string(core::to_string(pi.param.kind)) + "_" +
+             core::to_string(pi.param.mode) + "_n" +
+             std::to_string(pi.param.n);
+    });
 
 // ======================================================== synthesis sanity
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/insertion.hpp"
 #include "rcsim/system_sim.hpp"
 #include "support/check.hpp"
@@ -424,6 +427,152 @@ TEST(Rcsim, SegmentPreloadAndReadback) {
   EXPECT_THROW(sim.write_segment(0, std::vector<std::int64_t>(99)),
                CheckError);
   EXPECT_THROW((void)sim.segment_data(7), CheckError);
+}
+
+// ------------------------------ arbiter faults at every kind and width
+
+/// `tasks` writers on one bank, each issuing `bursts` one-store bursts
+/// separated by a compute cycle.
+TaskGraph writers_graph(int tasks, int bursts) {
+  TaskGraph g("writers");
+  for (int t = 0; t < tasks; ++t)
+    g.add_segment(std::string("s").append(std::to_string(t)), 64, 16);
+  for (int t = 0; t < tasks; ++t) {
+    Program p;
+    p.load_imm(0, 0);
+    for (int i = 0; i < bursts; ++i)
+      p.store(static_cast<tg::SegmentId>(t), 0, 0, i).compute(1);
+    p.halt();
+    g.add_task(std::string("t").append(std::to_string(t)), p, 1);
+  }
+  return g;
+}
+
+/// The writers behind one arbiter of `tasks` ports.
+struct WritersFixture {
+  TaskGraph g;
+  Binding binding;
+  InsertionResult ins;
+  std::vector<TaskId> all;
+
+  WritersFixture(int tasks, int bursts)
+      : g(writers_graph(tasks, bursts)),
+        binding(single_bank_binding(g, static_cast<std::size_t>(tasks))),
+        ins(core::insert_arbitration(g, binding, {})) {
+    for (int t = 0; t < tasks; ++t) all.push_back(static_cast<TaskId>(t));
+  }
+
+  SimResult run(SimOptions options) const {
+    SystemSimulator sim(ins.graph, binding, ins.plan, options);
+    return sim.run(all);
+  }
+};
+
+fault::FaultEvent arbiter_fault(fault::FaultKind kind) {
+  fault::FaultEvent e;
+  e.kind = kind;
+  e.cycle = 3;
+  e.arbiter = 0;
+  return e;
+}
+
+std::string illegal_state_detail(const SimResult& r) {
+  for (const SimDiagnostic& d : r.diagnostics)
+    if (d.kind == DiagKind::kIllegalFsmState) return d.detail;
+  return "";
+}
+
+TEST(RcsimArbiterFaults, SeuOnAWideFlatRegisterIsReportedInHex) {
+  // Default options (strict, detailed diagnostics): an upset of F0 while
+  // C0 holds leaves the flat register two-hot, 2^n + 1, and the
+  // diagnostic prints it in hex at any width — past 32 ports too.
+  for (const int n : {32, 33, 40, 64}) {
+    WritersFixture fx(n, 1);
+    SimOptions options;
+    options.faults = {arbiter_fault(fault::FaultKind::kFsmBitFlip)};
+    SimResult r;
+    ASSERT_NO_THROW(r = fx.run(options)) << "n=" << n;
+    EXPECT_FALSE(r.deadlocked) << "n=" << n;
+    EXPECT_EQ(r.illegal_fsm_states, 1u) << "n=" << n;
+    const std::string hex = std::to_string(1 << (n % 4)) +
+                            std::string(static_cast<std::size_t>(n / 4 - 1),
+                                        '0') +
+                            "1";
+    EXPECT_NE(illegal_state_detail(r).find("(state=0x" + hex + ")"),
+              std::string::npos)
+        << "n=" << n << ": " << illegal_state_detail(r);
+  }
+}
+
+TEST(RcsimArbiterFaults, FlatLatchUpPinsTheRegisterAtZeroAtEveryWidth) {
+  // A latched plain flat register is pinned at the illegal all-zero code:
+  // it grants nobody, so the writers stall — at every width.
+  for (const int n : {20, 40, 64}) {
+    WritersFixture fx(n, 1);
+    SimOptions options;
+    options.strict = false;
+    options.no_progress_window = 200;
+    options.faults = {arbiter_fault(fault::FaultKind::kArbiterLatchup)};
+    const SimResult r = fx.run(options);
+    EXPECT_TRUE(r.deadlocked) << "n=" << n;
+    EXPECT_EQ(r.illegal_fsm_states, 1u) << "n=" << n;
+    EXPECT_NE(illegal_state_detail(r).find("(state=0x0)"), std::string::npos)
+        << "n=" << n << ": " << illegal_state_detail(r);
+    // Hardening cannot clear it: the register recovers inside every step
+    // and is re-pinned before the next one, so it serves but recovers on
+    // every cycle it is sampled.
+    options.harden = true;
+    const SimResult h = fx.run(options);
+    EXPECT_FALSE(h.deadlocked) << "n=" << n;
+    EXPECT_GT(h.fsm_recoveries, static_cast<std::uint64_t>(n))
+        << "n=" << n << ": one recovery per sampled cycle";
+  }
+}
+
+TEST(RcsimArbiterFaults, FrozenScalableArbitersDegenerateToFixedPriority) {
+  // A latched hierarchical or prefix register is pinned at all-zero: every
+  // tree pointer at slot 0 with no holder, or a pointer with no hot bit.
+  // Each cycle then re-arbitrates from scratch and the lowest requesting
+  // port wins, so task t finishes all of its bursts before task t + 1,
+  // and task 0 finishes earlier than under the fault-free rotation.
+  for (const core::ArbiterChoice kind :
+       {core::ArbiterChoice::kHierarchical, core::ArbiterChoice::kPrefix}) {
+    for (const int n : {8, 40}) {
+      WritersFixture fx(n, 3);
+      SimOptions options;
+      options.arbiter_kind = kind;
+      const SimResult clean = fx.run(options);
+      options.faults = {arbiter_fault(fault::FaultKind::kArbiterLatchup)};
+      const SimResult r = fx.run(options);
+      const std::string what = std::string(core::to_string(kind)) +
+                               " n=" + std::to_string(n);
+      EXPECT_FALSE(r.deadlocked) << what;
+      EXPECT_TRUE(r.diagnostics.empty()) << what;
+      for (int t = 0; t + 1 < n; ++t)
+        EXPECT_LT(r.tasks[static_cast<std::size_t>(t)].finish_cycle,
+                  r.tasks[static_cast<std::size_t>(t) + 1].finish_cycle)
+            << what << " task " << t;
+      EXPECT_LT(r.tasks[0].finish_cycle, clean.tasks[0].finish_cycle) << what;
+    }
+  }
+}
+
+TEST(RcsimArbiterFaults, SelfCheckedLatchUpIsDetectedPastThirtyTwoPorts) {
+  // A replicated register keeps copy 0 pinned at its current value; the
+  // comparator sees the divergence at every kind and width.
+  for (const core::ArbiterChoice kind :
+       {core::ArbiterChoice::kFlatFsm, core::ArbiterChoice::kHierarchical,
+        core::ArbiterChoice::kPrefix}) {
+    WritersFixture fx(40, 3);
+    SimOptions options;
+    options.strict = false;
+    options.no_progress_window = 200;
+    options.arbiter_kind = kind;
+    options.self_check = core::CheckMode::kDuplicate;
+    options.faults = {arbiter_fault(fault::FaultKind::kArbiterLatchup)};
+    const SimResult r = fx.run(options);
+    EXPECT_GT(r.self_check_errors, 0u) << core::to_string(kind);
+  }
 }
 
 }  // namespace

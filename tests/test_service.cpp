@@ -220,7 +220,7 @@ TEST(ServiceEngine, RetryBudgetBoundsAmplification) {
 }
 
 TEST(ServiceEngine, TypedDiagnosticsPerPolicy) {
-  auto kinds_of = [](const ServiceStats& s, rcsim::DiagKind k) {
+  auto kinds_of = [](const ServiceStats& s, obs::DiagKind k) {
     std::size_t n = 0;
     for (const auto& d : s.diagnostics)
       if (d.kind == k) ++n;
@@ -231,7 +231,7 @@ TEST(ServiceEngine, TypedDiagnosticsPerPolicy) {
 
   o.policy = OverloadPolicy::kTailDrop;
   const ServiceStats td = run_service(o);
-  EXPECT_GT(kinds_of(td, rcsim::DiagKind::kRejected), 0u);
+  EXPECT_GT(kinds_of(td, obs::DiagKind::kRejected), 0u);
   EXPECT_LE(td.diagnostics.size(),
             static_cast<std::size_t>(o.max_diagnostics));
 
@@ -242,12 +242,12 @@ TEST(ServiceEngine, TypedDiagnosticsPerPolicy) {
   o.policy = OverloadPolicy::kAdmitShed;
   o.max_diagnostics = 8192;
   const ServiceStats as = run_service(o);
-  EXPECT_GT(kinds_of(as, rcsim::DiagKind::kShed), 0u);
+  EXPECT_GT(kinds_of(as, obs::DiagKind::kShed), 0u);
   o.max_diagnostics = small_options().max_diagnostics;
 
   o.policy = OverloadPolicy::kBlock;
   const ServiceStats bl = run_service(o);
-  EXPECT_GT(kinds_of(bl, rcsim::DiagKind::kTimedOut), 0u);
+  EXPECT_GT(kinds_of(bl, obs::DiagKind::kTimedOut), 0u);
 }
 
 TEST(ServiceEngine, PerResourceHistogramsMergeIntoTotals) {
@@ -712,7 +712,7 @@ TEST(ServiceEngine, EstimatorRestartsAtTheMeasurementBoundary) {
     std::uint64_t first_shed = 0;
     bool found = false;
     for (const auto& d : s.diagnostics) {
-      if (d.kind != rcsim::DiagKind::kShed) continue;
+      if (d.kind != obs::DiagKind::kShed) continue;
       first_shed = d.cycle;
       found = true;
       break;

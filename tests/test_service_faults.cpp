@@ -68,10 +68,10 @@ std::vector<FaultEvent> seu_storm(const ServiceOptions& o, int copies,
   po.horizon = o.warmup_cycles + o.measure_cycles;
   po.rate = rate;
   po.kinds = {FaultKind::kFsmBitFlip};
-  return fault::plan_service_faults(o.resources, o.ports, copies, po);
+  return fault::plan_service_faults(o.resources, copies * 2 * o.ports, po);
 }
 
-std::size_t count_diag(const ServiceStats& s, rcsim::DiagKind k) {
+std::size_t count_diag(const ServiceStats& s, obs::DiagKind k) {
   std::size_t n = 0;
   for (const auto& d : s.diagnostics) n += (d.kind == k) ? 1u : 0u;
   return n;
@@ -171,7 +171,7 @@ TEST(ServiceFaults, DmrLatchupQuarantinesDrainAbortsAndRestores) {
   EXPECT_GT(rec.repair_cycles(), 0u);
   EXPECT_GE(s.mttr_cycles(), 1.0);
   EXPECT_LT(s.availability(), 1.0);
-  EXPECT_GE(count_diag(s, rcsim::DiagKind::kQuarantine), 1u);
+  EXPECT_GE(count_diag(s, obs::DiagKind::kQuarantine), 1u);
   expect_conserved(s, "DMR + latch-up");
 }
 
@@ -225,7 +225,7 @@ TEST(ServiceFaults, ResourceFailureRetiresAndFailsOver) {
   ASSERT_EQ(s.quarantine_events.size(), 1u);
   EXPECT_EQ(s.quarantine_events.front().resource, 1);
   EXPECT_EQ(s.quarantine_events.front().remap_target, 0);
-  EXPECT_GE(count_diag(s, rcsim::DiagKind::kRemap), 1u);
+  EXPECT_GE(count_diag(s, obs::DiagKind::kRemap), 1u);
   // The survivor keeps serving: goodput degrades, it does not vanish.
   EXPECT_GT(s.goodput(), 0.0);
   EXPECT_LT(s.availability(), 1.0);
@@ -250,7 +250,7 @@ TEST(ServiceFaults, AllResourcesRetiredExhaustsCapacityWithDiagnostics) {
   // With no live resource every submission is refused with the typed
   // capacity diagnostic and eventually exhausts its retry budget —
   // stall-with-diagnostic, not a hang or a lost request.
-  EXPECT_GE(count_diag(s, rcsim::DiagKind::kCapacityExhausted), 1u);
+  EXPECT_GE(count_diag(s, obs::DiagKind::kCapacityExhausted), 1u);
   EXPECT_GT(s.budget_exhausted, 0u);
   expect_conserved(s, "double resource failure");
 }
@@ -301,8 +301,8 @@ TEST(ServiceFaultPlan, DeterministicSortedAndExactlySized) {
   po.horizon = 9'000;
   po.rate = 2e-3;
   po.kinds = {FaultKind::kFsmBitFlip, FaultKind::kBankFailure};
-  const auto a = fault::plan_service_faults(4, 8, 2, po);
-  const auto b = fault::plan_service_faults(4, 8, 2, po);
+  const auto a = fault::plan_service_faults(4, 2 * 2 * 8, po);
+  const auto b = fault::plan_service_faults(4, 2 * 2 * 8, po);
   ASSERT_EQ(a.size(), 16u);  // round(rate * span)
   ASSERT_EQ(a.size(), b.size());
   std::size_t seus = 0;
@@ -320,7 +320,7 @@ TEST(ServiceFaultPlan, DeterministicSortedAndExactlySized) {
     if (a[i].kind == FaultKind::kFsmBitFlip) {
       ++seus;
       EXPECT_GE(a[i].bit, 0);
-      EXPECT_LT(a[i].bit, 2 * 2 * 8) << "bit range widens with the copies";
+      EXPECT_LT(a[i].bit, 2 * 2 * 8) << "bits span the whole register";
     }
   }
   EXPECT_EQ(seus, 8u) << "mixed kinds are assigned round-robin, exactly";
@@ -332,7 +332,7 @@ TEST(ServiceFaultPlan, PermanentEventsAreStratifiedRoundRobin) {
   po.horizon = 5'000;
   po.rate = 3.0 / 4'000.0;  // exactly 3 events over the window
   po.kinds = {FaultKind::kArbiterLatchup};
-  const auto plan = fault::plan_service_faults(2, 4, 1, po);
+  const auto plan = fault::plan_service_faults(2, 2 * 4, po);
   ASSERT_EQ(plan.size(), 3u);
   // Event j of m lands at inject_after + span * (j+1)/(m+1): no lucky
   // clustering, and the victims rotate so no resource is drawn twice
@@ -348,13 +348,14 @@ TEST(ServiceFaultPlan, PermanentEventsAreStratifiedRoundRobin) {
 TEST(ServiceFaultPlan, RejectsNonServiceKindsAndBadShapes) {
   ServiceFaultPlanOptions po;
   po.kinds = {FaultKind::kChannelCorrupt};
-  EXPECT_THROW((void)fault::plan_service_faults(2, 4, 1, po), CheckError);
+  EXPECT_THROW((void)fault::plan_service_faults(2, 8, po), CheckError);
   po.kinds = {FaultKind::kFsmBitFlip};
-  EXPECT_THROW((void)fault::plan_service_faults(0, 4, 1, po), CheckError);
-  EXPECT_THROW((void)fault::plan_service_faults(2, 4, 4, po), CheckError);
+  EXPECT_THROW((void)fault::plan_service_faults(0, 8, po), CheckError);
+  EXPECT_THROW((void)fault::plan_service_faults(2, 0, po), CheckError)
+      << "no register bits to upset";
   po.horizon = 10;
   po.inject_after = 10;  // empty window
-  EXPECT_THROW((void)fault::plan_service_faults(2, 4, 1, po), CheckError);
+  EXPECT_THROW((void)fault::plan_service_faults(2, 8, po), CheckError);
 }
 
 TEST(ServiceFaults, EngineRejectsMalformedFaultPlans) {
@@ -372,11 +373,52 @@ TEST(ServiceFaults, EngineRejectsMalformedFaultPlans) {
   o.faults = one_event(FaultKind::kArbiterLatchup, 100, 0);
   o.faults.front().kind = FaultKind::kPermanentStuckChannel;
   EXPECT_THROW((void)run_service(o), CheckError);
-  // Non-flat structures have no injectable register surface.
-  o = ft_options();
-  o.arbiter_kind = core::ArbiterChoice::kPrefix;
-  o.faults = one_event(FaultKind::kFsmBitFlip, 2'000, 0);
-  EXPECT_THROW((void)run_service(o), CheckError);
+}
+
+TEST(ServiceFaults, EveryKindModeAndWidthTakesSeusAndLatchupsConserved) {
+  // Fault plans reach every arbiter kind, replicated or not, at every
+  // width: the planner draws SEUs over the arbiter's whole register
+  // (copies included), and no combination CHECK-fails or loses a request.
+  for (const core::ArbiterChoice kind :
+       {core::ArbiterChoice::kFlatFsm, core::ArbiterChoice::kHierarchical,
+        core::ArbiterChoice::kPrefix})
+    for (const core::CheckMode mode :
+         {core::CheckMode::kNone, core::CheckMode::kDuplicate,
+          core::CheckMode::kTmr})
+      for (const int ports : {8, 64, 65, 300}) {
+        ServiceOptions o = ft_options();
+        o.resources = 2;
+        o.ports = ports;
+        o.arbiter_kind = kind;
+        o.self_check = mode;
+        o.degrade.enabled = mode != core::CheckMode::kNone;
+        o.warmup_cycles = 300;
+        o.measure_cycles = 1'500;
+        core::SystemArbiterSpec spec;
+        spec.kind = core::resolve_arbiter_choice(kind, ports, 0.0);
+        spec.self_check = mode;
+        const int bits =
+            core::make_system_arbiter(ports, spec).arbiter->num_state_bits();
+        ServiceFaultPlanOptions po;
+        po.seed = 17;
+        po.inject_after = o.warmup_cycles;
+        po.horizon = o.warmup_cycles + o.measure_cycles;
+        po.rate = 4e-3;
+        po.kinds = {FaultKind::kFsmBitFlip, FaultKind::kFsmBitFlip,
+                    FaultKind::kArbiterLatchup};
+        o.faults = fault::plan_service_faults(o.resources, bits, po);
+        const std::string what = std::string(core::to_string(kind)) + " " +
+                                 core::to_string(mode) + " ports=" +
+                                 std::to_string(ports);
+        ServiceStats s;
+        ASSERT_NO_THROW(s = run_service(o)) << what;
+        EXPECT_EQ(s.faults_injected, o.faults.size()) << what;
+        expect_conserved(s, what);
+        if (mode != core::CheckMode::kNone) {
+          EXPECT_GT(s.error_net_trips, 0u) << what;
+          EXPECT_EQ(s.corrupted, 0u) << what;
+        }
+      }
 }
 
 }  // namespace
