@@ -206,25 +206,32 @@ BENCHMARK_CAPTURE(BM_MapAig, flat, ArbiterKind::kFlatFsm)->Arg(1024);
 BENCHMARK_CAPTURE(BM_MapAig, hier, ArbiterKind::kHierarchical)->Arg(1024);
 BENCHMARK_CAPTURE(BM_MapAig, prefix, ArbiterKind::kPrefix)->Arg(1024);
 
-void BM_StepWideHierarchical(benchmark::State& state) {
+// One behavioural step per iteration through core::Arbiter::step, the
+// entry point every engine uses: full contention, each winner drops its
+// request for exactly one step, so the grant rotates every step.
+void BM_BehaviouralStep(benchmark::State& state, ArbiterKind kind) {
   const int n = static_cast<int>(state.range(0));
-  rcarb::core::HierarchicalArbiter arb(n);
+  const auto arb = rcarb::core::make_scalable_arbiter(kind, n);
   std::vector<std::uint64_t> req(static_cast<std::size_t>((n + 63) / 64),
                                  ~0ull);
+  int last = 0;
+  rcarb::core::clear_bit(req, last);
   std::uint64_t granted = 0;
   for (auto _ : state) {
-    const int g = arb.step_wide(req);
-    // Drop the winner's request for the next cycle so the grant rotates
-    // every iteration (full contention, worst-case scan).
-    const std::uint64_t bit = 1ull << (static_cast<unsigned>(g) & 63u);
-    req[static_cast<std::size_t>(g) >> 6] ^= bit;
+    const int g = arb->step(req);
+    rcarb::core::set_bit(req, last);
+    rcarb::core::clear_bit(req, g);
+    last = g;
     granted += static_cast<std::uint64_t>(g);
-    granted += static_cast<std::uint64_t>(arb.step_wide(req));
-    req[static_cast<std::size_t>(g) >> 6] ^= bit;
   }
   benchmark::DoNotOptimize(granted);
 }
-BENCHMARK(BM_StepWideHierarchical)->Arg(256)->Arg(1024);
+BENCHMARK_CAPTURE(BM_BehaviouralStep, flat, ArbiterKind::kFlatFsm)
+    ->Arg(8)->Arg(64)->Arg(256)->Arg(1024);
+BENCHMARK_CAPTURE(BM_BehaviouralStep, hier, ArbiterKind::kHierarchical)
+    ->Arg(8)->Arg(64)->Arg(256)->Arg(1024);
+BENCHMARK_CAPTURE(BM_BehaviouralStep, prefix, ArbiterKind::kPrefix)
+    ->Arg(8)->Arg(64)->Arg(256)->Arg(1024);
 
 }  // namespace
 

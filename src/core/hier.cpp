@@ -21,12 +21,6 @@ std::size_t word_count(int n) {
   return static_cast<std::size_t>((n + 63) / 64);
 }
 
-bool word_bit(const std::vector<std::uint64_t>& words, int i) {
-  return ((words[static_cast<std::size_t>(i) >> 6] >>
-           (static_cast<unsigned>(i) & 63u)) &
-          1u) != 0;
-}
-
 /// Recursively builds the subtree over leaves [lo, hi); returns the child
 /// encoding for the parent (leaf ~lo or a node index).
 int build_subtree(HierShape& shape, int lo, int hi, int arity) {
@@ -104,7 +98,6 @@ HierShape make_hier_shape(int n, int arity) {
 HierarchicalArbiter::HierarchicalArbiter(int n, int arity)
     : Arbiter(WideTag{}, n), shape_(make_hier_shape(n, arity)) {
   ptr_.assign(shape_.nodes.size(), 0);
-  req_scratch_.assign(word_count(n), 0);
   any_scratch_.assign(std::max<std::size_t>(shape_.nodes.size(), 1), 0);
 }
 
@@ -120,27 +113,16 @@ std::string HierarchicalArbiter::describe() const {
          ", arity=" + std::to_string(shape_.arity) + ")";
 }
 
-int HierarchicalArbiter::do_step_wide(
-    const std::vector<std::uint64_t>& requests) {
-  const int g = step_wide_impl(requests);
-  notify_wide(requests, g);
-  return g;
-}
-
-int HierarchicalArbiter::step_wide_impl(
-    const std::vector<std::uint64_t>& requests) {
-  RCARB_CHECK(requests.size() >= grant_.size(),
-              "request vector narrower than the arbiter");
-
+int HierarchicalArbiter::do_step(std::span<const std::uint64_t> requests) {
   int g = -1;
   bool new_grant = false;
   // Hold path: the current holder keeps its grant while requesting.  An
   // SEU can point held_ past n-1 (held_bits covers a power of two); such a
   // code matches no port, exactly like the netlist's one-hot decode.
-  if (valid_ && held_ < n_ && word_bit(requests, held_)) {
+  if (valid_ && held_ < n_ && test_bit(requests, held_)) {
     g = held_;
   } else if (shape_.nodes.empty()) {
-    if (word_bit(requests, 0)) {
+    if (test_bit(requests, 0)) {
       g = 0;
       new_grant = true;
     }
@@ -149,7 +131,7 @@ int HierarchicalArbiter::step_wide_impl(
     // pre-order, so a reverse sweep sees children first).
     const auto& nodes = shape_.nodes;
     auto child_any = [&](int c) {
-      return c < 0 ? word_bit(requests, ~c)
+      return c < 0 ? test_bit(requests, ~c)
                    : any_scratch_[static_cast<std::size_t>(c)] != 0;
     };
     for (std::size_t k = nodes.size(); k-- > 0;) {
@@ -191,14 +173,6 @@ int HierarchicalArbiter::step_wide_impl(
   return grant_only(g);
 }
 
-int HierarchicalArbiter::do_step(std::uint64_t requests) {
-  // step() fires the word-based observer hook itself; going through the
-  // impl avoids notifying twice.
-  std::fill(req_scratch_.begin(), req_scratch_.end(), 0);
-  req_scratch_[0] = requests;
-  return step_wide_impl(req_scratch_);
-}
-
 void HierarchicalArbiter::read_state(std::vector<std::uint64_t>& words) const {
   words.assign(word_count(shape_.num_state_bits()), 0);
   for (std::size_t k = 0; k < shape_.nodes.size(); ++k) {
@@ -234,7 +208,6 @@ void HierarchicalArbiter::flip_bit(int bit) {
 PrefixArbiter::PrefixArbiter(int n) : Arbiter(WideTag{}, n) {
   ptr_.assign(word_count(n), 0);
   ptr_[0] = 1;
-  req_scratch_.assign(word_count(n), 0);
 }
 
 void PrefixArbiter::reset() {
@@ -247,16 +220,7 @@ std::string PrefixArbiter::describe() const {
   return "prefix-rr(n=" + std::to_string(n_) + ")";
 }
 
-int PrefixArbiter::do_step_wide(const std::vector<std::uint64_t>& requests) {
-  const int g = step_wide_impl(requests);
-  notify_wide(requests, g);
-  return g;
-}
-
-int PrefixArbiter::step_wide_impl(const std::vector<std::uint64_t>& requests) {
-  RCARB_CHECK(requests.size() >= grant_.size(),
-              "request vector narrower than the arbiter");
-
+int PrefixArbiter::do_step(std::span<const std::uint64_t> requests) {
   // Thermometer mask from the lowest pointer bit (an SEU can leave the
   // register multi-hot — the mask still starts at the lowest hot bit, or
   // covers nothing when zero-hot, matching the prefix-OR netlist).
@@ -289,16 +253,9 @@ int PrefixArbiter::step_wide_impl(const std::vector<std::uint64_t>& requests) {
   if (g >= 0) {
     // Any request: the pointer loads the (one-hot) grant.
     std::fill(ptr_.begin(), ptr_.end(), 0);
-    ptr_[static_cast<std::size_t>(g) >> 6] =
-        1ull << (static_cast<unsigned>(g) & 63u);
+    set_bit(ptr_, g);
   }
   return grant_only(g);
-}
-
-int PrefixArbiter::do_step(std::uint64_t requests) {
-  std::fill(req_scratch_.begin(), req_scratch_.end(), 0);
-  req_scratch_[0] = requests;
-  return step_wide_impl(req_scratch_);
 }
 
 void PrefixArbiter::flip_bit(int bit) {

@@ -88,9 +88,8 @@ struct HierShape {
 /// directly to the parent.
 [[nodiscard]] HierShape make_hier_shape(int n, int arity);
 
-/// Behavioral tree-of-arbiters.  Widths above 64 use step_wide(); the
-/// word-based Arbiter::step() addresses ports 0..63 of a wider instance.
-/// The state register is packed in the canonical HierShape bit order.
+/// Behavioral tree-of-arbiters.  The state register is packed in the
+/// canonical HierShape bit order.
 class HierarchicalArbiter final : public Arbiter {
  public:
   explicit HierarchicalArbiter(int n, int arity = 4);
@@ -103,19 +102,14 @@ class HierarchicalArbiter final : public Arbiter {
   void read_state(std::vector<std::uint64_t>& words) const override;
 
  protected:
-  int do_step(std::uint64_t requests) override;
-  /// One cycle over a words-encoded request vector (bit i of word i/64 =
-  /// port i); fires on_step_wide at every width.
-  int do_step_wide(const std::vector<std::uint64_t>& requests) override;
+  int do_step(std::span<const std::uint64_t> requests) override;
   void flip_bit(int bit) override;
 
  private:
-  int step_wide_impl(const std::vector<std::uint64_t>& requests);
   HierShape shape_;
   std::vector<int> ptr_;  // per node, in [0, 1 << ptr_bits)
   int held_ = 0;          // holder index, meaningful while valid_
   bool valid_ = false;
-  std::vector<std::uint64_t> req_scratch_;
   std::vector<char> any_scratch_;
 };
 
@@ -135,14 +129,11 @@ class PrefixArbiter final : public Arbiter {
   }
 
  protected:
-  int do_step(std::uint64_t requests) override;
-  int do_step_wide(const std::vector<std::uint64_t>& requests) override;
+  int do_step(std::span<const std::uint64_t> requests) override;
   void flip_bit(int bit) override;
 
  private:
-  int step_wide_impl(const std::vector<std::uint64_t>& requests);
   std::vector<std::uint64_t> ptr_;
-  std::vector<std::uint64_t> req_scratch_;
 };
 
 /// Behavioral factory over the kind.  kFlatFsm returns the Fig. 5

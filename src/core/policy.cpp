@@ -30,13 +30,6 @@ Arbiter::Arbiter(WideTag, int n) : n_(n) {
   grant_.assign(static_cast<std::size_t>((n + 63) / 64), 0);
 }
 
-int Arbiter::do_step_wide(const std::vector<std::uint64_t>& requests) {
-  RCARB_CHECK(n_ <= 64,
-              "this arbiter kind is word-width; widths past 64 ports need a "
-              "wide kind (core/hier.hpp)");
-  return step_word(requests.empty() ? 0 : requests[0]);
-}
-
 void Arbiter::flip_state_bit(int bit) {
   RCARB_CHECK(bit >= 0 && bit < num_state_bits(), "state bit out of range");
   flip_bit(bit);
@@ -63,9 +56,7 @@ void Arbiter::freeze() {
 int Arbiter::grant_only(int g) {
   std::fill(grant_.begin(), grant_.end(), 0);
   grant_count_ = g >= 0 ? 1 : 0;
-  if (g >= 0)
-    grant_[static_cast<std::size_t>(g) >> 6] |=
-        1ull << (static_cast<unsigned>(g) & 63u);
+  if (g >= 0) set_bit(grant_, g);
   return g;
 }
 
@@ -90,7 +81,6 @@ RoundRobinArbiter::RoundRobinArbiter(int n, RoundRobinOptions options)
   f_bits_.assign(words, 0);
   f_bits_[0] = 1;
   c_bits_.assign(words, 0);
-  req_scratch_.assign(words, 0);
 }
 
 namespace {
@@ -143,23 +133,11 @@ inline int first_hot(const std::vector<std::uint64_t>& f_bits,
   return c_hot >= 0 ? n + c_hot : -1;
 }
 
-void set_bit(std::vector<std::uint64_t>& words, int i) {
-  words[static_cast<std::size_t>(i) >> 6] |=
-      1ull << (static_cast<unsigned>(i) & 63u);
-}
-
-void clear_bit(std::vector<std::uint64_t>& words, int i) {
-  words[static_cast<std::size_t>(i) >> 6] &=
-      ~(1ull << (static_cast<unsigned>(i) & 63u));
-}
-
 }  // namespace
 
-int RoundRobinArbiter::step_words(const std::uint64_t* requests) {
-  // Clears only the words the last step granted in: at word widths a load
-  // and a branch rather than a memset call.
-  for (std::uint64_t& w : grant_)
-    if (w != 0) w = 0;
+int RoundRobinArbiter::do_step(std::span<const std::uint64_t> words) {
+  const std::uint64_t* requests = words.data();
+  clear_words(grant_);
   grant_count_ = 0;
   int hot_count = 0;
   int hot = first_hot(f_bits_, c_bits_, n_, &hot_count);
@@ -239,24 +217,6 @@ int RoundRobinArbiter::step_multi_hot(const std::uint64_t* requests) {
   return scan(grant_.data(), n_, 0);
 }
 
-int RoundRobinArbiter::do_step(std::uint64_t requests) {
-  if (n_ <= 64) return step_words(&requests);
-  // The word entry addresses ports 0..63; the rest of the scratch vector
-  // stays zero.
-  req_scratch_[0] = requests;
-  return step_words(req_scratch_.data());
-}
-
-int RoundRobinArbiter::do_step_wide(
-    const std::vector<std::uint64_t>& requests) {
-  if (n_ <= 64) return Arbiter::do_step_wide(requests);
-  RCARB_CHECK(requests.size() >= grant_.size(),
-              "request vector narrower than the arbiter");
-  const int g = step_words(requests.data());
-  notify_wide(requests, g);
-  return g;
-}
-
 void RoundRobinArbiter::reset() {
   std::fill(f_bits_.begin(), f_bits_.end(), 0);
   f_bits_[0] = 1;
@@ -301,7 +261,8 @@ void RoundRobinArbiter::flip_bit(int bit) {
 
 FifoArbiter::FifoArbiter(int n) : Arbiter(n) {}
 
-int FifoArbiter::do_step(std::uint64_t requests) {
+int FifoArbiter::do_step(std::span<const std::uint64_t> words) {
+  const std::uint64_t requests = words[0];  // at most 64 ports
   // Newly asserted requests join the queue in index order (simultaneous
   // arrivals tie-break by index, as a hardware FIFO arbiter would).
   for (int t = 0; t < n_; ++t) {
@@ -344,7 +305,8 @@ std::string FifoArbiter::describe() const {
 
 PriorityArbiter::PriorityArbiter(int n) : Arbiter(n) {}
 
-int PriorityArbiter::do_step(std::uint64_t requests) {
+int PriorityArbiter::do_step(std::span<const std::uint64_t> words) {
+  const std::uint64_t requests = words[0];  // at most 64 ports
   if (holder_ >= 0 && ((requests >> holder_) & 1u)) return grant_only(holder_);
   holder_ = -1;
   if (requests == 0) return grant_only(-1);
@@ -366,7 +328,8 @@ std::string PriorityArbiter::describe() const {
 RandomArbiter::RandomArbiter(int n, std::uint64_t seed)
     : Arbiter(n), seed_(seed), rng_(seed) {}
 
-int RandomArbiter::do_step(std::uint64_t requests) {
+int RandomArbiter::do_step(std::span<const std::uint64_t> words) {
+  const std::uint64_t requests = words[0];  // at most 64 ports
   if (holder_ >= 0 && ((requests >> holder_) & 1u)) return grant_only(holder_);
   holder_ = -1;
   const int waiting = std::popcount(requests);

@@ -13,12 +13,16 @@
 // preemption appears as RoundRobinOptions::max_hold_cycles.
 #pragma once
 
+#include <bit>
+#include <concepts>
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "support/check.hpp"
 #include "support/rng.hpp"
 
 namespace rcarb::core {
@@ -48,17 +52,12 @@ inline constexpr int kMaxWideInputs = 4096;
 class ArbiterObserver {
  public:
   virtual ~ArbiterObserver() = default;
-  /// Called once per step() with the sampled request vector (masked to the
-  /// arbiter's width) and the resulting grant (-1 = none).
-  virtual void on_step(std::uint64_t requests, int grant) = 0;
-  /// Called once per step_wide() on a wide (vector-request) arbiter with
-  /// the words-encoded request vector (bit i of word i/64 = port i; bits
-  /// past the arbiter's width may carry garbage and must be ignored).  The
-  /// default narrows to the first word, exact for widths <= 64.
-  virtual void on_step_wide(const std::vector<std::uint64_t>& requests,
-                            int grant) {
-    on_step(requests.empty() ? 0 : requests[0], grant);
-  }
+  /// Called once per step with the sampled request words (bit p of word
+  /// p / 64 = port p) and the resulting grant (-1 = none).  Up to 64 ports
+  /// the one word is masked to the arbiter's width; past 64, bits past the
+  /// width in the last word may carry garbage and must be ignored.
+  virtual void on_step(std::span<const std::uint64_t> requests,
+                       int grant) = 0;
 };
 
 /// Cycle-level behavioral arbiter.  Its state register — the thing a fault
@@ -68,21 +67,32 @@ class Arbiter {
  public:
   virtual ~Arbiter() = default;
 
-  /// One clock cycle: presents the request vector (bit i = task i) and
-  /// returns the granted task index, or -1 when no grant is issued.  At
-  /// most one task is ever granted (mutual exclusion).  With no observer
+  /// One clock cycle: presents the request words (bit p of word p / 64 =
+  /// port p, at least (size() + 63) / 64 words) and returns the granted
+  /// port, or -1 when no grant is issued.  At most one port is ever
+  /// granted in a legal state (mutual exclusion).  With no observer
   /// attached the hook costs one pointer test.
-  int step(std::uint64_t requests) {
+  int step(std::span<const std::uint64_t> requests) {
+    RCARB_CHECK(requests.size() >= grant_.size(),
+                "request vector narrower than the arbiter");
     if (frozen_) hold_frozen();
-    return step_word(requests);
+    // Up to 64 ports the one word is masked to the width; wider arbiters
+    // ignore their tail bits themselves.
+    std::uint64_t word = 0;
+    if (n_ <= 64) {
+      word = requests[0] & (n_ == 64 ? ~0ull : (1ull << n_) - 1);
+      requests = {&word, 1};
+    }
+    const int granted = do_step(requests);
+    if (observer_ != nullptr) observer_->on_step(requests, granted);
+    return granted;
   }
 
-  /// One clock cycle over a words-encoded request vector (bit i of word
-  /// i/64 = port i).  Word-width arbiters forward to step() (and
-  /// CHECK-fail past 64 ports); the wide ones accept up to kMaxWideInputs.
-  int step_wide(const std::vector<std::uint64_t>& requests) {
-    if (frozen_) hold_frozen();
-    return do_step_wide(requests);
+  /// step() over one request word (bit i = port i), for arbiters of at
+  /// most 64 ports.
+  int step(std::uint64_t requests) {
+    RCARB_CHECK(n_ <= 64, "a one-word request covers at most 64 ports");
+    return step(std::span<const std::uint64_t>(&requests, 1));
   }
 
   /// Attaches (or detaches, with nullptr) a borrowed observer.
@@ -119,8 +129,8 @@ class Arbiter {
   virtual void freeze();
   virtual void thaw() { frozen_ = false; }
   [[nodiscard]] virtual bool frozen() const { return frozen_; }
-  /// Re-presents a frozen register's pinned value: both step entries do so
-  /// first, and so does a wrapper sampling its copies before stepping them.
+  /// Re-presents a frozen register's pinned value: step() does so first,
+  /// and so does a wrapper sampling its copies before stepping them.
   void hold_frozen() {
     if (frozen_) load_state(frozen_state_);
   }
@@ -146,20 +156,14 @@ class Arbiter {
  protected:
   explicit Arbiter(int n);
   /// Wide-arbiter constructor tag: lifts the 64-input cap to
-  /// kMaxWideInputs.  Word-request step() only addresses the first 64
-  /// ports of a wide arbiter; step_wide() reaches the rest.
+  /// kMaxWideInputs.
   struct WideTag {};
   Arbiter(WideTag, int n);
-  /// Policy-specific transition; `requests` is already width-masked.
-  virtual int do_step(std::uint64_t requests) = 0;
-  /// The step_wide transition; the default serves word-width arbiters.
-  virtual int do_step_wide(const std::vector<std::uint64_t>& requests);
+  /// Policy-specific transition over (n + 63) / 64 request words; at most
+  /// 64 ports the one word is already width-masked.
+  virtual int do_step(std::span<const std::uint64_t> requests) = 0;
   /// XORs one state bit; `bit` is already range-checked.
   virtual void flip_bit(int bit);
-  /// For do_step_wide overrides: fires the observer's wide hook.
-  void notify_wide(const std::vector<std::uint64_t>& requests, int granted) {
-    if (observer_ != nullptr) observer_->on_step_wide(requests, granted);
-  }
   /// Sets the grant words to exactly `g` (none when g < 0); returns g.
   int grant_only(int g);
 
@@ -172,20 +176,40 @@ class Arbiter {
   std::uint64_t recoveries_ = 0;
 
  private:
-  /// step() after the latch-up hold.
-  int step_word(std::uint64_t requests) {
-    // Wide arbiters (n > 64) accept every bit of the word; the rest are
-    // masked to their width (the >= keeps the shift in range for both).
-    requests &= (n_ >= 64) ? ~0ull : ((1ull << n_) - 1);
-    const int granted = do_step(requests);
-    if (observer_ != nullptr) observer_->on_step(requests, granted);
-    return granted;
-  }
-
   ArbiterObserver* observer_ = nullptr;
   bool frozen_ = false;
   std::vector<std::uint64_t> frozen_state_;
 };
+
+// ---- Packed port words: bit p % 64 of word p / 64 is port (or bit) p.
+
+[[nodiscard]] inline bool test_bit(std::span<const std::uint64_t> words,
+                                   std::integral auto p) {
+  const auto i = static_cast<std::size_t>(p);
+  return ((words[i >> 6] >> (i & 63)) & 1) != 0;
+}
+inline void set_bit(std::span<std::uint64_t> words, std::integral auto p) {
+  const auto i = static_cast<std::size_t>(p);
+  words[i >> 6] |= 1ull << (i & 63);
+}
+inline void clear_bit(std::span<std::uint64_t> words, std::integral auto p) {
+  const auto i = static_cast<std::size_t>(p);
+  words[i >> 6] &= ~(1ull << (i & 63));
+}
+/// Zeroes `words`, storing only to the nonzero ones: at word widths a
+/// load and a branch rather than a memset call.
+inline void clear_words(std::span<std::uint64_t> words) {
+  for (std::uint64_t& w : words)
+    if (w != 0) w = 0;
+}
+/// Calls f(p) for every set bit p of `words`, in ascending order.  Each
+/// word is read before its bits are visited, so f may clear them.
+template <class F>
+void for_each_bit(std::span<const std::uint64_t> words, F&& f) {
+  for (std::size_t w = 0; w < words.size(); ++w)
+    for (std::uint64_t b = words[w]; b != 0; b &= b - 1)
+      f(w * 64 + static_cast<std::size_t>(std::countr_zero(b)));
+}
 
 /// Copies state bits [0, nbits) of `src` into `dst` starting at bit
 /// `offset` (both packed as Arbiter::read_state); `dst` must be sized.
@@ -231,22 +255,17 @@ class RoundRobinArbiter final : public Arbiter {
   [[nodiscard]] bool state_legal() const override;
 
  protected:
-  int do_step(std::uint64_t requests) override;
-  /// Up to 64 ports this is the base (word observer hook); past 64 it
-  /// steps the full vector and fires on_step_wide.
-  int do_step_wide(const std::vector<std::uint64_t>& requests) override;
+  /// The Fig. 5 transition.
+  int do_step(std::span<const std::uint64_t> requests) override;
   void flip_bit(int bit) override;
 
  private:
-  /// The Fig. 5 transition over (n + 63) / 64 request words.
-  int step_words(const std::uint64_t* requests);
   /// The transition of an unhardened multi-hot register.
   int step_multi_hot(const std::uint64_t* requests);
 
   RoundRobinOptions options_;
   std::vector<std::uint64_t> f_bits_;  // one-hot among F0..F(n-1); reset F0
   std::vector<std::uint64_t> c_bits_;  // one-hot among C0..C(n-1)
-  std::vector<std::uint64_t> req_scratch_;  // step() past 64 ports
   int held_cycles_ = 0;
 };
 
@@ -258,7 +277,7 @@ class FifoArbiter final : public Arbiter {
   [[nodiscard]] std::string describe() const override;
 
  protected:
-  int do_step(std::uint64_t requests) override;
+  int do_step(std::span<const std::uint64_t> requests) override;
 
  private:
   std::deque<int> queue_;
@@ -274,7 +293,7 @@ class PriorityArbiter final : public Arbiter {
   [[nodiscard]] std::string describe() const override;
 
  protected:
-  int do_step(std::uint64_t requests) override;
+  int do_step(std::span<const std::uint64_t> requests) override;
 
  private:
   int holder_ = -1;
@@ -288,7 +307,7 @@ class RandomArbiter final : public Arbiter {
   [[nodiscard]] std::string describe() const override;
 
  protected:
-  int do_step(std::uint64_t requests) override;
+  int do_step(std::span<const std::uint64_t> requests) override;
 
  private:
   std::uint64_t seed_;

@@ -114,7 +114,8 @@ synth::Fsm build_lfsr_random_fsm(int n) {
 
 LfsrRandomArbiter::LfsrRandomArbiter(int n) : Arbiter(n) {}
 
-int LfsrRandomArbiter::do_step(std::uint64_t requests) {
+int LfsrRandomArbiter::do_step(std::span<const std::uint64_t> words) {
+  const std::uint64_t requests = words[0];  // at most 64 ports
   const int next_l = lfsr3_next(lfsr_);
   const int offset = lfsr_ % n_;
   int granted = -1;
@@ -131,10 +132,11 @@ int LfsrRandomArbiter::do_step(std::uint64_t requests) {
   }
   holder_ = granted;
   lfsr_ = next_l;
-  return granted;
+  return grant_only(granted);
 }
 
 void LfsrRandomArbiter::reset() {
+  grant_only(-1);
   holder_ = -1;
   lfsr_ = 1;
 }

@@ -45,7 +45,7 @@ class LfsrRandomArbiter final : public Arbiter {
   [[nodiscard]] std::string describe() const override;
 
  protected:
-  int do_step(std::uint64_t requests) override;
+  int do_step(std::span<const std::uint64_t> requests) override;
 
  private:
   int holder_ = -1;  // -1: idle

@@ -40,10 +40,9 @@ SelfCheckingArbiter::SelfCheckingArbiter(int n, CheckMode mode,
   copy_bits_ = copies_[0]->num_state_bits();
   copies_[0]->read_state(reset_state_);
   state_.resize(copies_.size());
-  req_scratch_.assign(grant_.size(), 0);
 }
 
-int SelfCheckingArbiter::clock(const std::vector<std::uint64_t>& requests) {
+int SelfCheckingArbiter::do_step(std::span<const std::uint64_t> requests) {
   // A latched-up copy re-presents its frozen register before the
   // comparator samples.
   for (auto& copy : copies_) copy->hold_frozen();
@@ -63,8 +62,8 @@ int SelfCheckingArbiter::clock(const std::vector<std::uint64_t>& requests) {
       for (auto& copy : copies_) copy->load_state(reset_state_);
       return grant_only(-1);
     }
-    const int g = copies_[0]->step_wide(requests);
-    copies_[1]->step_wide(requests);
+    const int g = copies_[0]->step(requests);
+    copies_[1]->step(requests);
     grant_ = copies_[0]->last_grant_words();
     grant_count_ = copies_[0]->last_grant_count();
     return g;
@@ -74,7 +73,7 @@ int SelfCheckingArbiter::clock(const std::vector<std::uint64_t>& requests) {
   // every copy with the voted register — the minority is outvoted in 1
   // clock and the voted grants never gap.
   for (std::size_t c = 0; c < copies_.size(); ++c) {
-    copies_[c]->step_wide(requests);
+    copies_[c]->step(requests);
     copies_[c]->read_state(state_[c]);
   }
   auto maj = [](std::uint64_t a, std::uint64_t b, std::uint64_t c) {
@@ -100,21 +99,6 @@ int SelfCheckingArbiter::clock(const std::vector<std::uint64_t>& requests) {
     rewrote = true;
   }
   if (rewrote) ++resyncs_;
-  return g;
-}
-
-int SelfCheckingArbiter::do_step(std::uint64_t requests) {
-  req_scratch_[0] = requests;  // the word entry addresses ports 0..63
-  return clock(req_scratch_);
-}
-
-int SelfCheckingArbiter::do_step_wide(
-    const std::vector<std::uint64_t>& requests) {
-  if (n_ <= 64) return Arbiter::do_step_wide(requests);
-  RCARB_CHECK(requests.size() >= grant_.size(),
-              "request vector narrower than the arbiter");
-  const int g = clock(requests);
-  notify_wide(requests, g);
   return g;
 }
 

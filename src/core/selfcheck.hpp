@@ -82,12 +82,11 @@ class SelfCheckingArbiter final : public Arbiter {
   [[nodiscard]] bool frozen() const override;
 
  protected:
-  int do_step(std::uint64_t requests) override;
-  int do_step_wide(const std::vector<std::uint64_t>& requests) override;
+  /// One clock: compare the copies, then gate (DMR) or vote (TMR).
+  int do_step(std::span<const std::uint64_t> requests) override;
   void flip_bit(int bit) override;
 
  private:
-  int clock(const std::vector<std::uint64_t>& requests);
 
   CheckMode mode_;
   std::vector<std::unique_ptr<Arbiter>> copies_;
@@ -95,7 +94,6 @@ class SelfCheckingArbiter final : public Arbiter {
   std::vector<std::uint64_t> reset_state_;  // one copy's reset register
   std::vector<std::vector<std::uint64_t>> state_;  // per-copy scratch
   std::vector<std::uint64_t> voted_;
-  std::vector<std::uint64_t> req_scratch_;  // step() requests as words
 };
 
 /// Combinational AIG of the self-checking arbiter: `copies` instantiations

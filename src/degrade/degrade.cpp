@@ -249,10 +249,11 @@ std::uint64_t arbiter_reconfig_cycles(const DegradeOptions& options, int n,
                                       core::CheckMode mode,
                                       synth::Encoding encoding) {
   if (n < 2) return reconfig_cycles(options, 0);
-  // The FSM generator tops out at 20 request lines, and the replicated
-  // self-checking register bank must fit one 64-bit word (2 x 2n for DMR,
-  // 3 x 2n for TMR); larger contention sets are priced at the widest
-  // characterized arbiter of the mode.
+  // Priced off a characterized grid of flat encoded netlists: the FSM
+  // generator tops out at 20 request lines, and the replicated grid stops
+  // at 16 (DMR) and 10 (TMR) ports.  Larger contention sets are priced at
+  // the widest characterized arbiter of the mode.  The caps bound the
+  // characterization cost only; no register width limits them.
   const int cap = mode == core::CheckMode::kNone        ? 20
                   : mode == core::CheckMode::kDuplicate ? 16
                                                         : 10;

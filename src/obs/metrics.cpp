@@ -172,24 +172,14 @@ ArbiterProbe::ArbiterProbe(ArbiterMetrics* metrics) : m_(metrics) {
   turns_from_.assign(n, 0);
 }
 
-void ArbiterProbe::on_step(std::uint64_t requests, int grant) {
-  step(&requests, 1, grant);
-}
-
-void ArbiterProbe::on_step_wide(const std::vector<std::uint64_t>& requests,
-                                int grant) {
-  step(requests.data(), requests.size(), grant);
-}
-
-void ArbiterProbe::step(const std::uint64_t* words, std::size_t n,
-                        int grant) {
+void ArbiterProbe::on_step(std::span<const std::uint64_t> words, int grant) {
   const auto ports = static_cast<std::size_t>(m_->ports);
   // Req edges, masked to the width (bits past `ports` in the last word are
   // the producer's to leave dirty; missing words read as 0).  A rising
   // line stamps the hand-off count; a falling line banks the hand-offs its
   // run saw as turns.
   for (std::size_t w = 0; w < req_.size(); ++w) {
-    std::uint64_t cur = w < n ? words[w] : 0;
+    std::uint64_t cur = w < words.size() ? words[w] : 0;
     if (w + 1 == req_.size() && (ports & 63) != 0)
       cur &= (1ull << (ports & 63)) - 1;
     const std::uint64_t d = cur ^ req_[w];
@@ -198,15 +188,13 @@ void ArbiterProbe::step(const std::uint64_t* words, std::size_t n,
     req_count_ += static_cast<std::uint64_t>(std::popcount(cur));
     req_count_ -= static_cast<std::uint64_t>(std::popcount(req_[w]));
     req_[w] = cur;
-    for (std::uint64_t b = d; b != 0; b &= b - 1) {
-      const int bit = std::countr_zero(b);
-      const std::size_t i = w * 64 + static_cast<std::size_t>(bit);
-      if (((cur >> bit) & 1) != 0)
-        turns_from_[i] = handoffs_;
-      else
-        turns_[i] += handoffs_ - turns_from_[i];
-    }
   }
+  core::for_each_bit(diff_, [&](std::size_t i) {
+    if (core::test_bit(req_, i))
+      turns_from_[i] = handoffs_;
+    else
+      turns_[i] += handoffs_ - turns_from_[i];
+  });
 
   // Hold tracking: close the previous interval on any hand-off.
   const int old = holder_;
@@ -217,8 +205,8 @@ void ArbiterProbe::step(const std::uint64_t* words, std::size_t n,
     }
     if (grant >= 0) {
       const auto g = static_cast<std::size_t>(grant);
-      const bool now = req(g);
-      const bool was = now != (((diff_[g >> 6] >> (g & 63)) & 1) != 0);
+      const bool now = core::test_bit(req_, g);
+      const bool was = now != core::test_bit(diff_, g);
       PortMetrics& pm = m_->port[g];
       pm.grants += 1;
       const std::uint64_t wait = was ? steps_ - wait_from_[g] : 0;
@@ -240,21 +228,17 @@ void ArbiterProbe::step(const std::uint64_t* words, std::size_t n,
 
   // Waits: a port waits while its Req is high and another port holds the
   // grant.  Only changed lines and the two holders can start or end one.
-  for (std::size_t w = 0; w < diff_.size(); ++w) {
-    for (std::uint64_t b = diff_[w]; b != 0; b &= b - 1) {
-      const std::size_t i =
-          w * 64 + static_cast<std::size_t>(std::countr_zero(b));
-      const bool now = req(i);
-      wait_edge(i, !now && static_cast<int>(i) != old,
-                now && static_cast<int>(i) != holder_);
-    }
-  }
+  core::for_each_bit(diff_, [&](std::size_t i) {
+    const bool now = core::test_bit(req_, i);
+    wait_edge(i, !now && static_cast<int>(i) != old,
+              now && static_cast<int>(i) != holder_);
+  });
   if (old != holder_) {
     for (const int h : {old, holder_}) {
       if (h < 0) continue;
       const auto i = static_cast<std::size_t>(h);
-      if (((diff_[i >> 6] >> (i & 63)) & 1) != 0) continue;  // done above
-      const bool r = req(i);
+      if (core::test_bit(diff_, i)) continue;  // done above
+      const bool r = core::test_bit(req_, i);
       wait_edge(i, r && h != old, r && h != holder_);
     }
   }

@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -130,13 +131,10 @@ struct ArbiterMetrics {
 /// between settle() calls `wait_cycles` lags the open waits.
 class ArbiterProbe final : public core::ArbiterObserver {
  public:
-  /// `metrics` must have `ports` set; `port` is resized here.  Widths past
-  /// 64 are fed through the wide hook (core::Arbiter::step_wide).
+  /// `metrics` must have `ports` set; `port` is resized here.
   explicit ArbiterProbe(ArbiterMetrics* metrics);
 
-  void on_step(std::uint64_t requests, int grant) override;
-  void on_step_wide(const std::vector<std::uint64_t>& requests,
-                    int grant) override;
+  void on_step(std::span<const std::uint64_t> requests, int grant) override;
 
   /// Adds the cycles of the still-open waits to `wait_cycles`, so every
   /// metric is current.  Call before reading or resetting the metrics
@@ -147,12 +145,8 @@ class ArbiterProbe final : public core::ArbiterObserver {
   void finish();
 
  private:
-  void step(const std::uint64_t* words, std::size_t n, int grant);
   /// Port i's wait state went from `was` to `now` at step steps_.
   void wait_edge(std::size_t i, bool was, bool now);
-  [[nodiscard]] bool req(std::size_t i) const {
-    return ((req_[i >> 6] >> (i & 63)) & 1) != 0;
-  }
 
   ArbiterMetrics* m_;
   int holder_ = -1;

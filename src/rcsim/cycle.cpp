@@ -96,8 +96,7 @@ void RunState::inject_faults() {
 }
 
 // ---- Phase 1: the arbiters sample the request lines. ----
-void RunState::check_registers(std::size_t a, std::uint64_t mask,
-                               bool illegal) {
+void RunState::check_registers(std::size_t a, bool illegal) {
   ArbiterLane& lane = lanes[a];
   const core::Arbiter& arb = *lane.arbiter;
   const core::ArbiterInstance& inst = plan().arbiters[a];
@@ -129,13 +128,13 @@ void RunState::check_registers(std::size_t a, std::uint64_t mask,
              " recovered to the all-free reset state";
     });
   }
-  if (std::popcount(mask) > 1) {
+  if (arb.last_grant_count() > 1) {
     ++result.multi_grant_cycles;
     if (result.multi_grant_cycles == 1 || result.diagnostics.empty() ||
         result.diagnostics.back().kind != DiagKind::kMultipleGrants)
       diagnose(DiagKind::kMultipleGrants, -1, inst.resource, [&] {
         return "arbiter " + inst.resource_name + " asserted " +
-               std::to_string(std::popcount(mask)) +
+               std::to_string(arb.last_grant_count()) +
                " grants at once (mutual exclusion violated)";
       });
   }
@@ -180,10 +179,19 @@ void RunState::arbitrate() {
   for (std::size_t a = 0; a < lanes.size(); ++a) {
     ArbiterLane& lane = lanes[a];
     const core::ArbiterInstance& inst = plan().arbiters[a];
-    std::uint64_t grant_suppress = 0;
     // The request lines asserted in prior cycles, as seen through any active
-    // stuck-at faults.
-    std::uint64_t eff = lane.requests;
+    // stuck-at faults.  The watchdog's force-release masks a request
+    // *inside* the arbiter, downstream of any stuck-at fault on the
+    // physical Req line, so a stuck-1 line stays masked while it is
+    // force-released (else a phantom stuck-1 holder could never be
+    // evicted).  Grant stuck-at faults collect in grant_mask_vis until the
+    // grant is known.
+    std::vector<std::uint64_t>& eff = lane.eff;
+    std::vector<std::uint64_t>& grant_suppress = lane.grant_mask_vis;
+    for (std::size_t w = 0; w < eff.size(); ++w) {
+      eff[w] = lane.requests[w] & ~lane.force_release[w];
+      if (grant_suppress[w] != 0) grant_suppress[w] = 0;
+    }
     for (const fault::FaultEvent& w : faults.stucks) {
       if (static_cast<std::size_t>(w.arbiter) != a || cycle < w.cycle ||
           cycle >= w.cycle + w.duration)
@@ -193,12 +201,16 @@ void RunState::arbitrate() {
               static_cast<int>(inst.ports[static_cast<std::size_t>(w.port)]),
               static_cast<int>(a), inst.resource,
               static_cast<std::int64_t>(w.kind));
-      const std::uint64_t bit = 1ull << w.port;
       switch (w.kind) {
-        case fault::FaultKind::kReqStuck0: eff &= ~bit; break;
-        case fault::FaultKind::kReqStuck1: eff |= bit; break;
+        case fault::FaultKind::kReqStuck0: core::clear_bit(eff, w.port); break;
+        case fault::FaultKind::kReqStuck1:
+          if (!core::test_bit(lane.force_release, w.port))
+            core::set_bit(eff, w.port);
+          break;
         case fault::FaultKind::kGrantStuck0:
-        case fault::FaultKind::kGrantDrop: grant_suppress |= bit; break;
+        case fault::FaultKind::kGrantDrop:
+          core::set_bit(grant_suppress, w.port);
+          break;
         default: break;
       }
     }
@@ -210,23 +222,25 @@ void RunState::arbitrate() {
     // boundary); a reconfiguring or capacity-exhausted resource is offline
     // entirely.
     switch (quarantine(inst.resource)) {
-      case degrade::QuarantineState::kDraining:
-        eff &= lane.grant_holder >= 0 ? (1ull << lane.grant_holder) : 0ull;
+      case degrade::QuarantineState::kDraining: {
+        const int h = lane.grant_holder;
+        const bool held = h >= 0 && core::test_bit(eff, h);
+        std::fill(eff.begin(), eff.end(), 0);
+        if (held) core::set_bit(eff, h);
         break;
+      }
       case degrade::QuarantineState::kReconfiguring:
       case degrade::QuarantineState::kCapacityExhausted:
-        eff = 0;
+        std::fill(eff.begin(), eff.end(), 0);
         break;
       default:
         break;
     }
-    // The watchdog's force-release masks the request *inside* the arbiter,
-    // downstream of any stuck-at fault on the physical Req line — applied
-    // before the stuck-1 OR, a phantom stuck-1 holder could never be
-    // evicted.
-    eff &= ~lane.force_release;
-    lane.force_release = 0;
-    if (opt.record_request_trace) result.request_trace[a].push_back(eff);
+    core::clear_words(lane.force_release);
+    if (opt.record_request_trace) {
+      std::vector<std::uint64_t>& trace = result.request_trace[a];
+      trace.insert(trace.end(), eff.begin(), eff.end());
+    }
     // Unhardened illegal registers are reported when they appear.
     const bool illegal = !lane.arbiter->state_legal();
     if (illegal && !lane.was_illegal) {
@@ -242,9 +256,10 @@ void RunState::arbitrate() {
     // omniscience), but the availability metric still records the outage.
     if (illegal) degraded_cycle = true;
     const int g = lane.arbiter->step(eff);
-    const std::uint64_t mask = lane.arbiter->last_grant_words()[0];
-    check_registers(a, mask, illegal);
-    lane.grant_mask_vis = mask & ~grant_suppress;
+    check_registers(a, illegal);
+    const std::vector<std::uint64_t>& grant = lane.arbiter->last_grant_words();
+    for (std::size_t w = 0; w < grant.size(); ++w)
+      lane.grant_mask_vis[w] = grant[w] & ~grant_suppress[w];
     hand_off(a, g);
   }
 }
@@ -411,8 +426,10 @@ bool RunState::admission_full(const TaskCtx& c, int resource) {
   if (opt.admission_limit <= 0 || c.budget_spent) return false;
   const auto [ai, port] = arbiter_port(c.id, resource);
   if (ai < 0 || port < 0) return false;
-  const std::uint64_t others = lane(ai).requests & ~(1ull << port);
-  return std::popcount(others) >= opt.admission_limit;
+  const std::vector<std::uint64_t>& req = lane(ai).requests;
+  int others = core::test_bit(req, port) ? -1 : 0;
+  for (const std::uint64_t w : req) others += std::popcount(w);
+  return others >= opt.admission_limit;
 }
 
 void RunState::admission_reject(TaskCtx& c, int resource) {
@@ -469,7 +486,7 @@ bool RunState::await_grant(TaskCtx& c, int resource) {
     ++result.protocol_violations;
     return false;
   }
-  if (ai < 0 || port < 0 || ((lane(ai).grant_mask_vis >> port) & 1u) != 0) {
+  if (ai < 0 || port < 0 || core::test_bit(lane(ai).grant_mask_vis, port)) {
     c.retry_backoff = 1;
     c.retry_rounds = 0;
     c.budget_spent = false;
@@ -731,19 +748,23 @@ void RunState::rebuild_requests() {
   // wire is down, but they are still starved behind the holder.  (Senders
   // that dropped their request under receiver backpressure are *not*
   // pending — they could not proceed even with the grant.)
-  for (ArbiterLane& lane : lanes) lane.requests = lane.pending = 0;
+  // `requests` is a subset of `pending`, so a zero pending word clears
+  // both; the branch keeps word-width lanes off a memset call.
+  for (ArbiterLane& lane : lanes)
+    for (std::size_t w = 0; w < lane.pending.size(); ++w)
+      if (lane.pending[w] != 0) lane.pending[w] = lane.requests[w] = 0;
   for (TaskId t : tasks) {
     const TaskCtx& c = ctx[t];
     if (c.finished) continue;
     if (c.requesting >= 0) {
       const auto [ai, port] = arbiter_port(t, c.requesting);
       if (ai >= 0 && port >= 0) {
-        lane(ai).requests |= 1ull << port;
-        lane(ai).pending |= 1ull << port;
+        core::set_bit(lane(ai).requests, port);
+        core::set_bit(lane(ai).pending, port);
       }
     } else if (c.retry_resource >= 0) {
       const auto [ai, port] = arbiter_port(t, c.retry_resource);
-      if (ai >= 0 && port >= 0) lane(ai).pending |= 1ull << port;
+      if (ai >= 0 && port >= 0) core::set_bit(lane(ai).pending, port);
     }
   }
 }
@@ -765,7 +786,12 @@ void RunState::run_watchdog() {
     // supervisor's own drain_timeout bounds it).
     const bool quarantined = st == degrade::QuarantineState::kDraining ||
                              st == degrade::QuarantineState::kReconfiguring;
-    const bool others_waiting = (lane.pending & ~(1ull << h)) != 0;
+    bool others_waiting = false;
+    for (std::size_t w = 0; w < lane.pending.size() && !others_waiting; ++w) {
+      std::uint64_t peers = lane.pending[w];
+      if (w == static_cast<std::size_t>(h) >> 6) peers &= ~(1ull << (h & 63));
+      others_waiting = peers != 0;
+    }
     if (quarantined || lane.holder_accessed || !others_waiting) {
       lane.restart_hold();
       continue;
@@ -788,7 +814,7 @@ void RunState::run_watchdog() {
     if (opt.harden) {
       // Force-release: suppress the hung holder's request for one sample
       // so the round-robin scan moves past it.
-      lane.force_release = 1ull << h;
+      core::set_bit(lane.force_release, h);
       ++result.watchdog_releases;
       if (!result.arbiter_obs.empty())
         ++result.arbiter_obs[a].watchdog_releases;

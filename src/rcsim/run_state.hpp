@@ -115,20 +115,23 @@ struct TaskCtx {
 
 /// One behavioral arbiter and its per-run bookkeeping.  Lanes are built
 /// from the plan when the run starts and appended when the supervisor
-/// regenerates an arbiter; the index is the plan's arbiter index.
+/// regenerates an arbiter; the index is the plan's arbiter index.  The
+/// per-port lines are port words (bit p of word p / 64 = port p), sized
+/// once by add_lane.
 struct ArbiterLane : core::SystemArbiter {
   std::unique_ptr<obs::ArbiterProbe> probe;  // SimOptions::arbiter_metrics
   // Request lines per port, rebuilt each cycle from task state (phase 4).
-  std::uint64_t requests = 0;
+  std::vector<std::uint64_t> requests;
   // Ports starved behind the holder, whether their Req is up (requests) or
   // temporarily dropped for a bounded retry backoff.  The watchdog counts
   // these; the wire-level `requests` alone would let every backoff zero
   // the hold streak and hide a hung holder.
-  std::uint64_t pending = 0;
+  std::vector<std::uint64_t> pending;
+  std::vector<std::uint64_t> grant_mask_vis;  // grants past grant stuck-at
+  std::vector<std::uint64_t> force_release;   // masked at the next sample
+  std::vector<std::uint64_t> eff;  // the request words sampled in phase 1
   int grant_holder = -1;             // port index
-  std::uint64_t grant_mask_vis = 0;  // grants past grant stuck-at faults
   std::uint64_t hold_since = 0;      // cycle the holder was granted
-  std::uint64_t force_release = 0;   // requests masked at the next sample
   std::uint64_t prev_recoveries = 0; // hardened-recovery counter seen
   std::uint64_t prev_resyncs = 0;    // self-check resync counter seen
   int hold_streak = 0;               // idle-hold cycles (watchdog)
@@ -173,7 +176,7 @@ struct RunState {
   void account_serving();
   // Phase 1, per arbiter.
   /// `illegal`: the register failed state_legal() before the step.
-  void check_registers(std::size_t a, std::uint64_t mask, bool illegal);
+  void check_registers(std::size_t a, bool illegal);
   void hand_off(std::size_t a, int g);
   // Phase 3, per task: one handler per op family.
   void step_task(TaskCtx& c);

@@ -54,7 +54,8 @@ void RunState::supervise() {
       case QuarantineState::kCapacityExhausted:
         for (const int a :
              plan().arbiters_of_resource[static_cast<std::size_t>(r)])
-          if (lane(a).pending != 0) degraded_cycle = true;
+          for (const std::uint64_t w : lane(a).pending)
+            if (w != 0) degraded_cycle = true;
         break;
       case QuarantineState::kHealthy:
       case QuarantineState::kRemapped:
@@ -77,7 +78,7 @@ void RunState::drain(int r) {
         Transition::kDrainOverdue)
       for (const int a : arbs)
         if (lane(a).grant_holder >= 0)
-          lane(a).force_release |= 1ull << lane(a).grant_holder;
+          core::set_bit(lane(a).force_release, lane(a).grant_holder);
     return;
   }
   // Drained.  Freeze the remap plan now so the feasibility verdict (and
@@ -212,7 +213,8 @@ void RunState::apply_move(int r) {
   core::ArbitrationPlan& p = mutable_plan();
   const auto retire_lanes = [&](int res) {
     for (const int a : p.arbiters_of_resource[static_cast<std::size_t>(res)]) {
-      lane(a).requests = lane(a).pending = 0;
+      std::fill(lane(a).requests.begin(), lane(a).requests.end(), 0);
+      std::fill(lane(a).pending.begin(), lane(a).pending.end(), 0);
       lane(a).restart_hold();
     }
   };

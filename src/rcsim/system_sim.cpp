@@ -188,6 +188,11 @@ void RunState::add_lane(const core::ArbiterInstance& inst) {
   spec.seed = opt.seed;
   ArbiterLane& lane = lanes.emplace_back();
   static_cast<core::SystemArbiter&>(lane) = core::make_system_arbiter(n, spec);
+  const auto words = static_cast<std::size_t>((n + 63) / 64);
+  for (std::vector<std::uint64_t>* line :
+       {&lane.requests, &lane.pending, &lane.grant_mask_vis,
+        &lane.force_release, &lane.eff})
+    line->assign(words, 0);
   result.arbiters.push_back({inst.resource_name, n, lane.kind});
   if (opt.arbiter_metrics) {
     obs::ArbiterMetrics& m = result.arbiter_obs.emplace_back();

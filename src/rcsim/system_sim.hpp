@@ -101,13 +101,13 @@ struct SimOptions {
   /// sweeps do not pay string formatting per event.  Strict runs always
   /// build details — the thrown message needs them.
   bool diag_detail = true;
-  /// Record each arbiter's per-cycle *effective* request word (after
+  /// Record each arbiter's per-cycle *effective* request words (after
   /// stuck-at masking and watchdog force-release — exactly what the
   /// behavioral arbiter steps on) into SimResult::request_trace.  The
   /// recorded stream can be replayed against the synthesized netlist of
   /// the same arbiter, e.g. 64 SEU replicas at a time in a 64-lane
   /// netlist::WideLaneSimulator.  Off by default: costs one store per
-  /// arbiter per cycle when on, nothing when off.
+  /// request word per arbiter per cycle when on, nothing when off.
   bool record_request_trace = false;
 
   // ---- Overload control (open-loop service frontend, src/service). ----
@@ -198,9 +198,10 @@ struct SimResult {
   /// SimOptions::arbiter_metrics is off).  Indexed like `arbiters`.
   std::vector<obs::ArbiterMetrics> arbiter_obs;
 
-  /// Per-arbiter effective request words, one entry per simulated cycle
-  /// (empty when SimOptions::record_request_trace is off).  Indexed like
-  /// `arbiters`; bit p of entry [a][c] is port p's request at cycle c.
+  /// Per-arbiter effective request words, (ports + 63) / 64 words per
+  /// simulated cycle (empty when SimOptions::record_request_trace is off).
+  /// Indexed like `arbiters`; bit p % 64 of entry [a][c * words + p / 64]
+  /// is port p's request at cycle c.
   std::vector<std::vector<std::uint64_t>> request_trace;
 
   /// Diagnostics of one kind (campaign reporting helper).

@@ -58,15 +58,6 @@ struct Slot {
   bool poisoned = false;
 };
 
-/// Calls f(port) for every set bit of `words`, in ascending port order.
-/// Each word is read before its bits are visited, so f may clear them.
-template <class F>
-void for_each_bit(const std::vector<std::uint64_t>& words, F&& f) {
-  for (std::size_t w = 0; w < words.size(); ++w)
-    for (std::uint64_t b = words[w]; b != 0; b &= b - 1)
-      f(w * 64 + static_cast<std::size_t>(std::countr_zero(b)));
-}
-
 struct ResourceState {
   ResourceState(int ports, core::ArbiterKind kind, int arity,
                 core::CheckMode self_check, obs::ArbiterMetrics* metrics)
@@ -82,10 +73,10 @@ struct ResourceState {
     arb.arbiter->set_observer(&probe);
   }
   [[nodiscard]] bool is_waiting(std::size_t p) const {
-    return ((waiting[p >> 6] >> (p & 63)) & 1) != 0;
+    return core::test_bit(waiting, p);
   }
   [[nodiscard]] bool is_serving(std::size_t p) const {
-    return ((serving[p >> 6] >> (p & 63)) & 1) != 0;
+    return core::test_bit(serving, p);
   }
   [[nodiscard]] bool any_busy() const {
     return std::any_of(req_words.begin(), req_words.end(),
@@ -98,17 +89,17 @@ struct ResourceState {
     return ~req_words[w] & (tail >= 64 ? ~0ull : (1ull << tail) - 1);
   }
   void set_waiting(std::size_t p) {
-    waiting[p >> 6] |= 1ull << (p & 63);
-    req_words[p >> 6] |= 1ull << (p & 63);
+    core::set_bit(waiting, p);
+    core::set_bit(req_words, p);
   }
   void set_serving(std::size_t p) {
-    waiting[p >> 6] &= ~(1ull << (p & 63));
-    serving[p >> 6] |= 1ull << (p & 63);
+    core::clear_bit(waiting, p);
+    core::set_bit(serving, p);
   }
   void set_idle(std::size_t p) {
-    waiting[p >> 6] &= ~(1ull << (p & 63));
-    serving[p >> 6] &= ~(1ull << (p & 63));
-    req_words[p >> 6] &= ~(1ull << (p & 63));
+    core::clear_bit(waiting, p);
+    core::clear_bit(serving, p);
+    core::clear_bit(req_words, p);
   }
 
   core::SystemArbiter arb;
@@ -394,9 +385,7 @@ class Engine {
     if (st.latched && opt_.self_check == core::CheckMode::kNone) return;
     core::Arbiter& arb = *st.arb.arbiter;
     // Fig. 8 request lines: waiting and serving slots keep Req asserted.
-    // Words-encoded so widths past 64 work; at <= 64 ports the word-width
-    // arbiters forward to the word-based step() unchanged.
-    const int g = arb.step_wide(st.req_words);
+    const int g = arb.step(st.req_words);
     // Harvest the error net and resync counter (both stay at zero without
     // self-checking).
     if (arb.resyncs() != st.resyncs_seen) {
@@ -414,7 +403,7 @@ class Engine {
       // completion and worth nothing — the silent-corruption failure mode
       // self-checking exists to prevent.
       ++stats_.multi_grants;
-      for_each_bit(st.serving,
+      core::for_each_bit(st.serving,
                    [&](std::size_t p) { st.slots[p].poisoned = true; });
     }
     if (g >= 0) {
@@ -458,7 +447,7 @@ class Engine {
     rebuild_live();
     for (const Request& req : st.queue) requeue(req, r);
     st.queue.clear();
-    for_each_bit(st.waiting, [&](std::size_t p) {
+    core::for_each_bit(st.waiting, [&](std::size_t p) {
       st.set_idle(p);
       requeue(st.slots[p].req, r);
     });
@@ -478,7 +467,7 @@ class Engine {
   /// Drain deadline force-abort: every occupied slot (waiting or mid-
   /// service on a dead arbiter) fails over.
   void flush_slots(ResourceState& st, int r) {
-    for_each_bit(st.req_words, [&](std::size_t p) {
+    core::for_each_bit(st.req_words, [&](std::size_t p) {
       st.set_idle(p);
       requeue(st.slots[p].req, r);
     });

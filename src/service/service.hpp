@@ -10,9 +10,9 @@
 // or parallel-prefix; one Req line per dispatch port, Fig. 8 semantics:
 // the grant holds while Req is up, service ends by deasserting it), so
 // queueing discipline, arbitration fairness and the 2-cycle protocol
-// overhead all appear in the measured latencies.  Wide configurations
-// (ports > 64) drive the arbiter through step_wide with vector request
-// words, up to core::kMaxWideInputs ports per resource.
+// overhead all appear in the measured latencies.  The Req lines are
+// words (bit p of word p / 64 = port p), up to core::kMaxWideInputs ports
+// per resource.
 //
 // Three overload policies decide what happens when a queue is full:
 //  - kBlock: arrivals wait in an (almost) unbounded backlog, like a
@@ -115,8 +115,7 @@ struct RetryPolicy {
 struct ServiceOptions {
   int resources = 4;       // independent arbitrated resources
   /// Dispatch ports (concurrent slots) per resource, in
-  /// [1, core::kMaxWideInputs].  Past 64 the engine drives the arbiter
-  /// through step_wide with vector request words.
+  /// [1, core::kMaxWideInputs].
   int ports = 8;
   int service_cycles = 6;  // granted busy cycles per request
   int queue_capacity = 32; // bounded FIFO depth per resource

@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "core/generator.hpp"
 #include "core/hier.hpp"
 #include "core/policy.hpp"
+#include "core/policy_fsms.hpp"
 #include "core/rr_fsm.hpp"
 #include "core/selfcheck.hpp"
 #include "core/structural.hpp"
@@ -447,9 +449,6 @@ class WideFuzz : public ::testing::TestWithParam<WideParam> {};
 TEST_P(WideFuzz, OneHotGrantsAndNoStarvationOver1e5Cycles) {
   const auto [kind, n, arity] = GetParam();
   auto holder = core::make_scalable_arbiter(kind, n, arity);
-  auto step_wide = [&](const std::vector<std::uint64_t>& req) {
-    return holder->step_wide(req);
-  };
   auto grant_words = [&]() -> const std::vector<std::uint64_t>& {
     return holder->last_grant_words();
   };
@@ -490,7 +489,7 @@ TEST_P(WideFuzz, OneHotGrantsAndNoStarvationOver1e5Cycles) {
   for (int cyc = 0; cyc < 2000; ++cyc) {
     for (std::size_t w = 0; w < words; ++w) req[w] = rng.next_u64();
     req[words - 1] &= top_mask;
-    check_grant(step_wide(req));
+    check_grant(holder->step(req));
   }
 
   // Starvation phase: continuous contention (deassert exactly one cycle
@@ -502,7 +501,7 @@ TEST_P(WideFuzz, OneHotGrantsAndNoStarvationOver1e5Cycles) {
   std::vector<int> age(static_cast<std::size_t>(n), -1);
   int last_g = -1;
   for (int cyc = 0; cyc < 100'000; ++cyc) {
-    const int g = step_wide(req);
+    const int g = holder->step(req);
     check_grant(g);
     ASSERT_GE(g, 0) << "no grant under full contention at cycle " << cyc;
     for (int i = 0; i < n; ++i)
@@ -544,9 +543,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(FlatRoundRobin, MatchesTheOneHotNetlistAcrossWordBoundaries) {
   // RoundRobinArbiter against the scalar-simulated netlist of
-  // build_flat_onehot_aig at widths around the 64-bit word edges, through
-  // the word entry (step: ports 0..63) and the vector entry (step_wide),
-  // with SEU flips leaving the register zero- or multi-hot.  Every grant
+  // build_flat_onehot_aig at widths around the 64-bit word edges, with
+  // SEU flips leaving the register zero- or multi-hot.  Every grant
   // wire must match, multi-grants included.
   for (const int n : {63, 64, 65, 127, 128, 129, 200}) {
     const int bits = 2 * n;
@@ -591,8 +589,6 @@ TEST(FlatRoundRobin, MatchesTheOneHotNetlistAcrossWordBoundaries) {
       } else if (cyc % 7 != 3) {
         for (std::uint64_t& w : req) w = rng.next_u64();
       }
-      const bool word_entry = cyc % 2 == 0;
-      if (word_entry) std::fill(req.begin() + 1, req.end(), 0);
       if (n % 64 != 0) req[words - 1] &= (1ull << (n % 64)) - 1;
 
       for (int i = 0; i < n; ++i)
@@ -600,7 +596,7 @@ TEST(FlatRoundRobin, MatchesTheOneHotNetlistAcrossWordBoundaries) {
                       ((req[static_cast<std::size_t>(i) / 64] >> (i % 64)) &
                        1) != 0);
       sim.settle();
-      const int g = word_entry ? rr.step(req[0]) : rr.step_wide(req);
+      const int g = rr.step(req);
       int lowest = -1;
       for (int i = 0; i < n; ++i) {
         const bool hw = sim.get(grant_net[static_cast<std::size_t>(i)]);
@@ -620,67 +616,74 @@ TEST(FlatRoundRobin, MatchesTheOneHotNetlistAcrossWordBoundaries) {
 // ==================================================== wide observer routing
 
 struct RecordingObserver final : core::ArbiterObserver {
-  int word_calls = 0;
-  int wide_calls = 0;
+  int calls = 0;
   std::vector<std::uint64_t> last_req;
   int last_grant = -2;
-  void on_step(std::uint64_t requests, int grant) override {
-    ++word_calls;
-    last_req = {requests};
-    last_grant = grant;
-  }
-  void on_step_wide(const std::vector<std::uint64_t>& requests,
-                    int grant) override {
-    ++wide_calls;
-    last_req = requests;
+  void on_step(std::span<const std::uint64_t> requests, int grant) override {
+    ++calls;
+    last_req.assign(requests.begin(), requests.end());
     last_grant = grant;
   }
 };
 
-TEST(WideObserver, EveryEntryPointNotifiesExactlyOnce) {
-  // Wide arbiters notify through on_step_wide from both entry points;
-  // word-width arbiters driven through the base step_wide still notify
-  // through on_step.  No path may notify twice per cycle.
-  core::PrefixArbiter wide(100);
-  RecordingObserver obs;
-  wide.set_observer(&obs);
-  std::vector<std::uint64_t> req = {0, 1ull << 8};  // port 72 only
-  EXPECT_EQ(wide.step_wide(req), 72);
-  EXPECT_EQ(obs.wide_calls, 1);
-  EXPECT_EQ(obs.word_calls, 0);
-  EXPECT_EQ(obs.last_req, req);
-  EXPECT_EQ(obs.last_grant, 72);
-  // The word entry covers ports 0..63 of a wide arbiter and notifies
-  // through the word hook (obs::ArbiterProbe forwards it to the wide one).
-  EXPECT_EQ(wide.step(1ull << 5), 5);
-  EXPECT_EQ(obs.wide_calls, 1);
-  EXPECT_EQ(obs.word_calls, 1);
-  EXPECT_EQ(obs.last_grant, 5);
-
-  RoundRobinArbiter narrow(8);
-  RecordingObserver nobs;
-  narrow.set_observer(&nobs);
-  EXPECT_EQ(narrow.step_wide({0b100}), 2);
-  EXPECT_EQ(nobs.word_calls, 1);
-  EXPECT_EQ(nobs.wide_calls, 0);
-  EXPECT_EQ(nobs.last_grant, 2);
-}
-
-TEST(WideObserver, BaseStepWideRejectsWidthsPast64) {
-  // A word-width arbiter must refuse vector requests it cannot see.
-  RoundRobinArbiter narrow(64);
-  EXPECT_EQ(narrow.step_wide({1ull << 63}), 63);
-  class WordOnly final : public core::Arbiter {
-   public:
-    explicit WordOnly(int n) : Arbiter(WideTag{}, n) {}
-    void reset() override {}
-    [[nodiscard]] std::string describe() const override { return "word"; }
-
-   protected:
-    int do_step(std::uint64_t) override { return -1; }
-  };
-  WordOnly bad(100);
-  EXPECT_THROW((void)bad.step_wide({1, 1}), CheckError);
+TEST(WideObserver, EveryKindNotifiesExactlyOncePerStep) {
+  // One step, one hook call and matching grant words, for every kind,
+  // plain and replicated (the copies stay silent), at word and wide
+  // widths, and for the word-width policies.  The one-word step() serves
+  // at most 64 ports.
+  std::vector<core::SystemArbiterSpec> specs;
+  for (const ArbiterKind kind :
+       {ArbiterKind::kFlatFsm, ArbiterKind::kHierarchical,
+        ArbiterKind::kPrefix})
+    for (const core::CheckMode mode :
+         {core::CheckMode::kNone, core::CheckMode::kDuplicate,
+          core::CheckMode::kTmr})
+      specs.push_back(
+          {.kind = kind, .arity = 4, .rr = {}, .self_check = mode});
+  for (const core::Policy policy :
+       {core::Policy::kFifo, core::Policy::kPriority, core::Policy::kRandom})
+    specs.push_back({.policy = policy,
+                     .kind = ArbiterKind::kFlatFsm,
+                     .arity = 4,
+                     .rr = {},
+                     .self_check = core::CheckMode::kNone});
+  for (const int n : {8, 64, 100}) {
+    std::vector<std::unique_ptr<core::Arbiter>> arbiters;
+    for (const core::SystemArbiterSpec& spec : specs)
+      if (spec.policy == core::Policy::kRoundRobin || n <= 64)
+        arbiters.push_back(core::make_system_arbiter(n, spec).arbiter);
+    if (n <= 64)
+      arbiters.push_back(std::make_unique<core::LfsrRandomArbiter>(n));
+    for (const auto& arb : arbiters) {
+      const std::string what = arb->describe();
+      RecordingObserver obs;
+      arb->set_observer(&obs);
+      std::vector<std::uint64_t> req(static_cast<std::size_t>((n + 63) / 64),
+                                     0);
+      core::set_bit(req, n - 1);
+      EXPECT_EQ(arb->step(req), n - 1) << what;
+      EXPECT_EQ(obs.calls, 1) << what;
+      EXPECT_EQ(obs.last_grant, n - 1) << what;
+      EXPECT_TRUE(core::test_bit(obs.last_req, n - 1)) << what;
+      EXPECT_EQ(arb->last_grant_count(), 1) << what;
+      EXPECT_TRUE(core::test_bit(arb->last_grant_words(), n - 1)) << what;
+      std::fill(req.begin(), req.end(), 0);
+      EXPECT_EQ(arb->step(req), -1) << what;
+      EXPECT_EQ(obs.calls, 2) << what;
+      EXPECT_EQ(obs.last_grant, -1) << what;
+      EXPECT_EQ(arb->last_grant_count(), 0) << what;
+      if (n <= 64) {
+        EXPECT_EQ(arb->step(1ull << 3), 3) << what;
+        EXPECT_EQ(obs.calls, 3) << what;
+      } else {
+        EXPECT_THROW((void)arb->step(1ull << 3), CheckError) << what;
+        EXPECT_THROW((void)arb->step(std::vector<std::uint64_t>{1}),
+                     CheckError)
+            << what << ": a request vector narrower than the arbiter";
+        EXPECT_EQ(obs.calls, 2) << what;
+      }
+    }
+  }
 }
 
 // ================================================ kind selection + factory
@@ -773,13 +776,13 @@ TEST(ArbiterFactory, BuildsTheMatchingKindAtEveryWidth) {
         arb.flip_state_bit((copies - 1) * per_copy + 3);  // last copy
         const std::vector<std::uint64_t> req(
             static_cast<std::size_t>((n + 63) / 64), 0b101ull);
-        (void)arb.step_wide(req);
+        (void)arb.step(req);
         EXPECT_TRUE(arb.error()) << what;
         EXPECT_GE(arb.error_cycles(), 1u);
         if (mode == core::CheckMode::kDuplicate) {
           EXPECT_EQ(arb.resyncs(), 1u) << "DMR reloads the reset code";
         }
-        (void)arb.step_wide(req);
+        (void)arb.step(req);
         EXPECT_FALSE(arb.error()) << "copies reconverge within one step";
       }
     }
@@ -793,7 +796,7 @@ TEST(ArbiterFactory, BuildsTheMatchingKindAtEveryWidth) {
   const std::vector<std::uint64_t> two = {1ull << 5, 1ull << (100 - 64)};
   std::vector<int> grants;
   for (int cyc = 0; cyc < 6; ++cyc)
-    grants.push_back(held128.arbiter->step_wide(two));
+    grants.push_back(held128.arbiter->step(two));
   EXPECT_EQ(grants, (std::vector<int>{5, 5, 5, 5, 100, 100}));
 
   // Non-round-robin policies ignore the kind machinery entirely and have
@@ -865,7 +868,7 @@ TEST(StateRegister, FlippingAnyBitTwiceRestoresTheRegister) {
         std::vector<std::uint64_t> req(static_cast<std::size_t>((n + 63) / 64),
                                        0);
         req.back() = 1ull << ((n - 1) % 64);
-        (void)arb->step_wide(req);
+        (void)arb->step(req);
         const std::vector<std::uint64_t> before = state_of(*arb);
         ASSERT_EQ(before.size(),
                   static_cast<std::size_t>((arb->num_state_bits() + 63) / 64))
@@ -894,7 +897,7 @@ TEST(StateRegister, FreezeReassertsThePinnedRegisterEveryStep) {
     const int n = 70;
     auto arb = make_arbiter_of(kind, n, core::CheckMode::kNone);
     const std::vector<std::uint64_t> all(2, ~0ull);
-    (void)arb->step_wide(all);
+    (void)arb->step(all);
     arb->freeze();
     const std::vector<std::uint64_t> pinned = state_of(*arb);
     // Upsets, resets and the steps' own next states all last at most
@@ -902,7 +905,7 @@ TEST(StateRegister, FreezeReassertsThePinnedRegisterEveryStep) {
     arb->flip_state_bit(1);
     arb->reset();
     for (int cyc = 0; cyc < 5; ++cyc) {
-      (void)arb->step_wide(cyc % 2 == 0 ? all
+      (void)arb->step(cyc % 2 == 0 ? all
                                         : std::vector<std::uint64_t>(2, 0));
       arb->hold_frozen();
       ASSERT_EQ(state_of(*arb), pinned) << core::to_string(kind);

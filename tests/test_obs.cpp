@@ -9,6 +9,7 @@
 #include <bit>
 #include <fstream>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -267,15 +268,9 @@ class ReferenceProbe {
     m_->port.assign(n, obs::PortMetrics{});
     wait_.assign(n, 0);
     turns_.assign(n, 0);
-    word_.assign((n + 63) / 64 + (n == 0 ? 1 : 0), 0);
   }
 
-  void on_step(std::uint64_t requests, int grant) {
-    word_[0] = requests;
-    on_step_wide(word_, grant);
-  }
-
-  void on_step_wide(const std::vector<std::uint64_t>& requests, int grant) {
+  void on_step(std::span<const std::uint64_t> requests, int grant) {
     const auto ports = static_cast<std::size_t>(m_->ports);
     const auto req_bit = [&](std::size_t i) {
       const std::size_t w = i >> 6;
@@ -338,7 +333,6 @@ class ReferenceProbe {
   std::uint64_t hold_len_ = 0;
   std::vector<std::uint64_t> wait_;
   std::vector<std::uint64_t> turns_;
-  std::vector<std::uint64_t> word_;
 };
 
 ::testing::AssertionResult same_histogram(const Histogram& a,
@@ -464,15 +458,9 @@ TEST(ObsMetrics, EdgeDrivenProbeMatchesTheFullScanProbe) {
       std::vector<std::uint64_t> sent = req;
       if (n % 64 != 0) sent.back() |= rng.next_u64() << (n % 64);  // dirty tail
       if (words > 1 && rng.next_below(50) == 0) sent.pop_back();
-      if (words == 1 && rng.next_below(2) == 0) {
-        ref.on_step(sent[0], grant);
-        eager.on_step(sent[0], grant);
-        lazy.on_step(sent[0], grant);
-      } else {
-        ref.on_step_wide(sent, grant);
-        eager.on_step_wide(sent, grant);
-        lazy.on_step_wide(sent, grant);
-      }
+      ref.on_step(sent, grant);
+      eager.on_step(sent, grant);
+      lazy.on_step(sent, grant);
       if (t == kSteps / 3) {
         eager.settle();
         lazy.settle();

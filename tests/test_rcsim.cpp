@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/insertion.hpp"
@@ -573,6 +575,113 @@ TEST(RcsimArbiterFaults, SelfCheckedLatchUpIsDetectedPastThirtyTwoPorts) {
     const SimResult r = fx.run(options);
     EXPECT_GT(r.self_check_errors, 0u) << core::to_string(kind);
   }
+}
+
+// --------------------------------------------- one bank past 64 contenders
+
+class RcsimWide
+    : public ::testing::TestWithParam<
+          std::tuple<core::ArbiterChoice, core::CheckMode>> {};
+
+TEST_P(RcsimWide, WritersPast64PortsShareOneBankWithoutConflict) {
+  // Default (strict) options: 65, 128 and 1,000 writers share one bank
+  // with no conflict and no diagnostic, and the run grows with the writer
+  // count (port 64 is its own port, not an alias of port 0).
+  const auto [kind, mode] = GetParam();
+  std::uint64_t prev_cycles = 0;
+  for (const auto& [n, bursts] : {std::pair{64, 4}, std::pair{65, 4},
+                                  std::pair{128, 4}, std::pair{1000, 1}}) {
+    const std::string what = "n=" + std::to_string(n);
+    WritersFixture fx(n, bursts);
+    SimOptions options;
+    options.arbiter_kind = kind;
+    options.self_check = mode;
+    SimResult r;
+    ASSERT_NO_THROW(r = fx.run(options)) << what;
+    EXPECT_FALSE(r.deadlocked) << what;
+    EXPECT_EQ(r.bank_conflicts, 0u) << what;
+    EXPECT_TRUE(r.diagnostics.empty()) << what;
+    EXPECT_GT(r.cycles, prev_cycles) << what;
+    prev_cycles = r.cycles;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KindsAndModes, RcsimWide,
+    ::testing::Combine(::testing::Values(core::ArbiterChoice::kFlatFsm,
+                                         core::ArbiterChoice::kHierarchical,
+                                         core::ArbiterChoice::kPrefix),
+                       ::testing::Values(core::CheckMode::kNone,
+                                         core::CheckMode::kTmr)),
+    [](const auto& param_info) {
+      return std::string(core::to_string(std::get<0>(param_info.param)))
+          .append("_")
+          .append(core::to_string(std::get<1>(param_info.param)));
+    });
+
+TEST(RcsimWideLane, MultiGrantsPastTheFirstWordAreCounted) {
+  // An upset of F70 while C0 holds leaves a 100-port unhardened flat
+  // register two-hot across its words: ports 0 and 70 are granted at once
+  // on the upset cycle, and the run counts and reports it there.
+  WritersFixture fx(100, 1);
+  SimOptions options;
+  options.strict = false;
+  fault::FaultEvent flip = arbiter_fault(fault::FaultKind::kFsmBitFlip);
+  flip.bit = 70;
+  options.faults = {flip};
+  const SimResult r = fx.run(options);
+  EXPECT_GT(r.multi_grant_cycles, 0u);
+  bool at_upset = false;
+  for (const SimDiagnostic& d : r.diagnostics)
+    if (d.kind == DiagKind::kMultipleGrants && d.cycle == flip.cycle)
+      at_upset = true;
+  EXPECT_TRUE(at_upset) << "no multi-grant reported on the upset cycle";
+}
+
+TEST(RcsimWideLane, WatchdogEvictsAStuck1PhantomPastTheFirstWord) {
+  // Port 80's Req line sticks high: once t80 has finished, a grant on
+  // port 80 lands on a phantom that never accesses.  The watchdog names
+  // t80 and, hardened, force-releases it so every writer still finishes.
+  WritersFixture fx(100, 2);
+  fault::FaultEvent stuck;
+  stuck.kind = fault::FaultKind::kReqStuck1;
+  stuck.cycle = 0;
+  stuck.arbiter = 0;
+  stuck.port = 80;
+  stuck.duration = 100'000;
+  SimOptions options;
+  options.strict = false;
+  options.watchdog_timeout = 8;
+  options.harden = true;
+  options.faults = {stuck};
+  const SimResult r = fx.run(options);
+  EXPECT_FALSE(r.deadlocked);
+  EXPECT_GE(r.watchdog_releases, 1u);
+  EXPECT_EQ(r.bank_conflicts, 0u);
+  std::size_t hung = 0;
+  for (const SimDiagnostic& d : r.diagnostics) {
+    if (d.kind != DiagKind::kHungGrant) continue;
+    ++hung;
+    EXPECT_EQ(d.task, 80) << d.format();
+  }
+  EXPECT_GE(hung, 1u);
+}
+
+TEST(RcsimWideLane, RequestTraceRecordsEveryWordPerCycle) {
+  // 100 ports: two words per cycle, bit p % 64 of word p / 64 = port p.
+  WritersFixture fx(100, 1);
+  SimOptions options;
+  options.record_request_trace = true;
+  const SimResult r = fx.run(options);
+  ASSERT_EQ(r.request_trace.size(), 1u);
+  const std::vector<std::uint64_t>& trace = r.request_trace[0];
+  ASSERT_EQ(trace.size(), 2 * r.cycles);
+  bool port99 = false;
+  for (std::size_t c = 0; c < r.cycles; ++c) {
+    EXPECT_EQ(trace[2 * c + 1] >> 36, 0u) << "bits past port 99 at " << c;
+    if (((trace[2 * c + 1] >> 35) & 1) != 0) port99 = true;
+  }
+  EXPECT_TRUE(port99) << "port 99 never requested";
 }
 
 }  // namespace

@@ -442,8 +442,7 @@ TEST(ServiceEngine, ScalableKindsMatchFlatAggregatesAtWordWidths) {
 }
 
 TEST(ServiceEngine, WidePortsServeThroughEveryKind) {
-  // Past 64 ports the engine drives the arbiter via step_wide; all three
-  // kinds (flat through the width-generic RoundRobinArbiter) must carry a
+  // Past 64 ports the Req lines span several words; all three kinds (flat through the width-generic RoundRobinArbiter) must carry a
   // 256-port resource.
   for (const core::ArbiterChoice kind :
        {core::ArbiterChoice::kFlatFsm, core::ArbiterChoice::kHierarchical,
