@@ -626,11 +626,9 @@ struct RecordingObserver final : core::ArbiterObserver {
   }
 };
 
-TEST(WideObserver, EveryKindNotifiesExactlyOncePerStep) {
-  // One step, one hook call and matching grant words, for every kind,
-  // plain and replicated (the copies stay silent), at word and wide
-  // widths, and for the word-width policies.  The one-word step() serves
-  // at most 64 ports.
+// Every kind, plain and replicated (the copies stay silent), and the
+// word-width policies, as built for an n-port system.
+std::vector<std::unique_ptr<core::Arbiter>> observed_arbiters(int n) {
   std::vector<core::SystemArbiterSpec> specs;
   for (const ArbiterKind kind :
        {ArbiterKind::kFlatFsm, ArbiterKind::kHierarchical,
@@ -647,14 +645,21 @@ TEST(WideObserver, EveryKindNotifiesExactlyOncePerStep) {
                      .arity = 4,
                      .rr = {},
                      .self_check = core::CheckMode::kNone});
+  std::vector<std::unique_ptr<core::Arbiter>> arbiters;
+  for (const core::SystemArbiterSpec& spec : specs)
+    if (spec.policy == core::Policy::kRoundRobin || n <= 64)
+      arbiters.push_back(core::make_system_arbiter(n, spec).arbiter);
+  if (n <= 64)
+    arbiters.push_back(std::make_unique<core::LfsrRandomArbiter>(n));
+  return arbiters;
+}
+
+TEST(WideObserver, EveryEntryPointNotifiesExactlyOnce) {
+  // One step, one hook call and matching grant words, through the vector
+  // step at word and wide widths and through the one-word step where the
+  // arbiter fits in it.
   for (const int n : {8, 64, 100}) {
-    std::vector<std::unique_ptr<core::Arbiter>> arbiters;
-    for (const core::SystemArbiterSpec& spec : specs)
-      if (spec.policy == core::Policy::kRoundRobin || n <= 64)
-        arbiters.push_back(core::make_system_arbiter(n, spec).arbiter);
-    if (n <= 64)
-      arbiters.push_back(std::make_unique<core::LfsrRandomArbiter>(n));
-    for (const auto& arb : arbiters) {
+    for (const auto& arb : observed_arbiters(n)) {
       const std::string what = arb->describe();
       RecordingObserver obs;
       arb->set_observer(&obs);
@@ -675,13 +680,28 @@ TEST(WideObserver, EveryKindNotifiesExactlyOncePerStep) {
       if (n <= 64) {
         EXPECT_EQ(arb->step(1ull << 3), 3) << what;
         EXPECT_EQ(obs.calls, 3) << what;
-      } else {
-        EXPECT_THROW((void)arb->step(1ull << 3), CheckError) << what;
-        EXPECT_THROW((void)arb->step(std::vector<std::uint64_t>{1}),
-                     CheckError)
-            << what << ": a request vector narrower than the arbiter";
-        EXPECT_EQ(obs.calls, 2) << what;
+        EXPECT_EQ(obs.last_grant, 3) << what;
       }
+    }
+  }
+}
+
+TEST(WideObserver, BaseStepWideRejectsWidthsPast64) {
+  // The one-word step() serves up to 64 ports and must refuse an arbiter
+  // whose ports it cannot see, as must the vector step a request vector
+  // narrower than the arbiter.  A refused step notifies nobody.
+  for (const auto& arb : observed_arbiters(64))
+    EXPECT_EQ(arb->step(1ull << 63), 63) << arb->describe();
+  for (const int n : {65, 100}) {
+    for (const auto& arb : observed_arbiters(n)) {
+      const std::string what = arb->describe();
+      RecordingObserver obs;
+      arb->set_observer(&obs);
+      EXPECT_THROW((void)arb->step(1ull << 3), CheckError) << what;
+      EXPECT_THROW((void)arb->step(std::vector<std::uint64_t>{1}),
+                   CheckError)
+          << what << ": a request vector narrower than the arbiter";
+      EXPECT_EQ(obs.calls, 0) << what;
     }
   }
 }
