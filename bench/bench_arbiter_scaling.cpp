@@ -26,7 +26,7 @@ namespace {
 
 using rcarb::core::ArbiterKind;
 using rcarb::core::GeneratedArbiter;
-using rcarb::core::generate_scalable;
+using rcarb::core::generate;
 
 constexpr ArbiterKind kKinds[] = {ArbiterKind::kFlatFsm,
                                   ArbiterKind::kHierarchical,
@@ -67,7 +67,7 @@ void print_scaling(rcarb::obs::BenchReporter& rep) {
       grid.size(),
       [&](std::size_t i) {
         Cell cell = grid[i];
-        const GeneratedArbiter g = generate_scalable(cell.kind, cell.n);
+        const GeneratedArbiter g = generate({.n = cell.n, .kind = cell.kind});
         cell.clbs = g.chars.clbs;
         cell.luts = g.chars.luts;
         cell.ffs = g.chars.ffs;
@@ -155,7 +155,7 @@ void print_scaling(rcarb::obs::BenchReporter& rep) {
 void BM_GenerateHierarchical(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    auto g = generate_scalable(ArbiterKind::kHierarchical, n);
+    auto g = generate({.n = n, .kind = ArbiterKind::kHierarchical});
     benchmark::DoNotOptimize(g.chars.clbs);
   }
 }
@@ -164,14 +164,14 @@ BENCHMARK(BM_GenerateHierarchical)->Arg(64)->Arg(256)->Arg(1024);
 void BM_GeneratePrefix(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    auto g = generate_scalable(ArbiterKind::kPrefix, n);
+    auto g = generate({.n = n, .kind = ArbiterKind::kPrefix});
     benchmark::DoNotOptimize(g.chars.clbs);
   }
 }
 BENCHMARK(BM_GeneratePrefix)->Arg(64)->Arg(256)->Arg(1024);
 
 // synth::map_aig alone on the kind's AIG (built once, outside the timed
-// loop), with the depth objective generate_scalable maps with; each
+// loop), with the depth objective the generator maps it with; each
 // iteration maps into a fresh netlist holding only the input nets.
 void BM_MapAig(benchmark::State& state, ArbiterKind kind) {
   const int n = static_cast<int>(state.range(0));

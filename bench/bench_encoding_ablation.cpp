@@ -45,15 +45,13 @@ void print_encodings(obs::BenchReporter& rep) {
       [&](std::size_t i) {
         const int n = sizes[i];
         EncodingCell cell;
-        cell.onehot = core::generate_round_robin_cached(
-                          n, FlowKind::kExpressLike, Encoding::kOneHot)
-                          .chars;
-        cell.compact = core::generate_round_robin_cached(
-                           n, FlowKind::kExpressLike, Encoding::kCompact)
-                           .chars;
-        cell.gray = core::generate_round_robin_cached(
-                        n, FlowKind::kExpressLike, Encoding::kGray)
-                        .chars;
+        cell.onehot = core::generate_cached({.n = n}).chars;
+        cell.compact =
+            core::generate_cached({.n = n, .encoding = Encoding::kCompact})
+                .chars;
+        cell.gray =
+            core::generate_cached({.n = n, .encoding = Encoding::kGray})
+                .chars;
         return cell;
       },
       [&](std::size_t i, EncodingCell cell) {
@@ -93,17 +91,9 @@ void print_encodings(obs::BenchReporter& rep) {
       [&](std::size_t i) {
         const int n = sizes[i];
         ModeCell cell;
-        cell.structural =
-            core::generate_round_robin_cached(n, FlowKind::kExpressLike,
-                                              Encoding::kOneHot,
-                                              timing::xc4000e_speed3(),
-                                              GeneratorMode::kStructural)
-                .chars;
+        cell.structural = core::generate_cached({.n = n}).chars;
         cell.behavioral =
-            core::generate_round_robin_cached(n, FlowKind::kExpressLike,
-                                              Encoding::kOneHot,
-                                              timing::xc4000e_speed3(),
-                                              GeneratorMode::kBehavioral)
+            core::generate_cached({.n = n, .mode = GeneratorMode::kBehavioral})
                 .chars;
         return cell;
       },
@@ -139,9 +129,7 @@ void BM_StructuralVsBehavioral(benchmark::State& state) {
                                         : GeneratorMode::kBehavioral;
   for (auto _ : state) {
     // Deliberately uncached: this benchmark measures synthesis cost.
-    auto g = core::generate_round_robin(6, FlowKind::kExpressLike,
-                                        Encoding::kOneHot,
-                                        timing::xc4000e_speed3(), mode);
+    auto g = core::generate({.n = 6, .mode = mode});
     benchmark::DoNotOptimize(g.chars.clbs);
   }
 }

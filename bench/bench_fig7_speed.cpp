@@ -16,8 +16,7 @@
 namespace {
 
 using rcarb::core::CheckMode;
-using rcarb::core::generate_round_robin_cached;
-using rcarb::core::generate_self_checking_cached;
+using rcarb::core::generate_cached;
 using rcarb::synth::Encoding;
 using rcarb::synth::FlowKind;
 
@@ -29,18 +28,13 @@ void print_fig7(rcarb::obs::BenchReporter& rep) {
                     "Synplify one-hot", "DMR 1-hot", "TMR 1-hot",
                     "LUT depth (Expr 1-hot)"});
   for (int n = 2; n <= 10; ++n) {
-    const auto& eo = generate_round_robin_cached(n, FlowKind::kExpressLike,
-                                                 Encoding::kOneHot);
-    const auto& ec = generate_round_robin_cached(n, FlowKind::kExpressLike,
-                                                 Encoding::kCompact);
-    const auto& so = generate_round_robin_cached(n, FlowKind::kSynplifyLike,
-                                                 Encoding::kOneHot);
+    const auto& eo = generate_cached({.n = n});
+    const auto& ec = generate_cached({.n = n, .encoding = Encoding::kCompact});
+    const auto& so = generate_cached({.n = n, .flow = FlowKind::kSynplifyLike});
     // Self-checking variants: the comparator / voter sits on the next-state
     // path, so the redundancy's clock cost shows up here, not just in area.
-    const auto& dm = generate_self_checking_cached(n, CheckMode::kDuplicate,
-                                                   Encoding::kOneHot);
-    const auto& tm = generate_self_checking_cached(n, CheckMode::kTmr,
-                                                   Encoding::kOneHot);
+    const auto& dm = generate_cached({.n = n, .check = CheckMode::kDuplicate});
+    const auto& tm = generate_cached({.n = n, .check = CheckMode::kTmr});
     table.add_row({std::to_string(n), rcarb::fmt_fixed(eo.chars.fmax_mhz, 1),
                    rcarb::fmt_fixed(ec.chars.fmax_mhz, 1),
                    rcarb::fmt_fixed(so.chars.fmax_mhz, 1),
@@ -63,9 +57,7 @@ void print_fig7(rcarb::obs::BenchReporter& rep) {
 
 void BM_StaticTimingAnalysis(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  const auto& g =
-      generate_round_robin_cached(n, FlowKind::kExpressLike,
-                                  Encoding::kOneHot);
+  const auto& g = generate_cached({.n = n});
   const auto model = rcarb::timing::xc4000e_speed3();
   for (auto _ : state) {
     auto report = rcarb::timing::analyze(g.synth.netlist, model);

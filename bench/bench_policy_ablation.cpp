@@ -78,7 +78,7 @@ std::string synthesized_cost(Policy policy, int n) {
   };
   switch (policy) {
     case Policy::kRoundRobin:
-      return fmt(core::generate_round_robin_cached(n, flow, onehot));
+      return fmt(core::generate_cached({.n = n}));
     case Policy::kPriority:
       return fmt(core::characterize_fsm(core::build_priority_fsm(n), n, flow,
                                         onehot));

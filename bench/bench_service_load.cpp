@@ -224,7 +224,7 @@ void print_wide_sweep(obs::BenchReporter& rep) {
   for (const int n : widths)
     for (const core::ArbiterKind kind : kWideKinds)
       fmax_mhz[{static_cast<int>(kind), n}] =
-          core::generate_scalable_cached(kind, n).chars.fmax_mhz;
+          core::generate_cached({.n = n, .kind = kind}).chars.fmax_mhz;
 
   struct WideCell {
     core::ArbiterKind kind;

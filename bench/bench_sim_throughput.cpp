@@ -223,10 +223,8 @@ int report_throughput(obs::BenchReporter& rep) {
   const auto& hardened =
       core::synthesize_round_robin_cached(3, synth::Encoding::kOneHot,
                                           /*harden=*/true);
-  const auto& n8 = core::generate_round_robin_cached(
-      8, synth::FlowKind::kExpressLike, synth::Encoding::kOneHot);
-  const auto& n16 = core::generate_round_robin_cached(
-      16, synth::FlowKind::kExpressLike, synth::Encoding::kOneHot);
+  const auto& n8 = core::generate_cached({.n = 8});
+  const auto& n16 = core::generate_cached({.n = 16});
   const std::vector<Config> configs = {
       {"n3_hardened", &hardened.netlist, 3},
       {"n8_structural", &n8.synth.netlist, 8},

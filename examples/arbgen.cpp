@@ -53,8 +53,8 @@ int main(int argc, char** argv) {
   const std::string vhdl = core::emit_round_robin_vhdl(n, encoding);
   std::fwrite(vhdl.data(), 1, vhdl.size(), stdout);
 
-  const core::GeneratedArbiter g = core::generate_round_robin(
-      n, synth::FlowKind::kExpressLike, encoding);
+  const core::GeneratedArbiter g =
+      core::generate({.n = n, .encoding = encoding});
   std::fprintf(stderr,
                "-- %d-input round-robin arbiter, %s encoding\n"
                "-- pre-characterization (XC4000e-3 model): %zu CLBs "

@@ -16,8 +16,7 @@ int main() {
 
   // 1. Generate a 4-input round-robin arbiter, characterized for the
   //    XC4000e like the paper's pre-characterization step.
-  const core::GeneratedArbiter arb = core::generate_round_robin(
-      4, synth::FlowKind::kExpressLike, synth::Encoding::kOneHot);
+  const core::GeneratedArbiter arb = core::generate({.n = 4});
   std::printf("4-input round-robin arbiter:\n");
   std::printf("  area    : %zu CLBs (%zu LUTs, %zu FFs)\n", arb.chars.clbs,
               arb.chars.luts, arb.chars.ffs);

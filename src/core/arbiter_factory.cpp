@@ -35,7 +35,8 @@ ArbiterKind select_arbiter_kind(int n, double timing_budget_mhz, int arity,
   double fastest_fmax = -1.0;
   for (std::size_t k = first; k < candidates.size(); ++k) {
     const double fmax =
-        generate_scalable_cached(candidates[k], n, arity, model).chars.fmax_mhz;
+        generate_cached({.n = n, .kind = candidates[k], .arity = arity}, model)
+            .chars.fmax_mhz;
     if (fmax >= timing_budget_mhz) return candidates[k];
     if (fmax > fastest_fmax) {
       fastest_fmax = fmax;

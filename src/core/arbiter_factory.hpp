@@ -1,13 +1,13 @@
 // Arbiter kind selection and the single system-layer arbiter factory.
 //
-// PR 7 left three synthesizable round-robin structures (core/hier.hpp)
-// with pre-characterized area/fmax (generate_scalable_cached); the system
-// layers (src/service, src/rcsim) each hand-rolled flat-only construction.
-// This module is the one audited construction path both layers share:
+// There are three synthesizable round-robin structures (core/hier.hpp),
+// each pre-characterized for area and fmax by the one generator memo
+// (core::generate_cached).  This module is the one audited construction
+// path the system layers (src/service, src/rcsim) share:
 //
 //  * ArbiterChoice: what an options struct asks for — an explicit kind or
-//    kAuto, which resolves from the port count and an fmax budget using
-//    the pre-characterized cache (select_arbiter_kind).
+//    kAuto, which resolves from the port count and an fmax budget by
+//    looking each candidate up in generate_cached (select_arbiter_kind).
 //  * make_system_arbiter: builds the behavioral arbiter for a resolved
 //    kind plus the policy/self-check/hardening switches the simulators
 //    need.  Callers drive every kind through core::Arbiter alone: grants,
@@ -28,7 +28,7 @@ namespace rcarb::core {
 /// What an options struct requests: a concrete structure, or kAuto to let
 /// select_arbiter_kind pick from the port count and a timing budget.
 enum class ArbiterChoice : std::uint8_t {
-  kAuto,          // resolve from (n, fmax budget) via the prechar cache
+  kAuto,          // resolve from (n, fmax budget) via generate_cached
   kFlatFsm,       // Fig. 5 chain (RoundRobinArbiter)
   kHierarchical,  // tree-of-arbiters
   kPrefix,        // Kogge-Stone thermometer-mask
@@ -37,10 +37,10 @@ enum class ArbiterChoice : std::uint8_t {
 [[nodiscard]] const char* to_string(ArbiterChoice c);
 
 /// Picks the cheapest structure whose pre-characterized fmax meets
-/// `timing_budget_mhz` (> 0 required), consulting generate_scalable_cached
-/// in area order: flat, then hierarchical, then prefix.  Flat candidates
-/// are only considered up to 64 ports — past that the chain's fmax decays
-/// ~1/N and synthesizing it just to rule it out would dominate the caller.
+/// `timing_budget_mhz` (> 0 required), consulting generate_cached in area
+/// order: flat, then hierarchical, then prefix.  Flat candidates are only
+/// considered up to 64 ports — past that the chain's fmax decays ~1/N and
+/// synthesizing it just to rule it out would dominate the caller.
 /// When nothing meets the budget the fastest structure wins.
 [[nodiscard]] ArbiterKind select_arbiter_kind(
     int n, double timing_budget_mhz, int arity = 4,

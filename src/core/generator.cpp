@@ -4,7 +4,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <tuple>
+#include <utility>
 
 #include "core/policy.hpp"
 #include "core/rr_fsm.hpp"
@@ -41,44 +43,61 @@ void characterize(GeneratedArbiter& out, int n, synth::FlowKind flow,
   out.chars.overhead_cycles = kProtocolOverheadCycles;
 }
 
-}  // namespace
-
-GeneratedArbiter generate_round_robin(int n, synth::FlowKind flow,
-                                      synth::Encoding encoding,
-                                      const timing::DelayModel& model,
-                                      GeneratorMode mode) {
-  GeneratedArbiter out;
-  // The paper notes Synplify applied one-hot no matter what the VHDL asked.
-  const synth::Encoding used = flow == synth::FlowKind::kSynplifyLike
-                                   ? synth::Encoding::kOneHot
-                                   : encoding;
-  if (mode == GeneratorMode::kStructural) {
-    const synth::Fsm fsm = build_round_robin_fsm(n);
-    const synth::StateCodes codes = synth::encode_states(fsm, used);
-    const aig::Aig comb = build_round_robin_aig(n, codes);
-    synth::MapOptions map_options;
-    map_options.objective = flow == synth::FlowKind::kSynplifyLike
-                                ? synth::MapObjective::kArea
-                                : synth::MapObjective::kDepth;
-    out.synth = synth::finish_machine_synthesis(
-        comb, /*num_inputs=*/n, codes.num_bits,
-        codes.code[fsm.reset_state()], map_options);
-    out.synth.used_encoding = used;
-  } else {
-    synth::FlowOptions options;
-    options.kind = flow;
-    options.encoding = encoding;
-    out.synth = synth::synthesize_fsm(build_round_robin_fsm(n), options);
+/// Folds every request that builds the same netlist onto one spec, and
+/// rejects the specs no generator builds (see GeneratorSpec).
+GeneratorSpec canonical(GeneratorSpec spec) {
+  if (spec.kind != ArbiterKind::kFlatFsm) {
+    RCARB_CHECK(spec.check == CheckMode::kNone,
+                std::string("no generator replicates a ")
+                    .append(to_string(spec.kind))
+                    .append(" arbiter"));
+    RCARB_CHECK(spec.flow == synth::FlowKind::kExpressLike &&
+                    spec.encoding == synth::Encoding::kOneHot &&
+                    spec.mode == GeneratorMode::kStructural,
+                std::string(to_string(spec.kind))
+                    .append(" arbiters are generated one-hot and "
+                            "structural under the Express-like flow only"));
   }
-  characterize(out, n, flow, model);
+  if (spec.kind != ArbiterKind::kHierarchical) spec.arity = 0;
+  // The paper notes Synplify applied one-hot no matter what the VHDL asked.
+  if (spec.flow == synth::FlowKind::kSynplifyLike)
+    spec.encoding = synth::Encoding::kOneHot;
+  if (spec.check != CheckMode::kNone)
+    RCARB_CHECK(spec.flow == synth::FlowKind::kExpressLike &&
+                    spec.mode == GeneratorMode::kStructural,
+                "self-checking arbiters are generated structurally under "
+                "the Express-like flow only");
+  return spec;
+}
+
+/// The round-robin FSM under any flow, encoding and RTL mode.
+GeneratedArbiter generate_round_robin(const GeneratorSpec& spec,
+                                      const timing::DelayModel& model) {
+  const int n = spec.n;
+  const synth::Fsm fsm = build_round_robin_fsm(n);
+  if (spec.mode == GeneratorMode::kBehavioral)
+    return characterize_fsm(fsm, n, spec.flow, spec.encoding, model);
+  const synth::StateCodes codes = synth::encode_states(fsm, spec.encoding);
+  synth::MapOptions map_options;
+  map_options.objective = spec.flow == synth::FlowKind::kSynplifyLike
+                              ? synth::MapObjective::kArea
+                              : synth::MapObjective::kDepth;
+  GeneratedArbiter out;
+  out.synth = synth::finish_machine_synthesis(
+      build_round_robin_aig(n, codes), /*num_inputs=*/n, codes.num_bits,
+      codes.code[fsm.reset_state()], map_options);
+  out.synth.used_encoding = spec.encoding;
+  characterize(out, n, spec.flow, model);
   return out;
 }
 
-GeneratedArbiter generate_self_checking(int n, CheckMode mode,
-                                        synth::Encoding encoding,
+/// Duplicate-and-compare or TMR-voted copies of the structural FSM AIG,
+/// stitched with the comparator / voter.
+GeneratedArbiter generate_self_checking(const GeneratorSpec& spec,
                                         const timing::DelayModel& model) {
+  const int n = spec.n;
   const synth::Fsm fsm = build_round_robin_fsm(n);
-  const synth::StateCodes codes = synth::encode_states(fsm, encoding);
+  const synth::StateCodes codes = synth::encode_states(fsm, spec.encoding);
   const std::uint64_t code = codes.code[fsm.reset_state()];
   std::vector<bool> reset(static_cast<std::size_t>(codes.num_bits));
   for (std::size_t b = 0; b < reset.size(); ++b)
@@ -86,7 +105,7 @@ GeneratedArbiter generate_self_checking(int n, CheckMode mode,
   // Every copy's register bank resets to the same per-copy code,
   // concatenated copy-major to match the AIG's state-input order.
   std::vector<bool> bank;
-  for (int c = 0; c < num_copies(mode); ++c)
+  for (int c = 0; c < num_copies(spec.check); ++c)
     bank.insert(bank.end(), reset.begin(), reset.end());
 
   synth::MapOptions map_options;
@@ -94,27 +113,55 @@ GeneratedArbiter generate_self_checking(int n, CheckMode mode,
 
   GeneratedArbiter out;
   out.synth = synth::finish_machine_synthesis(
-      build_self_checking_aig(build_round_robin_aig(n, codes), n, reset, mode),
+      build_self_checking_aig(build_round_robin_aig(n, codes), n, reset,
+                              spec.check),
       /*num_inputs=*/n, static_cast<int>(bank.size()), bank, map_options);
-  out.synth.used_encoding = encoding;
+  out.synth.used_encoding = spec.encoding;
   characterize(out, n, synth::FlowKind::kExpressLike, model);
   return out;
 }
 
-GeneratedArbiter generate_scalable(ArbiterKind kind, int n, int arity,
+/// The width-unlimited structures of core/hier.hpp, N in [1,
+/// kMaxWideInputs]: the one-hot Fig. 5 chain, the `arity`-way tree and the
+/// Kogge-Stone prefix.  Always one-hot and depth-oriented.
+GeneratedArbiter generate_scalable(const GeneratorSpec& spec,
                                    const timing::DelayModel& model) {
-  const aig::Aig comb = build_scalable_aig(kind, n, arity);
-  const std::vector<bool> reset = scalable_reset_bits(kind, n, arity);
+  const aig::Aig comb = build_scalable_aig(spec.kind, spec.n, spec.arity);
+  const std::vector<bool> reset =
+      scalable_reset_bits(spec.kind, spec.n, spec.arity);
   synth::MapOptions map_options;
   map_options.objective = synth::MapObjective::kDepth;
 
   GeneratedArbiter out;
   out.synth = synth::finish_machine_synthesis(
-      comb, /*num_inputs=*/n, static_cast<int>(reset.size()), reset,
+      comb, /*num_inputs=*/spec.n, static_cast<int>(reset.size()), reset,
       map_options);
   out.synth.used_encoding = synth::Encoding::kOneHot;
-  characterize(out, n, synth::FlowKind::kExpressLike, model);
+  characterize(out, spec.n, synth::FlowKind::kExpressLike, model);
   return out;
+}
+
+/// Runs the generator for an already canonical spec.
+GeneratedArbiter generate_canonical(const GeneratorSpec& spec,
+                                    const timing::DelayModel& model) {
+  if (spec.check != CheckMode::kNone)
+    return generate_self_checking(spec, model);
+  // The chain entry: the structural one-hot FSM under the Express-like
+  // flow is the same netlist as the scalable flat chain, which has no
+  // width limit (tests/test_hier.cpp checks the AIGs bit for bit).
+  const bool chain = spec.flow == synth::FlowKind::kExpressLike &&
+                     spec.encoding == synth::Encoding::kOneHot &&
+                     spec.mode == GeneratorMode::kStructural;
+  if (spec.kind != ArbiterKind::kFlatFsm || chain)
+    return generate_scalable(spec, model);
+  return generate_round_robin(spec, model);
+}
+
+}  // namespace
+
+GeneratedArbiter generate(const GeneratorSpec& spec,
+                          const timing::DelayModel& model) {
+  return generate_canonical(canonical(spec), model);
 }
 
 GeneratedArbiter characterize_fsm(const synth::Fsm& fsm, int n,
@@ -187,11 +234,8 @@ ModelKey model_key(const timing::DelayModel& m) {
           m.net_base,        m.net_per_fanout,   m.clock_uncertainty};
 }
 
-using GenerateKey = std::tuple<int, synth::FlowKind, synth::Encoding,
-                               GeneratorMode, ModelKey>;
+using GenerateKey = std::pair<GeneratorSpec, ModelKey>;
 using BehavioralKey = std::tuple<int, synth::Encoding, bool>;
-using SelfCheckKey = std::tuple<int, CheckMode, synth::Encoding, ModelKey>;
-using ScalableKey = std::tuple<ArbiterKind, int, int, ModelKey>;
 
 SynthMemo<GenerateKey, GeneratedArbiter>& generate_memo() {
   static auto* memo = new SynthMemo<GenerateKey, GeneratedArbiter>();
@@ -200,16 +244,6 @@ SynthMemo<GenerateKey, GeneratedArbiter>& generate_memo() {
 
 SynthMemo<BehavioralKey, synth::SynthResult>& behavioral_memo() {
   static auto* memo = new SynthMemo<BehavioralKey, synth::SynthResult>();
-  return *memo;
-}
-
-SynthMemo<SelfCheckKey, GeneratedArbiter>& self_check_memo() {
-  static auto* memo = new SynthMemo<SelfCheckKey, GeneratedArbiter>();
-  return *memo;
-}
-
-SynthMemo<ScalableKey, GeneratedArbiter>& scalable_memo() {
-  static auto* memo = new SynthMemo<ScalableKey, GeneratedArbiter>();
   return *memo;
 }
 
@@ -222,26 +256,17 @@ SynthMemoStats synth_memo_stats() {
   return stats;
 }
 
-const GeneratedArbiter& generate_round_robin_cached(
-    int n, synth::FlowKind flow, synth::Encoding encoding,
-    const timing::DelayModel& model, GeneratorMode mode) {
-  // Synplify forces one-hot, so fold the requested encoding into the one
-  // actually used — otherwise the same netlist would be synthesized once
-  // per requested-encoding value.
-  const synth::Encoding used = flow == synth::FlowKind::kSynplifyLike
-                                   ? synth::Encoding::kOneHot
-                                   : encoding;
-  const GenerateKey key{n, flow, used, mode, model_key(model)};
+const GeneratedArbiter& generate_cached(const GeneratorSpec& spec,
+                                        const timing::DelayModel& model) {
+  const GeneratorSpec key = canonical(spec);
   return generate_memo().get_or_synthesize(
-      key, [&] { return generate_round_robin(n, flow, used, model, mode); });
+      GenerateKey{key, model_key(model)},
+      [&] { return generate_canonical(key, model); });
 }
 
-const GeneratedArbiter& generate_self_checking_cached(
-    int n, CheckMode mode, synth::Encoding encoding,
-    const timing::DelayModel& model) {
-  const SelfCheckKey key{n, mode, encoding, model_key(model)};
-  return self_check_memo().get_or_synthesize(
-      key, [&] { return generate_self_checking(n, mode, encoding, model); });
+const GeneratedArbiter& generate_scalable_cached(
+    ArbiterKind kind, int n, int arity, const timing::DelayModel& model) {
+  return generate_cached({.n = n, .kind = kind, .arity = arity}, model);
 }
 
 const synth::SynthResult& synthesize_round_robin_cached(int n,
@@ -256,22 +281,6 @@ const synth::SynthResult& synthesize_round_robin_cached(int n,
     options.harden = harden;
     return synth::synthesize_fsm(build_round_robin_fsm(n), options);
   });
-}
-
-const GeneratedArbiter& generate_scalable_cached(
-    ArbiterKind kind, int n, int arity, const timing::DelayModel& model) {
-  // The arity only shapes the hierarchical tree; normalize it for the
-  // other kinds so they don't synthesize once per requested arity.
-  const int used_arity = kind == ArbiterKind::kHierarchical ? arity : 0;
-  const ScalableKey key{kind, n, used_arity, model_key(model)};
-  return scalable_memo().get_or_synthesize(
-      key, [&] { return generate_scalable(kind, n, arity, model); });
-}
-
-const ArbiterCharacteristics& PrecharCache::get(int n) {
-  // Delegates to the process-wide memo: every PrecharCache instance with
-  // the same flow/encoding/model shares one synthesis per N.
-  return generate_round_robin_cached(n, flow_, encoding_, model_).chars;
 }
 
 }  // namespace rcarb::core

@@ -1,12 +1,17 @@
 // Arbiter generation and pre-characterization.
 //
-// Reproduces the paper's Sec. 4.2/4.3 methodology: for each N the round-
-// robin FSM is generated, synthesized under a chosen flow and encoding, and
-// characterized for area (CLBs) and maximum clock speed (MHz).  The
-// partitioners rely on the PrecharCache — "arbiters are pre-characterized
-// for area and speed thus making the partitioners' estimation accurate."
+// Reproduces the paper's Sec. 4.2/4.3 methodology: one parameterized
+// generator builds an arbiter for any N and FSM encoding, synthesizes it
+// under a chosen flow, and characterizes it for area (CLBs) and maximum
+// clock speed (MHz).  A GeneratorSpec names one configuration — kind,
+// width, tree arity, replication, flow, encoding and RTL mode — and is the
+// key of the one process-wide memo (generate_cached) that kind selection,
+// the partitioners' estimation, the flow and reconfiguration pricing all
+// consult: "arbiters are pre-characterized for area and speed thus making
+// the partitioners' estimation accurate."
 #pragma once
 
+#include <compare>
 #include <cstdint>
 
 #include "core/hier.hpp"
@@ -51,34 +56,50 @@ enum class GeneratorMode : std::uint8_t {
 
 [[nodiscard]] const char* to_string(GeneratorMode m);
 
-/// Generates and characterizes an N-input round-robin arbiter.
-[[nodiscard]] GeneratedArbiter generate_round_robin(
-    int n, synth::FlowKind flow, synth::Encoding encoding,
-    const timing::DelayModel& model = timing::xc4000e_speed3(),
-    GeneratorMode mode = GeneratorMode::kStructural);
+/// One arbiter configuration.  Requests that build the same netlist share
+/// one memo entry:
+///  * a Synplify-like flow forces one-hot, whatever encoding is asked for;
+///  * `arity` only shapes kHierarchical;
+///  * flat, Express-like, one-hot, structural and unreplicated is the
+///    width-unlimited Fig. 5 chain (any N >= 1), whether it is asked for as
+///    the FSM or as the scalable kind.
+/// The other flat configurations run the FSM generator (N in [2, 20]).
+/// Specs no generator builds throw CheckError: replicated hierarchical or
+/// prefix arbiters, replication under a Synplify-like flow or in
+/// behavioral mode, and a hierarchical or prefix arbiter with a
+/// non-default flow, encoding or mode.
+struct GeneratorSpec {
+  int n = 0;
+  ArbiterKind kind = ArbiterKind::kFlatFsm;
+  int arity = 4;  // tree arity, kHierarchical only
+  /// Duplicate-and-compare or TMR-voted copies stitched with the
+  /// comparator / voter, so `error` is a primary output of the netlist.
+  CheckMode check = CheckMode::kNone;
+  synth::FlowKind flow = synth::FlowKind::kExpressLike;
+  synth::Encoding encoding = synth::Encoding::kOneHot;
+  GeneratorMode mode = GeneratorMode::kStructural;
 
-/// Generates and characterizes a self-checking (duplicate-and-compare or
-/// TMR-voted) round-robin arbiter.  The copies are instantiated from the
-/// structural AIG and stitched with the comparator / voter, so the `error`
-/// net is a first-class primary output of the netlist; area/speed land in
-/// `chars` exactly like the plain variants (the Fig. 6/7 benches put them
-/// side by side to price the redundancy).
-[[nodiscard]] GeneratedArbiter generate_self_checking(
-    int n, CheckMode mode, synth::Encoding encoding,
+  friend auto operator<=>(const GeneratorSpec&,
+                          const GeneratorSpec&) = default;
+};
+
+/// Generates and characterizes the arbiter `spec` names (uncached).
+[[nodiscard]] GeneratedArbiter generate(
+    const GeneratorSpec& spec,
     const timing::DelayModel& model = timing::xc4000e_speed3());
 
-/// Generates and characterizes a scalable arbiter (core/hier.hpp) of the
-/// given kind at any N in [1, kMaxWideInputs] — the large-N extension of
-/// generate_round_robin.  kFlatFsm builds the width-unlimited one-hot
-/// Fig. 5 chain; kHierarchical uses `arity`-way tree nodes; kPrefix is the
-/// Kogge-Stone variant (arity ignored).  Always one-hot / depth-oriented,
-/// so area/fmax crossovers compare structures, not flows.
-[[nodiscard]] GeneratedArbiter generate_scalable(
-    ArbiterKind kind, int n, int arity = 4,
+/// Memoized generate: requests that resolve to one configuration (see
+/// GeneratorSpec) under the same delay model synthesize once per process,
+/// and every later caller gets a reference to the same immutable result.
+/// Thread-safe under RCARB_JOBS: a mutex guards the key map and a
+/// per-entry std::once_flag runs each synthesis exactly once, so distinct
+/// keys still synthesize concurrently.  The reference lives for the
+/// process.
+[[nodiscard]] const GeneratedArbiter& generate_cached(
+    const GeneratorSpec& spec,
     const timing::DelayModel& model = timing::xc4000e_speed3());
 
-/// Memoized generate_scalable, same locking discipline as
-/// generate_round_robin_cached.
+/// generate_cached({n, kind, arity}); perfbench is its only caller.
 [[nodiscard]] const GeneratedArbiter& generate_scalable_cached(
     ArbiterKind kind, int n, int arity = 4,
     const timing::DelayModel& model = timing::xc4000e_speed3());
@@ -90,7 +111,7 @@ enum class GeneratorMode : std::uint8_t {
     synth::Encoding encoding,
     const timing::DelayModel& model = timing::xc4000e_speed3());
 
-/// Hit/miss counters of the process-wide synthesis memo.
+/// Hit/miss counters of the process-wide synthesis memos.
 struct SynthMemoStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -98,51 +119,12 @@ struct SynthMemoStats {
 
 [[nodiscard]] SynthMemoStats synth_memo_stats();
 
-/// Memoized generate_round_robin: identical configurations (same N, flow,
-/// encoding, delay model, and generator mode) synthesize once per process
-/// and every later caller gets a reference to the same immutable result.
-/// Sweep cells — ablation grids, fault-campaign cells, partitioner
-/// estimation — hit this instead of re-running synthesis.  Thread-safe
-/// under RCARB_JOBS: a mutex guards the key map and a per-entry
-/// std::once_flag runs each synthesis exactly once, so distinct keys still
-/// synthesize concurrently.  The returned reference lives for the process.
-[[nodiscard]] const GeneratedArbiter& generate_round_robin_cached(
-    int n, synth::FlowKind flow, synth::Encoding encoding,
-    const timing::DelayModel& model = timing::xc4000e_speed3(),
-    GeneratorMode mode = GeneratorMode::kStructural);
-
-/// Memoized generate_self_checking, same locking discipline as
-/// generate_round_robin_cached.  The degradation supervisor prices its
-/// reconfiguration stalls off these characteristics, and the degradation
-/// bench sweeps hit this instead of re-synthesizing per cell.
-[[nodiscard]] const GeneratedArbiter& generate_self_checking_cached(
-    int n, CheckMode mode, synth::Encoding encoding,
-    const timing::DelayModel& model = timing::xc4000e_speed3());
-
 /// Memoized behavioral synthesis of the N-input round-robin FSM under the
-/// Express-like flow, keyed by (N, encoding, hardening).  This is the
-/// netlist-producing twin of generate_round_robin_cached for callers that
-/// need the hardened (SEU-recovering) variant, which only synthesize_fsm
-/// supports.  Same locking discipline; the reference lives for the process.
+/// Express-like flow, keyed by (N, encoding, hardening), without timing.
+/// It serves callers that need the hardened (SEU-recovering) netlist,
+/// which only synthesize_fsm builds.  Same locking discipline as
+/// generate_cached; the reference lives for the process.
 [[nodiscard]] const synth::SynthResult& synthesize_round_robin_cached(
     int n, synth::Encoding encoding, bool harden);
-
-/// Memoizing cache over (n, flow, encoding) used by partitioning/estimation.
-class PrecharCache {
- public:
-  explicit PrecharCache(
-      synth::FlowKind flow = synth::FlowKind::kExpressLike,
-      synth::Encoding encoding = synth::Encoding::kOneHot,
-      timing::DelayModel model = timing::xc4000e_speed3())
-      : flow_(flow), encoding_(encoding), model_(model) {}
-
-  /// Characteristics of the N-input arbiter (synthesizes on first use).
-  const ArbiterCharacteristics& get(int n);
-
- private:
-  synth::FlowKind flow_;
-  synth::Encoding encoding_;
-  timing::DelayModel model_;
-};
 
 }  // namespace rcarb::core

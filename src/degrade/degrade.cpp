@@ -249,23 +249,19 @@ std::uint64_t arbiter_reconfig_cycles(const DegradeOptions& options, int n,
                                       core::CheckMode mode,
                                       synth::Encoding encoding) {
   if (n < 2) return reconfig_cycles(options, 0);
-  // Priced off a characterized grid of flat encoded netlists: the FSM
-  // generator tops out at 20 request lines, and the replicated grid stops
-  // at 16 (DMR) and 10 (TMR) ports.  Larger contention sets are priced at
-  // the widest characterized arbiter of the mode.  The caps bound the
-  // characterization cost only; no register width limits them.
+  // Priced off a characterized grid of flat encoded netlists that stops at
+  // 20 (plain), 16 (DMR) and 10 (TMR) ports.  Larger contention sets are
+  // priced at the widest characterized arbiter of the mode.  The caps
+  // bound the characterization cost and keep the modelled prices where
+  // they were; no register width limits them.
   const int cap = mode == core::CheckMode::kNone        ? 20
                   : mode == core::CheckMode::kDuplicate ? 16
                                                         : 10;
   const int capped = std::min(n, cap);
   const std::size_t clbs =
-      mode == core::CheckMode::kNone
-          ? core::generate_round_robin_cached(capped,
-                                              synth::FlowKind::kExpressLike,
-                                              encoding)
-                .chars.clbs
-          : core::generate_self_checking_cached(capped, mode, encoding)
-                .chars.clbs;
+      core::generate_cached(
+          {.n = capped, .check = mode, .encoding = encoding})
+          .chars.clbs;
   return reconfig_cycles(options, clbs);
 }
 

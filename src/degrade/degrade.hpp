@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "core/selfcheck.hpp"
-#include "partition/channel_map.hpp"
 #include "synth/encoding.hpp"
 
 namespace rcarb::degrade {
@@ -54,12 +53,6 @@ struct DegradeOptions {
   /// regenerated arbiter's region.
   std::uint64_t reconfig_base_cycles = 8;
   std::uint64_t reconfig_cycles_per_clb = 4;
-  /// Optional partition-layer channel map.  When use_channel_map is set
-  /// the supervisor re-merges quarantined channels via
-  /// part::remap_channels (PE-pair and width feasibility enforced);
-  /// otherwise the Binding-level least-loaded fallback is used.
-  bool use_channel_map = false;
-  part::ChannelMapResult channel_map;
 };
 
 /// Evidence classes feeding the strike tracker.
@@ -253,10 +246,10 @@ struct BankRemapPlan {
 
 /// Group-move plan for a dead physical channel at the Binding level:
 /// every logical channel it carried moves to the least-loaded surviving
-/// physical channel (fewest logical channels, then lowest index).  Used
-/// when no partition-layer channel map is available; with one,
-/// part::remap_channels additionally enforces PE-pair and width
-/// feasibility.
+/// physical channel (fewest logical channels, then lowest index).  The
+/// engines remap with this plan; the partition layer's
+/// part::remap_channels is the planner that also enforces PE-pair and
+/// width feasibility.
 struct ChannelRemapPlan {
   bool feasible = false;
   int dead_phys = -1;

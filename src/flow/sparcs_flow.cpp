@@ -21,8 +21,7 @@ FlowReport run_flow(const tg::TaskGraph& input, const board::Board& board,
     partitions = *options.pinned_partitions;
   } else {
     part::TemporalOptions temporal = options.temporal;
-    core::PrecharCache default_prechar(options.synth_flow, options.encoding);
-    if (temporal.prechar == nullptr) temporal.prechar = &default_prechar;
+    temporal.price_arbiters = true;
     const part::TemporalResult tr =
         part::temporal_partition(graph, board, temporal);
     for (const part::TemporalPartition& tp : tr.partitions)
@@ -40,23 +39,6 @@ FlowReport run_flow(const tg::TaskGraph& input, const board::Board& board,
                 "preload larger than segment");
     std::copy(words.begin(), words.end(), memory_state[seg].begin());
   }
-
-  // Arbiter synthesis goes through the process-wide memo: one netlist per
-  // distinct (port count, flow, encoding) across every run_flow call.
-  // Non-flat instances characterize the matching scalable AIG generator
-  // instead, so estimates track the structure the simulator instantiates.
-  auto characterize =
-      [&](const core::ArbiterInstance& inst)
-      -> const core::ArbiterCharacteristics& {
-    const int n = static_cast<int>(inst.ports.size());
-    if (inst.kind == core::ArbiterKind::kFlatFsm)
-      return core::generate_round_robin_cached(n, options.synth_flow,
-                                               options.encoding)
-          .chars;
-    return core::generate_scalable_cached(inst.kind, n,
-                                          options.insertion.arbiter_arity)
-        .chars;
-  };
 
   double min_fmax = 0.0;
   bool any_arbiter = false;
@@ -87,8 +69,14 @@ FlowReport run_flow(const tg::TaskGraph& input, const board::Board& board,
     pr.rewritten = std::move(ins.graph);
 
     // ---- Arbiter synthesis & characterization. ----
+    // Through the process-wide memo: one netlist per distinct structure
+    // across every run_flow call, of the kind the simulator instantiates.
     for (const core::ArbiterInstance& inst : pr.plan.arbiters) {
-      const auto chars = characterize(inst);
+      const core::ArbiterCharacteristics& chars =
+          core::generate_cached({.n = static_cast<int>(inst.ports.size()),
+                                 .kind = inst.kind,
+                                 .arity = options.insertion.arbiter_arity})
+              .chars;
       pr.arbiter_chars.push_back(chars);
       report.total_arbiter_clbs += chars.clbs;
       min_fmax = any_arbiter ? std::min(min_fmax, chars.fmax_mhz)

@@ -39,8 +39,6 @@ struct FlowOptions {
     s.arbiter_metrics = true;
     return s;
   }();
-  synth::FlowKind synth_flow = synth::FlowKind::kExpressLike;
-  synth::Encoding encoding = synth::Encoding::kOneHot;
 
   /// Clock achieved by the synthesized task datapaths (SPARCS logic
   /// synthesis annotation; the paper's FFT design clocked at ~6 MHz).  The

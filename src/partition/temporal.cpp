@@ -10,15 +10,22 @@ namespace rcarb::part {
 
 namespace {
 
+/// Pre-characterized CLBs of a flat arbiter over `users` ports, capped at
+/// 20.  The generator has no such limit any more; the cap is kept so that
+/// estimates, and the partitions they decide, do not move.
+std::size_t flat_arbiter_clbs(std::size_t users) {
+  const int n = static_cast<int>(std::min<std::size_t>(users, 20));
+  return core::generate_cached({.n = n}).chars.clbs;
+}
+
 /// Estimated arbiter CLBs for one candidate partition: every segment shared
 /// by several member tasks needs an arbiter, and when the active segments
 /// outnumber the physical banks the memory mapper will have to co-locate
 /// the overflow — estimate one arbiter over the union of their accessors.
 std::size_t estimate_arbiter_clbs(const tg::TaskGraph& graph,
                                   const std::vector<tg::TaskId>& tasks,
-                                  std::size_t num_banks,
-                                  core::PrecharCache* prechar) {
-  if (prechar == nullptr) return 0;
+                                  std::size_t num_banks, bool price_arbiters) {
+  if (!price_arbiters) return 0;
 
   std::set<int> active;
   for (tg::TaskId t : tasks)
@@ -33,9 +40,7 @@ std::size_t estimate_arbiter_clbs(const tg::TaskGraph& graph,
       if (std::find(segs.begin(), segs.end(), s) != segs.end()) ++users;
     }
     per_segment_users.push_back(users);
-    if (users >= 2)
-      clbs += prechar->get(static_cast<int>(std::min<std::size_t>(users, 20)))
-                  .clbs;
+    if (users >= 2) clbs += flat_arbiter_clbs(users);
   }
   if (active.size() > num_banks && num_banks > 0) {
     // The overflow segments share one bank; bound the arbiter size by the
@@ -47,9 +52,7 @@ std::size_t estimate_arbiter_clbs(const tg::TaskGraph& graph,
          ++k, ++it)
       users += *it;
     users = std::min(users, tasks.size());
-    if (users >= 2)
-      clbs += prechar->get(static_cast<int>(std::min<std::size_t>(users, 20)))
-                  .clbs;
+    if (users >= 2) clbs += flat_arbiter_clbs(users);
   }
   return clbs;
 }
@@ -97,7 +100,7 @@ TemporalResult temporal_partition(const tg::TaskGraph& graph,
     tp.tasks = tasks;
     for (tg::TaskId t : tasks) tp.task_clbs += graph.task(t).area_clbs;
     tp.arbiter_clbs = estimate_arbiter_clbs(graph, tasks, board.num_banks(),
-                                            options.prechar);
+                                            options.price_arbiters);
     tp.memory_bytes = memory_footprint(graph, tasks);
     for (tg::TaskId t : tasks)
       result.tp_of_task[t] = static_cast<int>(result.partitions.size());
@@ -108,7 +111,7 @@ TemporalResult temporal_partition(const tg::TaskGraph& graph,
     std::size_t task_clbs = 0;
     for (tg::TaskId t : tasks) task_clbs += graph.task(t).area_clbs;
     const std::size_t arb = estimate_arbiter_clbs(
-        graph, tasks, board.num_banks(), options.prechar);
+        graph, tasks, board.num_banks(), options.price_arbiters);
     return task_clbs + arb <= clb_budget &&
            memory_footprint(graph, tasks) <= mem_budget;
   };

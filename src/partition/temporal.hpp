@@ -20,8 +20,9 @@ namespace rcarb::part {
 struct TemporalOptions {
   /// Fraction of board CLBs usable by tasks (routing/controller headroom).
   double utilization = 0.75;
-  /// Estimates arbiter area while filling; nullptr prices arbiters at zero.
-  core::PrecharCache* prechar = nullptr;
+  /// Estimates arbiter area while filling from the pre-characterized flat
+  /// arbiters (core::generate_cached); false prices arbiters at zero.
+  bool price_arbiters = false;
 };
 
 struct TemporalPartition {

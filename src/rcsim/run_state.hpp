@@ -317,9 +317,6 @@ struct RunState {
   std::vector<char> res_failed;
   std::vector<int> resource_fwd;  // see resolve()
   std::vector<FrozenMove> moves;  // per resource, when degrade_on
-  // DegradeOptions::channel_map as this run's remaps left it (copied on
-  // the first channel remap that uses it).
-  std::unique_ptr<part::ChannelMapResult> channel_map;
   // Set anywhere in the cycle that degradation affected service; cleared
   // by the serving-cycle accounting at the end of the cycle.
   bool degraded_cycle = false;

@@ -5,7 +5,6 @@
 #include <limits>
 #include <numeric>
 
-#include "partition/channel_map.hpp"
 #include "rcsim/run_state.hpp"
 
 namespace rcarb::rcsim::detail {
@@ -138,23 +137,11 @@ degrade::RetirePlan RunState::freeze_move(int r) {
     const int dead_phys = r - static_cast<int>(b.num_banks);
     const std::vector<bool> dead = dead_units(b.num_phys_channels, b.num_banks);
     m.kind = FrozenMove::Kind::kChannel;
-    if (opt.degrade.use_channel_map) {
-      // remap_channels updates the map in place: this run's own copy.
-      if (channel_map == nullptr)
-        channel_map =
-            std::make_unique<part::ChannelMapResult>(opt.degrade.channel_map);
-      const part::ChannelRemap cm =
-          part::remap_channels(graph, *channel_map, dead_phys, dead);
-      feasible = cm.feasible;
-      m.target = cm.moved.empty() ? -1 : cm.target_phys;
-      m.moved.assign(cm.moved.begin(), cm.moved.end());
-    } else {
-      const degrade::ChannelRemapPlan plan = degrade::plan_channel_remap(
-          b.channel_to_phys, b.num_phys_channels, dead_phys, dead);
-      feasible = plan.feasible;
-      m.target = plan.moved_channels.empty() ? -1 : plan.target_phys;
-      m.moved = plan.moved_channels;
-    }
+    const degrade::ChannelRemapPlan plan = degrade::plan_channel_remap(
+        b.channel_to_phys, b.num_phys_channels, dead_phys, dead);
+    feasible = plan.feasible;
+    m.target = plan.moved_channels.empty() ? -1 : plan.target_phys;
+    m.moved = plan.moved_channels;
   }
   m.live = m.kind == FrozenMove::Kind::kInPlace || m.target < 0 ? r
            : m.kind == FrozenMove::Kind::kBank ? b.bank_resource(m.target)

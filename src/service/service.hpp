@@ -124,7 +124,7 @@ struct ServiceOptions {
   // ---- Arbiter structure (core/arbiter_factory.hpp). ----
   /// kFlatFsm (default) is the paper's Fig. 5 chain; kHierarchical and
   /// kPrefix are the scalable structures; kAuto picks the cheapest kind
-  /// whose pre-characterized fmax (generate_scalable_cached) meets
+  /// whose pre-characterized fmax (core::generate_cached) meets
   /// arbiter_fmax_budget_mhz, and therefore runs synthesis on first use.
   core::ArbiterChoice arbiter_kind = core::ArbiterChoice::kFlatFsm;
   int arbiter_arity = 4;  // tree arity for kHierarchical, in [2, 4]

@@ -342,12 +342,10 @@ INSTANTIATE_TEST_SUITE_P(
                       ScParam{4, CheckMode::kTmr}));
 
 TEST(SelfCheckPrechar, RedundancyIsPricedAlongsideThePlainVariant) {
-  const auto& plain = core::generate_round_robin_cached(
-      4, synth::FlowKind::kExpressLike, synth::Encoding::kOneHot);
-  const auto& dmr = core::generate_self_checking_cached(
-      4, CheckMode::kDuplicate, synth::Encoding::kOneHot);
-  const auto& tmr = core::generate_self_checking_cached(
-      4, CheckMode::kTmr, synth::Encoding::kOneHot);
+  const auto& plain = core::generate_cached({.n = 4});
+  const auto& dmr =
+      core::generate_cached({.n = 4, .check = CheckMode::kDuplicate});
+  const auto& tmr = core::generate_cached({.n = 4, .check = CheckMode::kTmr});
   EXPECT_GT(dmr.chars.clbs, plain.chars.clbs);
   EXPECT_GT(tmr.chars.clbs, dmr.chars.clbs);
   EXPECT_EQ(dmr.chars.ffs, 2u * 8u) << "two one-hot copies of 2n bits";
@@ -611,8 +609,7 @@ TEST(ReconfigPricing, ScalesWithTheMemoizedClbCount) {
   EXPECT_EQ(degrade::arbiter_reconfig_cycles(opt, 0, CheckMode::kNone), 8u)
       << "n < 2 needs no arbiter: base cost only";
   EXPECT_EQ(degrade::arbiter_reconfig_cycles(opt, 1, CheckMode::kNone), 8u);
-  const auto& plain = core::generate_round_robin_cached(
-      4, synth::FlowKind::kExpressLike, synth::Encoding::kOneHot);
+  const auto& plain = core::generate_cached({.n = 4});
   EXPECT_EQ(degrade::arbiter_reconfig_cycles(opt, 4, CheckMode::kNone),
             8u + 4u * plain.chars.clbs);
   EXPECT_GT(degrade::arbiter_reconfig_cycles(opt, 4, CheckMode::kTmr),

@@ -71,8 +71,7 @@ TEST(NetlistVhdl, SanitizesAndDeduplicatesNames) {
 }
 
 TEST(NetlistVhdl, WholeArbiterEmits) {
-  const auto g = core::generate_round_robin(
-      4, synth::FlowKind::kExpressLike, synth::Encoding::kOneHot);
+  const auto g = core::generate({.n = 4});
   const std::string v = netlist::emit_vhdl(g.synth.netlist, "rr4_mapped");
   EXPECT_NE(v.find("entity rr4_mapped is"), std::string::npos);
   for (int i = 0; i < 4; ++i) {

@@ -39,6 +39,35 @@ void expect_spectrum_ok(const FlowReport& report, const fft::FftDesign& d,
   }
 }
 
+/// `writers` tasks in one pinned partition, each storing one word to its
+/// own segment, with every segment pinned to one bank: insertion puts one
+/// flat arbiter of `writers` ports on it.  Default options otherwise.
+FlowReport run_writers_on_one_bank(int writers) {
+  tg::TaskGraph g("writers");
+  std::vector<tg::TaskId> all;
+  for (int t = 0; t < writers; ++t) {
+    const tg::SegmentId s =
+        g.add_segment(std::string("s").append(std::to_string(t)), 64, 16);
+    tg::Program p;
+    p.load_imm(0, 0).store(static_cast<int>(s), 0, 0).halt();
+    all.push_back(
+        g.add_task(std::string("t").append(std::to_string(t)), p, 1));
+  }
+  const std::vector<std::vector<tg::TaskId>> partitions = {all};
+  FlowOptions o;
+  o.pinned_partitions = &partitions;
+  o.pinned_binding = [&](std::size_t) {
+    core::Binding b;
+    b.task_to_pe.assign(g.num_tasks(), 0);
+    b.segment_to_bank.assign(g.num_segments(), 0);
+    b.channel_to_phys.assign(g.num_channels(), -1);
+    b.num_banks = 1;
+    b.bank_names = {"BANK"};
+    return b;
+  };
+  return run_flow(g, board::wildforce(), o);
+}
+
 std::vector<std::size_t> arbiter_sizes(const PartitionReport& pr) {
   std::vector<std::size_t> sizes;
   for (const auto& inst : pr.plan.arbiters) sizes.push_back(inst.ports.size());
@@ -200,6 +229,30 @@ TEST(SparcsFlow, ArbiterCharacteristicsAttached) {
   ASSERT_EQ(report.partitions[0].arbiter_chars.size(), 2u);
   EXPECT_EQ(report.partitions[0].arbiter_chars[0].n, 6);
   EXPECT_GT(report.total_arbiter_clbs, 0u);
+}
+
+TEST(SparcsFlow, FlatArbitersPastTwentyContendersAreCharacterized) {
+  // The flow characterizes flat instances through the width-unlimited
+  // chain entry, so a 21- or 24-port arbiter no longer hits the FSM
+  // generator's 20-port limit.
+  for (const int writers : {21, 24}) {
+    FlowReport report;
+    ASSERT_NO_THROW(report = run_writers_on_one_bank(writers))
+        << "writers=" << writers;
+    ASSERT_EQ(report.partitions.size(), 1u);
+    const PartitionReport& pr = report.partitions[0];
+    ASSERT_EQ(arbiter_sizes(pr),
+              std::vector<std::size_t>{static_cast<std::size_t>(writers)});
+    ASSERT_EQ(pr.arbiter_chars.size(), 1u);
+    EXPECT_EQ(pr.arbiter_chars[0].n, writers);
+    EXPECT_EQ(pr.arbiter_chars[0].ffs, static_cast<std::size_t>(2 * writers));
+    EXPECT_EQ(report.total_arbiter_clbs, pr.arbiter_chars[0].clbs);
+    EXPECT_GT(report.total_arbiter_clbs, 0u);
+    EXPECT_GT(report.min_arbiter_fmax_mhz, 0.0);
+    EXPECT_FALSE(pr.sim.deadlocked) << "writers=" << writers;
+  }
+  // At the old limit the price is unchanged.
+  EXPECT_EQ(run_writers_on_one_bank(20).total_arbiter_clbs, 50u);
 }
 
 }  // namespace

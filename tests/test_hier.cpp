@@ -718,16 +718,16 @@ TEST(ArbiterFactory, SelectionHonorsTheBudgetInAreaOrder) {
   // An unmeetable floor falls back to the fastest structure.
   const ArbiterKind fastest = core::select_arbiter_kind(64, 1e9);
   const double hier_fmax =
-      core::generate_scalable_cached(ArbiterKind::kHierarchical, 64, 4)
+      core::generate_cached({.n = 64, .kind = ArbiterKind::kHierarchical})
           .chars.fmax_mhz;
   const double prefix_fmax =
-      core::generate_scalable_cached(ArbiterKind::kPrefix, 64)
+      core::generate_cached({.n = 64, .kind = ArbiterKind::kPrefix})
           .chars.fmax_mhz;
   EXPECT_EQ(fastest, hier_fmax >= prefix_fmax ? ArbiterKind::kHierarchical
                                               : ArbiterKind::kPrefix);
   // A budget at the flat chain's own fmax keeps flat; just above loses it.
   const double flat_fmax =
-      core::generate_scalable_cached(ArbiterKind::kFlatFsm, 64)
+      core::generate_cached({.n = 64, .kind = ArbiterKind::kFlatFsm})
           .chars.fmax_mhz;
   EXPECT_EQ(core::select_arbiter_kind(64, flat_fmax), ArbiterKind::kFlatFsm);
   EXPECT_NE(core::select_arbiter_kind(64, flat_fmax + 1.0),
@@ -1025,10 +1025,11 @@ INSTANTIATE_TEST_SUITE_P(
 // ======================================================== synthesis sanity
 
 TEST(ScalableSynthesis, RegisterCountsMatchTheStructures) {
-  const auto& flat = core::generate_scalable_cached(ArbiterKind::kFlatFsm, 16);
+  const auto& flat = core::generate_cached({.n = 16});
   const auto& hier =
-      core::generate_scalable_cached(ArbiterKind::kHierarchical, 16, 4);
-  const auto& prefix = core::generate_scalable_cached(ArbiterKind::kPrefix, 16);
+      core::generate_cached({.n = 16, .kind = ArbiterKind::kHierarchical});
+  const auto& prefix =
+      core::generate_cached({.n = 16, .kind = ArbiterKind::kPrefix});
   EXPECT_EQ(flat.chars.ffs, 32u);  // 2N one-hot Fi/Ci bits
   EXPECT_EQ(hier.chars.ffs, static_cast<std::size_t>(
                                 core::make_hier_shape(16, 4).num_state_bits()));
@@ -1041,10 +1042,11 @@ TEST(ScalableSynthesis, RegisterCountsMatchTheStructures) {
 }
 
 TEST(ScalableSynthesis, HierarchyBeatsTheFlatChainAtN64) {
-  const auto& flat = core::generate_scalable_cached(ArbiterKind::kFlatFsm, 64);
+  const auto& flat = core::generate_cached({.n = 64});
   const auto& hier =
-      core::generate_scalable_cached(ArbiterKind::kHierarchical, 64, 4);
-  const auto& prefix = core::generate_scalable_cached(ArbiterKind::kPrefix, 64);
+      core::generate_cached({.n = 64, .kind = ArbiterKind::kHierarchical});
+  const auto& prefix =
+      core::generate_cached({.n = 64, .kind = ArbiterKind::kPrefix});
   // The ISSUE headline: the flat chain's O(N) scan caps its fmax, the
   // tree overtakes it from N = 64 (bench_arbiter_scaling sweeps further).
   EXPECT_GT(hier.chars.fmax_mhz, flat.chars.fmax_mhz);

@@ -173,8 +173,7 @@ TEST_P(LaneLockstep, AllEnginesAgreeUnderRandomRequestsAndSeus) {
   const auto [n, encoding] = GetParam();
   // The memo cache feeds every parametrization; repeated suite runs in one
   // process synthesize each config once.
-  const auto& g = core::generate_round_robin_cached(
-      n, synth::FlowKind::kExpressLike, encoding);
+  const auto& g = core::generate_cached({.n = n, .encoding = encoding});
   lockstep(g.synth.netlist, n, 7001 + static_cast<std::uint64_t>(n), 260);
 }
 
@@ -215,8 +214,7 @@ TEST(LaneLockstep, HandBuiltSinglePortNetlist) {
 }
 
 TEST(EventDriven, SkipsCleanLutsOnQuietInputs) {
-  const auto& g = core::generate_round_robin_cached(
-      8, synth::FlowKind::kExpressLike, synth::Encoding::kOneHot);
+  const auto& g = core::generate_cached({.n = 8});
   const Netlist& nl = g.synth.netlist;
   const Ports p = resolve_ports(nl, 8);
 
@@ -255,8 +253,7 @@ TEST(EventDriven, PokeSeedsTheFanoutConeNotAFullResettle) {
   // The poked DFF's fanout cone is all a poke can dirty — exactly what
   // clock() marks when that register changes — so the incremental path
   // must survive fault injection, with unchanged values.
-  const auto& g = core::generate_round_robin_cached(
-      4, synth::FlowKind::kExpressLike, synth::Encoding::kOneHot);
+  const auto& g = core::generate_cached({.n = 4});
   const Netlist& nl = g.synth.netlist;
   const Ports p = resolve_ports(nl, 4);
   ASSERT_FALSE(p.state.empty());
@@ -303,8 +300,7 @@ TEST(EventDriven, PokeSeedsTheFanoutConeNotAFullResettle) {
 }
 
 TEST(NameLookups, CycleLoopsWithResolvedIdsDoNoStringHashing) {
-  const auto& g = core::generate_round_robin_cached(
-      4, synth::FlowKind::kExpressLike, synth::Encoding::kOneHot);
+  const auto& g = core::generate_cached({.n = 4});
   const Netlist& nl = g.synth.netlist;
   // Resolve every name once, before the loop — the pattern all simulator
   // call sites follow.

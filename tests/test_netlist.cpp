@@ -158,7 +158,7 @@ TEST(Netlist, TopoOrderMatchesTheKahnOracle) {
   for (const core::ArbiterKind kind :
        {core::ArbiterKind::kFlatFsm, core::ArbiterKind::kHierarchical,
         core::ArbiterKind::kPrefix}) {
-    const core::GeneratedArbiter arb = core::generate_scalable(kind, 64);
+    const core::GeneratedArbiter arb = core::generate({.n = 64, .kind = kind});
     const Netlist& nl = arb.synth.netlist;
     EXPECT_EQ(nl.lut_topo_order(), reference_topo_order(nl))
         << core::to_string(kind);

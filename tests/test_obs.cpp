@@ -692,8 +692,7 @@ TEST(ObsDegenerate, TwoPortArbiterEndToEnd) {
   // N=2: the smallest real arbiter, through generator -> insertion ->
   // simulation.  The generator must synthesize it and the simulated pair
   // must interleave without conflicts, within the N-1 = 1 turn bound.
-  const core::GeneratedArbiter gen = core::generate_round_robin(
-      2, synth::FlowKind::kExpressLike, synth::Encoding::kOneHot);
+  const core::GeneratedArbiter gen = core::generate({.n = 2});
   EXPECT_EQ(gen.chars.n, 2);
   EXPECT_GT(gen.chars.clbs, 0u);
 

@@ -109,14 +109,13 @@ TEST(Temporal, AccountsArbiterAreaWithPrechar) {
   tiny.add_pe("pe", 400, 0);
   tiny.add_bank("m", 1024, 0);
 
-  TemporalOptions no_arb;  // prechar == nullptr: arbiters priced at zero
+  TemporalOptions no_arb;  // price_arbiters off: arbiters priced at zero
   no_arb.utilization = 0.75;
   EXPECT_EQ(temporal_partition(g, tiny, no_arb).partitions.size(), 1u);
 
-  core::PrecharCache prechar;
   TemporalOptions with_arb;
   with_arb.utilization = 0.75;
-  with_arb.prechar = &prechar;
+  with_arb.price_arbiters = true;
   EXPECT_EQ(temporal_partition(g, tiny, with_arb).partitions.size(), 2u);
 }
 

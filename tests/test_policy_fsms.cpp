@@ -195,7 +195,7 @@ TEST(PolicyHardware, RoundRobinIsTheCheapFairOption) {
   const auto flow = synth::FlowKind::kExpressLike;
   const auto enc = synth::Encoding::kOneHot;
   const int n = 4;
-  const auto rr = generate_round_robin(n, flow, enc);
+  const auto rr = generate({.n = n});
   const auto fifo = characterize_fsm(build_fifo_fsm(n), n, flow,
                                      synth::Encoding::kCompact);
   const auto rand = characterize_fsm(build_lfsr_random_fsm(n), n, flow, enc);

@@ -216,8 +216,7 @@ TEST(WideCrossWidth, HardenedArbiterAgreesAcrossWidths) {
 }
 
 TEST(WideCrossWidth, StructuralArbiterAgreesAcrossWidths) {
-  const auto& g = core::generate_round_robin_cached(
-      8, synth::FlowKind::kExpressLike, synth::Encoding::kOneHot);
+  const auto& g = core::generate_cached({.n = 8});
   check_cross_width(g.synth.netlist, 9001);
 }
 
@@ -249,8 +248,7 @@ TEST(WideKernel, DispatchReportsAtMostTheMachineTier) {
 }
 
 TEST(WideEventDriven, SkipsCleanLutsAndPokesStayIncremental) {
-  const auto& g = core::generate_round_robin_cached(
-      8, synth::FlowKind::kExpressLike, synth::Encoding::kOneHot);
+  const auto& g = core::generate_cached({.n = 8});
   const Netlist& nl = g.synth.netlist;
   const Ports p = collect_ports(nl);
 
@@ -275,8 +273,7 @@ TEST(WideEventDriven, SkipsCleanLutsAndPokesStayIncremental) {
 }
 
 TEST(WideNameLookups, ResolvedIdLoopsDoNoStringHashing) {
-  const auto& g = core::generate_round_robin_cached(
-      4, synth::FlowKind::kExpressLike, synth::Encoding::kOneHot);
+  const auto& g = core::generate_cached({.n = 4});
   const Netlist& nl = g.synth.netlist;
   const Ports p = collect_ports(nl);
   WideLaneSimulator sim(nl, 256);
