@@ -7,6 +7,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <string>
+#include <utility>
 
 #include "core/generator.hpp"
 #include "obs/bench_report.hpp"
@@ -42,16 +44,16 @@ void print_fig6(rcarb::obs::BenchReporter& rep) {
                    std::to_string(tm.chars.clbs),
                    std::to_string(eo.chars.luts),
                    std::to_string(eo.chars.ffs)});
-    if (n == 10) {
-      rep.metric("clbs_onehot_n10", static_cast<double>(eo.chars.clbs),
-                 "clbs");
-      rep.metric("clbs_compact_n10", static_cast<double>(ec.chars.clbs),
-                 "clbs");
-      rep.metric("clbs_synplify_n10", static_cast<double>(so.chars.clbs),
-                 "clbs");
-      rep.metric("clbs_dmr_n10", static_cast<double>(dm.chars.clbs), "clbs");
-      rep.metric("clbs_tmr_n10", static_cast<double>(tm.chars.clbs), "clbs");
-    }
+    // The whole table is pinned: clbs_<series>_n<N>.
+    for (const auto& [series, g] :
+         {std::pair{"onehot", &eo}, std::pair{"compact", &ec},
+          std::pair{"synplify", &so}, std::pair{"dmr", &dm},
+          std::pair{"tmr", &tm}})
+      rep.metric(std::string("clbs_")
+                     .append(series)
+                     .append("_n")
+                     .append(std::to_string(n)),
+                 static_cast<double>(g->chars.clbs), "clbs");
   }
   table.print();
   std::puts(

@@ -7,6 +7,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <string>
+#include <utility>
 
 #include "core/generator.hpp"
 #include "obs/bench_report.hpp"
@@ -41,12 +43,17 @@ void print_fig7(rcarb::obs::BenchReporter& rep) {
                    rcarb::fmt_fixed(dm.chars.fmax_mhz, 1),
                    rcarb::fmt_fixed(tm.chars.fmax_mhz, 1),
                    std::to_string(eo.chars.lut_depth)});
-    if (n == 2) rep.metric("fmax_onehot_n2_mhz", eo.chars.fmax_mhz, "mhz");
-    if (n == 10) {
-      rep.metric("fmax_onehot_n10_mhz", eo.chars.fmax_mhz, "mhz");
-      rep.metric("fmax_dmr_n10_mhz", dm.chars.fmax_mhz, "mhz");
-      rep.metric("fmax_tmr_n10_mhz", tm.chars.fmax_mhz, "mhz");
-    }
+    // The whole table is pinned: fmax_<series>_n<N>_mhz.
+    for (const auto& [series, g] :
+         {std::pair{"onehot", &eo}, std::pair{"compact", &ec},
+          std::pair{"synplify", &so}, std::pair{"dmr", &dm},
+          std::pair{"tmr", &tm}})
+      rep.metric(std::string("fmax_")
+                     .append(series)
+                     .append("_n")
+                     .append(std::to_string(n))
+                     .append("_mhz"),
+                 g->chars.fmax_mhz, "mhz");
   }
   table.print();
   std::puts(

@@ -107,7 +107,6 @@ int register_bits(const ServiceOptions& o) {
       core::resolve_arbiter_choice(o.arbiter_kind, o.ports, 0.0);
   return core::make_system_arbiter(o.ports, {.kind = kind,
                                              .arity = o.arbiter_arity,
-                                             .rr = {},
                                              .self_check = o.self_check})
       .arbiter->num_state_bits();
 }

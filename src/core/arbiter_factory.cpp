@@ -69,10 +69,11 @@ SystemArbiter make_system_arbiter(int n, const SystemArbiterSpec& spec) {
   if (spec.policy != Policy::kRoundRobin)
     return {make_arbiter(spec.policy, n, spec.seed), ArbiterKind::kFlatFsm};
   if (spec.self_check != CheckMode::kNone)
-    return {std::make_unique<SelfCheckingArbiter>(n, spec.self_check, spec.rr,
+    return {std::make_unique<SelfCheckingArbiter>(n, spec.self_check,
                                                   spec.kind, spec.arity),
             spec.kind};
-  return {make_scalable_arbiter(spec.kind, n, spec.arity, spec.rr), spec.kind};
+  return {make_scalable_arbiter(spec.kind, n, spec.arity, spec.harden),
+          spec.kind};
 }
 
 }  // namespace rcarb::core

@@ -61,9 +61,10 @@ struct SystemArbiterSpec {
   /// Round-robin structure; ignored for non-round-robin policies.
   ArbiterKind kind = ArbiterKind::kFlatFsm;
   int arity = 4;  // tree arity, kHierarchical only
-  /// Preemption/hardening; flat-only — the scalable kinds have no one-hot
-  /// register to harden and no hold counter, so these are ignored there.
-  RoundRobinOptions rr;
+  /// Illegal-state recovery (RoundRobinArbiter); flat-only — the scalable
+  /// kinds have no one-hot register to harden, and the self-checking copies
+  /// stay unhardened (the replication is the hardening).
+  bool harden = false;
   /// Replication of any kind at any width (SelfCheckingArbiter); ignored
   /// for non-round-robin policies.
   CheckMode self_check = CheckMode::kNone;

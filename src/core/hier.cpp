@@ -264,11 +264,10 @@ void PrefixArbiter::flip_bit(int bit) {
 }
 
 std::unique_ptr<Arbiter> make_scalable_arbiter(ArbiterKind kind, int n,
-                                               int arity,
-                                               RoundRobinOptions flat) {
+                                               int arity, bool harden) {
   switch (kind) {
     case ArbiterKind::kFlatFsm:
-      return std::make_unique<RoundRobinArbiter>(n, flat);
+      return std::make_unique<RoundRobinArbiter>(n, harden);
     case ArbiterKind::kHierarchical:
       return std::make_unique<HierarchicalArbiter>(n, arity);
     case ArbiterKind::kPrefix:

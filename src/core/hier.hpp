@@ -137,10 +137,10 @@ class PrefixArbiter final : public Arbiter {
 };
 
 /// Behavioral factory over the kind.  kFlatFsm returns the Fig. 5
-/// RoundRobinArbiter with `flat` options; every kind accepts up to
-/// kMaxWideInputs.  `arity` only affects kHierarchical.
+/// RoundRobinArbiter, hardened when `harden` is set; every kind accepts up
+/// to kMaxWideInputs.  `arity` only affects kHierarchical.
 [[nodiscard]] std::unique_ptr<Arbiter> make_scalable_arbiter(
-    ArbiterKind kind, int n, int arity = 4, RoundRobinOptions flat = {});
+    ArbiterKind kind, int n, int arity = 4, bool harden = false);
 
 // ---- AIG generators -------------------------------------------------------
 //

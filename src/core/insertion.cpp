@@ -39,9 +39,13 @@ using tg::Op;
 using tg::OpCode;
 using tg::TaskId;
 
+/// A compute op longer than this many cycles ends a held burst (holding a
+/// grant across long computation starves peers).
+constexpr std::int64_t kHoldComputeLimit = 8;
+
 /// True if the op must terminate any held burst: control boundaries,
 /// blocking receives, and long computations.
-bool is_burst_boundary(const Op& op, const InsertionOptions& options) {
+bool is_burst_boundary(const Op& op) {
   switch (op.code) {
     case OpCode::kLoopBegin:
     case OpCode::kLoopBeginVar:
@@ -50,7 +54,7 @@ bool is_burst_boundary(const Op& op, const InsertionOptions& options) {
     case OpCode::kHalt:
       return true;
     case OpCode::kCompute:
-      return op.imm > options.hold_compute_limit;
+      return op.imm > kHoldComputeLimit;
     default:
       return false;
   }
@@ -201,7 +205,7 @@ InsertionResult insert_arbitration(const tg::TaskGraph& graph,
       const bool arbitrated =
           r >= 0 && needs_port[t][static_cast<std::size_t>(r)];
 
-      if (is_burst_boundary(op, options)) {
+      if (is_burst_boundary(op)) {
         release_held();
         out.append(op);
         continue;

@@ -99,9 +99,6 @@ struct InsertionOptions {
   /// parallel" and inserted one arbiter over all accessors.
   bool elide_serialized = false;
   Policy policy = Policy::kRoundRobin;
-  /// A compute op longer than this many cycles ends a held burst (holding a
-  /// grant across long computation starves peers).
-  std::int64_t hold_compute_limit = 8;
   /// Protocol-level retry (robustness extension of Fig. 8): a task whose
   /// Req sees no Grant within this many cycles deasserts Req and re-asserts
   /// after a bounded exponential backoff, instead of waiting forever on a

@@ -74,9 +74,8 @@ void deposit_bits(const std::uint64_t* src, int nbits,
 
 // ---------------------------------------------------------------- RoundRobin
 
-RoundRobinArbiter::RoundRobinArbiter(int n, RoundRobinOptions options)
-    : Arbiter(WideTag{}, n), options_(options) {
-  RCARB_CHECK(options.max_hold_cycles >= 0, "negative max_hold_cycles");
+RoundRobinArbiter::RoundRobinArbiter(int n, bool harden)
+    : Arbiter(WideTag{}, n), harden_(harden) {
   const auto words = static_cast<std::size_t>((n + 63) / 64);
   f_bits_.assign(words, 0);
   f_bits_[0] = 1;
@@ -142,7 +141,7 @@ int RoundRobinArbiter::do_step(std::span<const std::uint64_t> words) {
   int hot_count = 0;
   int hot = first_hot(f_bits_, c_bits_, n_, &hot_count);
   if (hot_count != 1) {
-    if (!options_.harden) {
+    if (!harden_) {
       // Zero-hot: no state recognizer fires; the machine is dead.
       return hot_count == 0 ? -1 : step_multi_hot(requests);
     }
@@ -157,32 +156,15 @@ int RoundRobinArbiter::do_step(std::span<const std::uint64_t> words) {
   const bool in_c = hot >= n_;
   const int index = in_c ? hot - n_ : hot;
 
-  // Future-work preemption: a saturated holder loses its turn when someone
-  // else is waiting; the scan then starts past it.
-  if (in_c && options_.max_hold_cycles > 0 &&
-      held_cycles_ >= options_.max_hold_cycles) {
-    const int j = scan(requests, n_, (index + 1) % n_);
-    if (j >= 0 && j != index) {
-      clear_bit(c_bits_, index);
-      set_bit(c_bits_, j);
-      set_bit(grant_, j);
-      grant_count_ = 1;
-      held_cycles_ = 1;
-      return j;
-    }
-  }
-
   const int granted = scan(requests, n_, index);
   if (granted < 0) {
     // Fig. 5: no requests — Fi stays, Ci retires to F(i+1).
-    held_cycles_ = 0;
     if (in_c) {
       clear_bit(c_bits_, index);
       set_bit(f_bits_, (index + 1) % n_);
     }
     return -1;
   }
-  held_cycles_ = (in_c && granted == index) ? held_cycles_ + 1 : 1;
   clear_bit(in_c ? c_bits_ : f_bits_, index);
   set_bit(c_bits_, granted);
   set_bit(grant_, granted);
@@ -196,7 +178,6 @@ int RoundRobinArbiter::step_multi_hot(const std::uint64_t* requests) {
   // exclusion is gone.  Faithful to the unhardened one-hot netlist.  With
   // a request pending each hot state goes to C(its scan winner); with
   // none, Fi stays and Ci retires to F(i+1).
-  held_cycles_ = 0;
   const bool any_request = scan(requests, n_, 0) >= 0;
   for (std::size_t w = 0; w < f_bits_.size(); ++w) {
     const std::uint64_t hot =
@@ -222,7 +203,6 @@ void RoundRobinArbiter::reset() {
   f_bits_[0] = 1;
   std::fill(c_bits_.begin(), c_bits_.end(), 0);
   grant_only(-1);
-  held_cycles_ = 0;
 }
 
 std::string RoundRobinArbiter::describe() const {

@@ -9,8 +9,8 @@
 //
 // The round-robin model implements Fig. 5 *exactly* (states Ci/Fi, cyclic
 // scan from the priority index), and is proven equivalent to the
-// synthesized FSM netlist in the test suite.  The paper's future-work
-// preemption appears as RoundRobinOptions::max_hold_cycles.
+// synthesized FSM netlist in the test suite.  Hogging is bounded by the
+// Fig. 8 batch size M, not by preemption (the paper's future work).
 #pragma once
 
 #include <bit>
@@ -216,32 +216,23 @@ void for_each_bit(std::span<const std::uint64_t> words, F&& f) {
 void deposit_bits(const std::uint64_t* src, int nbits,
                   std::vector<std::uint64_t>& dst, int offset);
 
-/// Options for the round-robin model.
-struct RoundRobinOptions {
-  /// 0 disables preemption (the paper's presented form).  Otherwise a
-  /// holder that keeps its request beyond this many consecutive granted
-  /// cycles is preempted while other requests are pending (the paper's
-  /// future-work extension, ensuring no task "never relinquishes").
-  int max_hold_cycles = 0;
-  /// Illegal-state recovery.  The one-hot Fig. 5 register is SEU-exposed: a
-  /// single flip leaves it zero-hot (dead — no grants ever again) or
-  /// multi-hot (several states active at once — mutual exclusion breaks).
-  /// Hardened, step() detects a non-one-hot register and recovers to the
-  /// safe all-free reset state F0 within that same step.
-  bool harden = false;
-};
-
 /// Fig. 5 round-robin arbiter at every width up to kMaxWideInputs.  The 2N
 /// states Ci/Fi live in an explicit one-hot register — (n + 63) / 64 words
 /// of Fi one-hots and as many of Ci one-hots, bit i%64 of word i/64 for
 /// port i — so single-event upsets can be injected and the hardened
 /// recovery modeled bit-exactly against the synthesized netlist.  One
 /// masked count-trailing-zeros scan, cyclic from the priority index, picks
-/// the grant on the legal, multi-hot and preemption paths alike.  State
-/// bit i is Fi and bit n+i is Ci.
+/// the grant on the legal and multi-hot paths alike.  State bit i is Fi and
+/// bit n+i is Ci.
+///
+/// `harden` adds illegal-state recovery.  The one-hot Fig. 5 register is
+/// SEU-exposed: a single flip leaves it zero-hot (dead — no grants ever
+/// again) or multi-hot (several states active at once — mutual exclusion
+/// breaks).  Hardened, step() detects a non-one-hot register and recovers
+/// to the safe all-free reset state F0 within that same step.
 class RoundRobinArbiter final : public Arbiter {
  public:
-  explicit RoundRobinArbiter(int n, RoundRobinOptions options = {});
+  explicit RoundRobinArbiter(int n, bool harden = false);
   void reset() override;
   [[nodiscard]] std::string describe() const override;
 
@@ -263,10 +254,9 @@ class RoundRobinArbiter final : public Arbiter {
   /// The transition of an unhardened multi-hot register.
   int step_multi_hot(const std::uint64_t* requests);
 
-  RoundRobinOptions options_;
+  bool harden_;
   std::vector<std::uint64_t> f_bits_;  // one-hot among F0..F(n-1); reset F0
   std::vector<std::uint64_t> c_bits_;  // one-hot among C0..C(n-1)
-  int held_cycles_ = 0;
 };
 
 /// FIFO arbiter: requests are served in arrival order.

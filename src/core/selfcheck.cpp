@@ -26,7 +26,6 @@ int num_copies(CheckMode m) {
 }
 
 SelfCheckingArbiter::SelfCheckingArbiter(int n, CheckMode mode,
-                                         RoundRobinOptions options,
                                          ArbiterKind kind, int arity)
     : Arbiter(WideTag{}, n), mode_(mode) {
   RCARB_CHECK(mode != CheckMode::kNone,
@@ -34,9 +33,8 @@ SelfCheckingArbiter::SelfCheckingArbiter(int n, CheckMode mode,
   // The copies stay unhardened: the replication layer *is* the hardening,
   // and per-copy recovery logic would let the copies resync to different
   // legal states, pinning the comparator high forever.
-  options.harden = false;
   for (int c = 0; c < core::num_copies(mode); ++c)
-    copies_.push_back(make_scalable_arbiter(kind, n, arity, options));
+    copies_.push_back(make_scalable_arbiter(kind, n, arity));
   copy_bits_ = copies_[0]->num_state_bits();
   copies_[0]->read_state(reset_state_);
   state_.resize(copies_.size());

@@ -58,7 +58,7 @@ enum class CheckMode : std::uint8_t {
 /// register is the copies' registers copy-major; freeze() latches copy 0.
 class SelfCheckingArbiter final : public Arbiter {
  public:
-  SelfCheckingArbiter(int n, CheckMode mode, RoundRobinOptions options = {},
+  SelfCheckingArbiter(int n, CheckMode mode,
                       ArbiterKind kind = ArbiterKind::kFlatFsm, int arity = 4);
 
   void reset() override;

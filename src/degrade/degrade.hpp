@@ -247,9 +247,9 @@ struct BankRemapPlan {
 /// Group-move plan for a dead physical channel at the Binding level:
 /// every logical channel it carried moves to the least-loaded surviving
 /// physical channel (fewest logical channels, then lowest index).  The
-/// engines remap with this plan; the partition layer's
-/// part::remap_channels is the planner that also enforces PE-pair and
-/// width feasibility.
+/// engines remap with this plan.  A Binding records neither the PE pair
+/// nor the width of a physical channel, so the plan checks neither: the
+/// survivor may join another PE pair or be narrower than a moved channel.
 struct ChannelRemapPlan {
   bool feasible = false;
   int dead_phys = -1;

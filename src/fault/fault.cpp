@@ -58,18 +58,6 @@ const std::vector<FaultKind>& permanent_fault_kinds() {
   return kinds;
 }
 
-std::string FaultEvent::describe() const {
-  std::string s = std::string(to_string(kind)) + "@" + std::to_string(cycle);
-  if (arbiter >= 0) s += " arbiter=" + std::to_string(arbiter);
-  if (port >= 0) s += " port=" + std::to_string(port);
-  if (bit >= 0) s += " bit=" + std::to_string(bit);
-  if (channel >= 0) s += " channel=" + std::to_string(channel);
-  if (bank >= 0) s += " bank=" + std::to_string(bank);
-  if (xor_mask != 0) s += " mask=0x" + std::to_string(xor_mask);
-  if (duration > 1) s += " for=" + std::to_string(duration);
-  return s;
-}
-
 namespace {
 
 bool kind_applicable(FaultKind k, const FaultTargets& targets) {

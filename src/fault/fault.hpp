@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace rcarb::fault {
@@ -60,8 +59,6 @@ struct FaultEvent {
   int bank = -1;               // memory bank (kBankFailure)
   std::uint64_t xor_mask = 0;  // data corruption mask (kChannelCorrupt)
   std::uint64_t duration = 1;  // cycles a stuck-at persists
-
-  [[nodiscard]] std::string describe() const;
 };
 
 /// The injectable surface of one system: how many arbiters exist, how wide

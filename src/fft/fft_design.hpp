@@ -27,21 +27,6 @@
 
 namespace rcarb::fft {
 
-struct FftDesignOptions {
-  /// Area annotations (CLBs).  Chosen so that four F tasks plus two g tasks
-  /// fill a Wildforce partition, reproducing the paper's three partitions.
-  std::size_t f_area_clbs = 200;
-  std::size_t g_area_clbs = 380;
-  /// Datapath padding cycles per task: the 1-cycle-per-op IR is far leaner
-  /// than the multi-cycle HLS datapaths SPARCS generated (address
-  /// generation, serialized butterflies, controller states), so each task
-  /// carries a busy-cycle annotation.  Defaults calibrated once so the
-  /// pinned Sec. 5 flow lands on the paper's ~1600 cycles per 4x4 block
-  /// (4.4 s for 512x512 at 6 MHz), then held fixed for every experiment.
-  std::int64_t f_pad_cycles = 210;
-  std::int64_t g_pad_cycles = 400;
-};
-
 struct FftDesign {
   tg::TaskGraph graph{"fft4x4"};
   std::array<tg::SegmentId, 4> mi{};  // input rows
@@ -53,7 +38,7 @@ struct FftDesign {
 };
 
 /// Builds the taskgraph of Fig. 10.
-[[nodiscard]] FftDesign build_fft_design(const FftDesignOptions& options = {});
+[[nodiscard]] FftDesign build_fft_design();
 
 /// The paper's three temporal partitions (task membership).
 [[nodiscard]] std::vector<std::vector<tg::TaskId>> paper_partitions(

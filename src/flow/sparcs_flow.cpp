@@ -53,8 +53,8 @@ FlowReport run_flow(const tg::TaskGraph& input, const board::Board& board,
     } else {
       pr.spatial = part::spatial_partition(graph, pr.tasks, board,
                                            options.spatial);
-      pr.memory = part::map_memory(graph, pr.tasks, board,
-                                   pr.spatial.pe_of_task, options.memory);
+      pr.memory =
+          part::map_memory(graph, pr.tasks, board, pr.spatial.pe_of_task);
       pr.channels = part::map_channels(graph, pr.tasks, board,
                                        pr.spatial.pe_of_task);
       pr.binding =

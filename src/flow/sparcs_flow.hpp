@@ -29,7 +29,6 @@ namespace rcarb::flow {
 struct FlowOptions {
   part::TemporalOptions temporal;
   part::SpatialOptions spatial;
-  part::MemoryMapOptions memory;
   core::InsertionOptions insertion;
   /// The flow enables per-arbiter metrics by default so FlowReport::summary
   /// can print fairness/latency lines; simulation-bound callers may turn

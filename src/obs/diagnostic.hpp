@@ -25,8 +25,8 @@ enum class DiagKind : std::uint8_t {
   kQuarantine,        // supervisor classified a resource fault as permanent
   kRemap,             // quarantined resource's load moved onto a survivor
   kCapacityExhausted, // no survivor can take the load; stall-with-diagnostic
-  kRejected,          // admission control refused a request at the edge
-  kTimedOut,          // retry budget exhausted; client now waits patiently
+  kRejected,          // service refused a request (full queue or failover)
+  kTimedOut,          // service request completed after its client gave up
   kShed,              // service frontend shed the request before enqueue
 };
 

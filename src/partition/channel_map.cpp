@@ -136,58 +136,4 @@ ChannelMapResult map_channels(const tg::TaskGraph& graph,
   return result;
 }
 
-ChannelRemap remap_channels(const tg::TaskGraph& graph,
-                            ChannelMapResult& result, int dead_phys,
-                            const std::vector<bool>& failed) {
-  RCARB_CHECK(dead_phys >= 0 &&
-                  static_cast<std::size_t>(dead_phys) < result.phys.size(),
-              "dead_phys out of range");
-  ChannelRemap remap;
-  remap.dead_phys = dead_phys;
-  const PhysChannel& dead = result.phys[static_cast<std::size_t>(dead_phys)];
-  if (dead.logical.empty()) {
-    // Nothing was riding the dead wires; the quarantine costs no traffic.
-    remap.feasible = true;
-    remap.target_phys = -1;
-    return remap;
-  }
-
-  int widest = 0;
-  for (tg::ChannelId c : dead.logical)
-    widest = std::max(widest, graph.channel(c).width_bits);
-
-  const auto pair = std::minmax(dead.pe_a, dead.pe_b);
-  int target = -1;
-  for (std::size_t i = 0; i < result.phys.size(); ++i) {
-    if (static_cast<int>(i) == dead_phys) continue;
-    if (i < failed.size() && failed[i]) continue;
-    const PhysChannel& ph = result.phys[i];
-    if (std::minmax(ph.pe_a, ph.pe_b) != pair) continue;
-    if (ph.width_bits < widest) continue;
-    if (target < 0 ||
-        ph.logical.size() <
-            result.phys[static_cast<std::size_t>(target)].logical.size())
-      target = static_cast<int>(i);
-  }
-  if (target < 0) return remap;  // no survivor: caller degrades to a stall
-
-  PhysChannel& dst = result.phys[static_cast<std::size_t>(target)];
-  PhysChannel& src = result.phys[static_cast<std::size_t>(dead_phys)];
-  remap.moved = src.logical;
-  for (tg::ChannelId c : remap.moved) {
-    result.phys_of_channel[c] = target;
-    dst.logical.push_back(c);
-    ++result.merged_channels;
-  }
-  src.logical.clear();
-  if (dst.logical.size() >= 2) {
-    std::string merged = "shared";
-    for (tg::ChannelId c : dst.logical) merged += "_" + graph.channel(c).name;
-    dst.name = merged + (dst.via_crossbar ? "@xbar" : "");
-  }
-  remap.feasible = true;
-  remap.target_phys = target;
-  return remap;
-}
-
 }  // namespace rcarb::part

@@ -5,7 +5,8 @@
 // While dedicated wires remain, every channel gets its own slice; once the
 // pin budget between a PE pair is exhausted, the remaining channels are
 // *merged* onto a shared physical channel — the paper's channel-arbitration
-// case (Fig. 3).
+// case (Fig. 3).  Online channel remaps after a quarantine are planned by
+// degrade::plan_channel_remap.
 #pragma once
 
 #include <string>
@@ -42,32 +43,5 @@ struct ChannelMapResult {
                                             const std::vector<tg::TaskId>& tasks,
                                             const board::Board& board,
                                             const std::vector<int>& pe_of_task);
-
-/// Outcome of re-merging a quarantined physical channel onto a survivor
-/// (graceful degradation: the Fig. 3 merge applied online, with P-1
-/// survivors instead of P).
-struct ChannelRemap {
-  bool feasible = false;
-  int dead_phys = -1;
-  /// The survivor now carrying the dead channel's logical channels.
-  int target_phys = -1;
-  std::vector<tg::ChannelId> moved;
-};
-
-/// Group-moves *every* logical channel of `dead_phys` onto one surviving
-/// physical channel between the same PE pair that is wide enough for the
-/// widest moved channel.  The group move (rather than per-channel
-/// scattering) keeps "old physical channel -> live physical channel" a
-/// function, which is what lets an online system translate in-flight
-/// operations.  `failed` marks additionally-unusable survivors (earlier
-/// quarantines); `dead_phys` itself is always excluded.  Deterministic:
-/// the least-loaded (fewest logical channels, then lowest index) eligible
-/// survivor wins.  On success `result`'s tables are updated in place; when
-/// no survivor qualifies, `result` is left untouched and `feasible` stays
-/// false.
-[[nodiscard]] ChannelRemap remap_channels(const tg::TaskGraph& graph,
-                                          ChannelMapResult& result,
-                                          int dead_phys,
-                                          const std::vector<bool>& failed);
 
 }  // namespace rcarb::part

@@ -7,11 +7,18 @@
 
 namespace rcarb::part {
 
+namespace {
+
+/// Extra packing cost per distinct accessor task already on a bank (steers
+/// the packer away from building big contention groups).
+constexpr double kContentionWeight = 0.25;
+
+}  // namespace
+
 MemoryMapResult map_memory(const tg::TaskGraph& graph,
                            const std::vector<tg::TaskId>& tasks,
                            const board::Board& board,
-                           const std::vector<int>& pe_of_task,
-                           const MemoryMapOptions& options) {
+                           const std::vector<int>& pe_of_task) {
   RCARB_CHECK(pe_of_task.size() == graph.num_tasks(),
               "pe_of_task must cover every task");
 
@@ -20,13 +27,6 @@ MemoryMapResult map_memory(const tg::TaskGraph& graph,
   result.bank_free_bytes.resize(board.num_banks());
   for (board::BankId b = 0; b < board.num_banks(); ++b)
     result.bank_free_bytes[b] = board.bank(b).bytes;
-
-  std::vector<bool> failed(board.num_banks(), false);
-  for (board::BankId b : options.failed_banks) {
-    RCARB_CHECK(b < board.num_banks(), "failed bank out of range");
-    failed[b] = true;
-    result.bank_free_bytes[b] = 0;  // quarantined capacity is gone
-  }
 
   // Active segments and their accessors within this partition.
   std::vector<bool> in_set(graph.num_tasks(), false);
@@ -62,7 +62,6 @@ MemoryMapResult map_memory(const tg::TaskGraph& graph,
     int best_bank = -1;
     double best_score = 0.0;
     for (board::BankId b = 0; b < board.num_banks(); ++b) {
-      if (failed[b]) continue;
       if (result.bank_free_bytes[b] < seg.bytes) continue;
       // Score: prefer local banks, low contention, tight fit.
       const double locality =
@@ -75,8 +74,8 @@ MemoryMapResult map_memory(const tg::TaskGraph& graph,
       const double fit =
           static_cast<double>(result.bank_free_bytes[b] - seg.bytes) /
           static_cast<double>(board.bank(b).bytes);
-      const double score = locality - options.contention_weight * contention -
-                           0.1 * fit;
+      const double score =
+          locality - kContentionWeight * contention - 0.1 * fit;
       if (best_bank < 0 || score > best_score) {
         best_bank = static_cast<int>(b);
         best_score = score;

@@ -6,7 +6,9 @@
 // arbitration necessary.  The mapper packs best-fit-decreasing under bank
 // capacity, preferring the bank attached to the PE that hosts most of a
 // segment's accessors, and otherwise minimizing the number of distinct
-// tasks contending per bank.
+// tasks contending per bank.  The mapper serves the static flow only;
+// online bank remaps after a quarantine are planned by
+// degrade::plan_bank_remap.
 #pragma once
 
 #include <string>
@@ -16,18 +18,6 @@
 #include "taskgraph/taskgraph.hpp"
 
 namespace rcarb::part {
-
-struct MemoryMapOptions {
-  /// Extra packing cost per distinct accessor task already on a bank
-  /// (steers the packer away from building big contention groups).
-  double contention_weight = 0.25;
-  /// Banks the mapper must not place anything on (quarantined by the
-  /// graceful-degradation supervisor).  Re-running map_memory with the
-  /// failed bank listed here yields the segment assignment for the
-  /// shrunken pool; throws as usual if the survivors cannot hold the
-  /// active segments.
-  std::vector<board::BankId> failed_banks;
-};
 
 struct MemoryMapResult {
   /// Bank per SegmentId; -1 for segments not active in this partition.
@@ -44,7 +34,6 @@ struct MemoryMapResult {
 [[nodiscard]] MemoryMapResult map_memory(const tg::TaskGraph& graph,
                                          const std::vector<tg::TaskId>& tasks,
                                          const board::Board& board,
-                                         const std::vector<int>& pe_of_task,
-                                         const MemoryMapOptions& options = {});
+                                         const std::vector<int>& pe_of_task);
 
 }  // namespace rcarb::part

@@ -399,57 +399,6 @@ void RunState::exec_control(TaskCtx& c, const std::vector<Op>& ops,
   }
 }
 
-void RunState::note_backoff_round(TaskCtx& c, int resource) {
-  // A backoff round is one Req-drop (retry timeout or admission refusal);
-  // once the per-burst budget is spent the client stops churning its Req
-  // line and waits with the request held — a typed diagnostic instead of
-  // a livelock, and never a deadlock.
-  ++c.retry_rounds;
-  if (opt.retry_budget <= 0 || c.budget_spent ||
-      c.retry_rounds < opt.retry_budget)
-    return;
-  c.budget_spent = true;
-  ++result.budget_exhausted;
-  diagnose(DiagKind::kTimedOut, c.task(), resource, [&] {
-    return "task " + graph.task(c.id).name + " spent its retry budget (" +
-           std::to_string(opt.retry_budget) + ") on " +
-           binding().resource_name(resource) +
-           "; falling back to a held request";
-  });
-}
-
-bool RunState::admission_full(const TaskCtx& c, int resource) {
-  // Refuse a newcomer while the arbiter's previous-cycle request wire
-  // already carries admission_limit other requesters.  A budget-exhausted
-  // client bypasses the check — it must eventually be allowed to wait in
-  // line, or a persistently full wire could starve it forever.
-  if (opt.admission_limit <= 0 || c.budget_spent) return false;
-  const auto [ai, port] = arbiter_port(c.id, resource);
-  if (ai < 0 || port < 0) return false;
-  const std::vector<std::uint64_t>& req = lane(ai).requests;
-  int others = core::test_bit(req, port) ? -1 : 0;
-  for (const std::uint64_t w : req) others += std::popcount(w);
-  return others >= opt.admission_limit;
-}
-
-void RunState::admission_reject(TaskCtx& c, int resource) {
-  // Refused at the request edge: bounded exponential backoff, then the
-  // request op replays.
-  c.retry_resource = resource;
-  c.retry_until = cycle + static_cast<std::uint64_t>(c.retry_backoff);
-  c.retry_backoff = std::min(c.retry_backoff * 2, plan().retry_backoff_limit);
-  ++result.admission_rejects;
-  if (!c.reject_reported) {
-    c.reject_reported = true;
-    diagnose(DiagKind::kRejected, c.task(), resource, [&] {
-      return "admission control refused " + graph.task(c.id).name + " on " +
-             binding().resource_name(resource) + " (limit " +
-             std::to_string(opt.admission_limit) + ")";
-    });
-  }
-  note_backoff_round(c, resource);
-}
-
 bool RunState::await_grant(TaskCtx& c, int resource) {
   // Protocol retry bookkeeping shared by the arbitrated access ops:
   // returns true when the access must wait this cycle (stall, backoff, or
@@ -459,10 +408,6 @@ bool RunState::await_grant(TaskCtx& c, int resource) {
     const bool retrying = c.retry_resource == resource;
     if (retrying && cycle < c.retry_until) return true;  // backing off
     if (retrying || c.implicit_for(resource)) {
-      if (admission_full(c, resource)) {
-        admission_reject(c, resource);  // extends the backoff
-        return true;
-      }
       // Re-assert after the backoff, or the Req:=1 cycle of a retrofitted
       // access.
       c.requesting = resource;
@@ -488,16 +433,12 @@ bool RunState::await_grant(TaskCtx& c, int resource) {
   }
   if (ai < 0 || port < 0 || core::test_bit(lane(ai).grant_mask_vis, port)) {
     c.retry_backoff = 1;
-    c.retry_rounds = 0;
-    c.budget_spent = false;
-    c.reject_reported = false;
     return false;
   }
   // No grant.  With retry enabled, give the attempt up after the timeout
   // and back off boundedly (Req:=0 for backoff cycles).
   const int rt = plan().retry_timeout;
-  if (rt > 0 && !c.budget_spent &&
-      cycle - c.request_since >= static_cast<std::uint64_t>(rt)) {
+  if (rt > 0 && cycle - c.request_since >= static_cast<std::uint64_t>(rt)) {
     c.requesting = -1;
     c.retry_resource = resource;
     c.retry_until = cycle + static_cast<std::uint64_t>(c.retry_backoff);
@@ -505,7 +446,6 @@ bool RunState::await_grant(TaskCtx& c, int resource) {
       ++result.arbiter_obs[static_cast<std::size_t>(ai)].backoffs;
     trace(obs::TraceKind::kBackoff, c.task(), ai, resource, c.retry_backoff);
     c.retry_backoff = std::min(c.retry_backoff * 2, plan().retry_backoff_limit);
-    note_backoff_round(c, resource);
     return true;
   }
   ++c.stats.grant_wait_cycles;  // stall, request stays up
@@ -525,19 +465,6 @@ void RunState::exec_protocol(TaskCtx& c, const Op& op) {
                       : " releases a resource it does not hold");
     });
     ++result.protocol_violations;
-  }
-  if (acquire && c.requesting != res) {
-    if (c.retry_resource == res && cycle < c.retry_until) {
-      // Backing off after an admission refusal: the acquire op replays
-      // (pc does not advance) once the backoff expires.
-      ++c.stats.grant_wait_cycles;
-      return;
-    }
-    if (admission_full(c, res)) {
-      admission_reject(c, res);
-      return;
-    }
-    if (c.retry_resource == res) ++result.retries;
   }
   c.requesting = acquire ? res : -1;
   c.retry_resource = -1;

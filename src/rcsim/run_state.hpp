@@ -91,10 +91,6 @@ struct TaskCtx {
   int retry_resource = -1;
   std::uint64_t retry_until = 0;
   int retry_backoff = 1;
-  // Overload control (SimOptions::admission_limit / retry_budget).
-  int retry_rounds = 0;          // backoff rounds this burst
-  bool budget_spent = false;     // kTimedOut fired; now waiting patiently
-  bool reject_reported = false;  // one kRejected diagnostic per burst
   // Resources this task drives without inserted Req/Rel ops (it was the
   // sole client pre-remap, so the insertion pass elided its protocol);
   // the simulator retrofits a per-access Req / release instead.
@@ -190,15 +186,12 @@ struct RunState {
   bool blocked(TaskCtx& c, int resource, std::pair<int, int> port,
                degrade::StrikeSource evidence);
   bool await_grant(TaskCtx& c, int resource);
-  bool admission_full(const TaskCtx& c, int resource);
-  void admission_reject(TaskCtx& c, int resource);
-  void note_backoff_round(TaskCtx& c, int resource);
   void retired_access(TaskCtx& c, int resource);
 
   // ---- Set-up and results (system_sim.cpp). ----
   /// Builds the lane for one arbiter instance through the shared factory,
-  /// so the option set (hardening, preemption, self-check, seed, kind)
-  /// never drifts between first build and reconfiguration.
+  /// so the option set (hardening, self-check, seed, kind) never drifts
+  /// between first build and reconfiguration.
   void add_lane(const core::ArbiterInstance& inst);
   /// Final counters, task stats and supervisor records.
   SimResult finish();

@@ -120,8 +120,7 @@ degrade::RetirePlan RunState::freeze_move(int r) {
     // Capacity model for in-sim bank remaps: the simulator does not know
     // the physical bank sizes (segments are the memory unit here), so
     // banks are capacity-unconstrained and feasibility means "a live bank
-    // exists".  Capacity-constrained placement is the partition layer's
-    // job (MemoryMapOptions::failed_banks).
+    // exists".
     const std::vector<std::size_t> bank_free(
         b.num_banks, std::numeric_limits<std::size_t>::max() / 2);
     std::vector<std::size_t> seg_bytes(graph.num_segments());

@@ -183,7 +183,7 @@ void RunState::add_lane(const core::ArbiterInstance& inst) {
                                                  /*timing_budget_mhz=*/0.0,
                                                  opt.arbiter_arity);
   spec.arity = opt.arbiter_arity;
-  spec.rr = core::RoundRobinOptions{opt.rr_max_hold, opt.harden};
+  spec.harden = opt.harden;
   spec.self_check = opt.self_check;
   spec.seed = opt.seed;
   ArbiterLane& lane = lanes.emplace_back();

@@ -30,8 +30,6 @@ namespace rcarb::rcsim {
 
 struct SimOptions {
   std::uint64_t max_cycles = 50'000'000;
-  /// Preemption window for round-robin arbiters (0 = paper's base form).
-  int rr_max_hold = 0;
   std::uint64_t seed = 1;  // random-policy arbiters
   /// Throw on protocol violations / conflicts instead of recording them.
   /// Non-strict, every violation class lands in SimResult::diagnostics and
@@ -75,8 +73,8 @@ struct SimOptions {
   /// insertion pass — kFlatFsm unless InsertionOptions::arbiter_kind chose
   /// otherwise — so plans and simulation stay in agreement; an explicit
   /// choice overrides the plan for every instance.  The scalable kinds
-  /// have no one-hot register: `harden`/`rr_max_hold` do not apply to
-  /// them; upsets and latch-ups land in their packed state registers.
+  /// have no one-hot register: `harden` does not apply to them; upsets
+  /// and latch-ups land in their packed state registers.
   core::ArbiterChoice arbiter_kind = core::ArbiterChoice::kAuto;
   int arbiter_arity = 4;  // tree arity for kHierarchical
   /// Supervisory recovery controller: classify permanent faults (K strikes
@@ -109,21 +107,6 @@ struct SimOptions {
   /// netlist::WideLaneSimulator.  Off by default: costs one store per
   /// request word per arbiter per cycle when on, nothing when off.
   bool record_request_trace = false;
-
-  // ---- Overload control (open-loop service frontend, src/service). ----
-  /// Bounded admission per arbiter: a task trying to assert Req while the
-  /// arbiter's previous-cycle request wire already carries this many
-  /// *other* requesters is refused at the request edge — one kRejected
-  /// diagnostic per burst, counted in SimResult::admission_rejects — and
-  /// enters its bounded exponential backoff instead of camping on the
-  /// wire.  0 = unlimited (the existing behavior, byte-identical).
-  int admission_limit = 0;
-  /// Per-burst retry budget: after this many backoff rounds (retry
-  /// timeouts or admission refusals) without a grant, the task emits one
-  /// kTimedOut diagnostic and falls back to a patiently-held request — a
-  /// stalled client surfaces a typed diagnostic instead of a protocol
-  /// violation, and no overload policy can deadlock a run.  0 = unlimited.
-  int retry_budget = 0;
 };
 
 // The diagnostic vocabulary is shared with the service engine; it lives in
@@ -172,8 +155,6 @@ struct SimResult {
   std::uint64_t corrupted_words = 0;      // delivered corrupted (detected)
   std::uint64_t corrected_words = 0;      // repaired by SECDED
   std::uint64_t retries = 0;              // protocol-level Req re-assertions
-  std::uint64_t admission_rejects = 0;    // requests refused at the edge
-  std::uint64_t budget_exhausted = 0;     // clients that spent a retry budget
   /// True when the run stopped on a deadlock / no-progress attribution
   /// instead of finishing every task.
   bool deadlocked = false;

@@ -8,6 +8,16 @@ namespace rcarb::service {
 
 namespace {
 
+// kBursty (MMPP-2): rate multipliers while bursting and while quiet, and
+// the mean cycles per state (geometric dwell).
+constexpr double kBurstFactor = 4.0;
+constexpr double kQuietFactor = 0.25;
+constexpr std::uint64_t kDwellMean = 512;
+
+// kDiurnal: rate multipliers at the trough and at the peak.
+constexpr double kTroughFactor = 0.25;
+constexpr double kPeakFactor = 1.75;
+
 /// Poisson(lambda) sample by Knuth's inversion (product of uniforms).
 /// Exact for the small per-cycle lambdas used here (lambda < ~10); the
 /// loop length is itself the sample, so the rng draw count varies — which
@@ -39,7 +49,6 @@ ArrivalProcess::ArrivalProcess(const ArrivalOptions& options,
                                std::uint64_t seed)
     : opt_(options), rng_(seed) {
   RCARB_CHECK(opt_.rate >= 0.0, "arrival rate must be non-negative");
-  RCARB_CHECK(opt_.dwell_mean > 0, "dwell_mean must be positive");
   RCARB_CHECK(opt_.period > 0, "period must be positive");
 }
 
@@ -51,18 +60,18 @@ double ArrivalProcess::current_rate() const {
       // Equal mean dwell in both states, so the long-run multiplier is the
       // midpoint; normalizing by it keeps the *average* load equal to
       // `rate` regardless of how bursty the shape is.
-      const double mean_mult = (opt_.burst_factor + opt_.quiet_factor) / 2.0;
-      const double mult = bursting_ ? opt_.burst_factor : opt_.quiet_factor;
+      const double mean_mult = (kBurstFactor + kQuietFactor) / 2.0;
+      const double mult = bursting_ ? kBurstFactor : kQuietFactor;
       return opt_.rate * mult / mean_mult;
     }
     case ArrivalKind::kDiurnal: {
-      const double mean_mult = (opt_.peak_factor + opt_.trough_factor) / 2.0;
+      const double mean_mult = (kPeakFactor + kTroughFactor) / 2.0;
       const auto phase = static_cast<double>(cycle_ % opt_.period) /
                          static_cast<double>(opt_.period);
       // Triangle: trough at phase 0 and 1, peak at phase 0.5.
       const double ramp = phase < 0.5 ? 2.0 * phase : 2.0 * (1.0 - phase);
       const double mult =
-          opt_.trough_factor + (opt_.peak_factor - opt_.trough_factor) * ramp;
+          kTroughFactor + (kPeakFactor - kTroughFactor) * ramp;
       return opt_.rate * mult / mean_mult;
     }
   }
@@ -71,7 +80,7 @@ double ArrivalProcess::current_rate() const {
 
 int ArrivalProcess::step() {
   const int n = poisson(rng_, current_rate());
-  if (opt_.kind == ArrivalKind::kBursty && rng_.chance(1, opt_.dwell_mean))
+  if (opt_.kind == ArrivalKind::kBursty && rng_.chance(1, kDwellMean))
     bursting_ = !bursting_;
   ++cycle_;
   return n;

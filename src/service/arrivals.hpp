@@ -8,7 +8,9 @@
 // modeled — stationary Poisson, bursty MMPP-2 (a 2-state Markov-modulated
 // Poisson process: quiet/burst states with geometric dwell times), and a
 // diurnal triangle ramp — all driven by rcarb::Rng so any run is exactly
-// reproducible from (options, seed).
+// reproducible from (options, seed).  The shapes' rate multipliers and the
+// MMPP dwell time are fixed in arrivals.cpp; only the mean rate and the
+// diurnal period are options.
 #pragma once
 
 #include <cstdint>
@@ -32,15 +34,8 @@ struct ArrivalOptions {
   /// bursty and diurnal modulate around this mean, they do not change it).
   double rate = 0.1;
 
-  // ---- kBursty (MMPP-2). ----
-  double burst_factor = 4.0;        // rate multiplier while bursting
-  double quiet_factor = 0.25;       // rate multiplier while quiet
-  std::uint64_t dwell_mean = 512;   // mean cycles per state (geometric)
-
-  // ---- kDiurnal. ----
-  double trough_factor = 0.25;      // rate multiplier at the trough
-  double peak_factor = 1.75;        // rate multiplier at the peak
-  std::uint64_t period = 4096;      // cycles per full trough-peak-trough
+  /// kDiurnal: cycles per full trough-peak-trough.
+  std::uint64_t period = 4096;
 };
 
 /// One deterministic arrival stream.  step() returns the number of

@@ -40,6 +40,11 @@ std::uint64_t retry_delay(const RetryPolicy& retry, int attempts,
 
 namespace {
 
+/// kAdmitShed hysteresis: a window whose utilization exceeds kShedArm arms
+/// shedding, and a window at or below kShedDisarm disarms it.
+constexpr double kShedArm = 0.85;
+constexpr double kShedDisarm = 0.70;
+
 /// One in-flight client request.  `arrival` is the *first* attempt's
 /// cycle, so retry delays count against the client's latency and timeout.
 struct Request {
@@ -63,7 +68,6 @@ struct ResourceState {
                 core::CheckMode self_check, obs::ArbiterMetrics* metrics)
       : arb(core::make_system_arbiter(ports, {.kind = kind,
                                               .arity = arity,
-                                              .rr = {},
                                               .self_check = self_check})),
         probe(metrics),
         slots(static_cast<std::size_t>(ports)),
@@ -343,17 +347,17 @@ class Engine {
     // availability collapse.
     if (qs == degrade::QuarantineState::kHealthy && functioning(st))
       ++stats_.serving_resource_cycles;
-    // Windowed utilization with hysteresis: high_water arms shedding,
-    // low_water disarms it.  Window boundaries are anchored at the last
-    // stats reset so the measured run's first window is always full-width
-    // regardless of the warmup length.
+    // Windowed utilization with hysteresis (kShedArm / kShedDisarm).
+    // Window boundaries are anchored at the last stats reset so the
+    // measured run's first window is always full-width regardless of the
+    // warmup length.
     if ((cycle_ + 1 - util_anchor_) %
             static_cast<std::uint64_t>(opt_.util_window) ==
         0) {
       const double util = static_cast<double>(st.busy_window) /
                           static_cast<double>(opt_.util_window);
       st.shed_armed =
-          st.shed_armed ? (util > opt_.low_water) : (util > opt_.high_water);
+          st.shed_armed ? (util > kShedDisarm) : (util > kShedArm);
       st.busy_window = 0;
     }
     rs.queue_depth.record(st.queue.size());

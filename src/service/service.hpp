@@ -22,7 +22,7 @@
 //  - kTailDrop: a full queue refuses the arrival with a typed rejection
 //    (DiagKind::kRejected).  Sojourn stays bounded by the queue depth.
 //  - kAdmitShed: a windowed utilization estimator with hysteresis
-//    (high_water arms, low_water disarms) sheds arrivals *early* —
+//    (arms above 85% utilization, disarms at 70%) sheds arrivals *early* —
 //    before the queue fills — once the resource is saturated
 //    (DiagKind::kShed), keeping latency low and goodput at capacity.
 //
@@ -133,8 +133,6 @@ struct ServiceOptions {
   double arbiter_fmax_budget_mhz = 0.0;
 
   // ---- kAdmitShed estimator. ----
-  double high_water = 0.85;       // windowed utilization that arms shedding
-  double low_water = 0.70;        // disarm threshold (hysteresis)
   int util_window = 256;          // cycles per utilization sample
   int admit_queue_threshold = 8;  // shed only above this queue depth
 

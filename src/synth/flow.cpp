@@ -8,6 +8,18 @@
 
 namespace rcarb::synth {
 
+namespace {
+
+/// Covers wider than this many variables skip the full espresso loop and
+/// only get cheap reductions (the loop's tautology checks are exponential
+/// in the worst case).
+constexpr int kMinimizeVarLimit = 22;
+/// Covers with more cubes than this also skip the full loop (espresso's
+/// inner passes are quadratic in the cube count).
+constexpr std::size_t kMinimizeCubeLimit = 256;
+
+}  // namespace
+
 const char* to_string(FlowKind k) {
   switch (k) {
     case FlowKind::kSynplifyLike:
@@ -90,8 +102,8 @@ SynthResult synthesize_fsm(const Fsm& fsm, const FlowOptions& options) {
   std::size_t sop_cubes = 0;
   auto reduce = [&](logic::Cover& cover) {
     if (!options.run_minimizer) return;
-    if (elab.num_vars() <= options.minimize_var_limit &&
-        cover.size() <= options.minimize_cube_limit) {
+    if (elab.num_vars() <= kMinimizeVarLimit &&
+        cover.size() <= kMinimizeCubeLimit) {
       const logic::Cover* dc = elab.dc ? &*elab.dc : nullptr;
       logic::minimize(cover, dc);
     } else {

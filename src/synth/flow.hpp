@@ -31,14 +31,9 @@ enum class FlowKind : std::uint8_t { kSynplifyLike, kExpressLike };
 struct FlowOptions {
   FlowKind kind = FlowKind::kExpressLike;
   Encoding encoding = Encoding::kOneHot;  // the "VHDL-requested" encoding
+  /// Two-level minimization of every cover; wide or large covers only get
+  /// cheap reductions (limits in flow.cpp).
   bool run_minimizer = true;
-  /// Covers wider than this many variables skip the full espresso loop and
-  /// only get cheap reductions (the loop's tautology checks are exponential
-  /// in the worst case).
-  int minimize_var_limit = 22;
-  /// Covers with more cubes than this also skip the full loop (espresso's
-  /// inner passes are quadratic in the cube count).
-  std::size_t minimize_cube_limit = 256;
   /// SEU hardening: elaborate with illegal-state recovery logic (see
   /// synth::elaborate).  Costs area; Fig. 6-style figures stay unhardened.
   bool harden = false;

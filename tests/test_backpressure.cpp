@@ -158,11 +158,11 @@ TEST(Backpressure, UnarbitratedSendDoesNotHoldBankGrant) {
   EXPECT_EQ(r.bank_conflicts, 0u);
 }
 
-// ---- Sustained saturation (open-loop overload, PR 6). ----
+// ---- Sustained saturation. ----
 
 /// N hammerers pounding the same bank(s): every dispatch slot stays full
-/// for the whole run, the regime where admission control and retry
-/// budgets have to prove they never deadlock and never break protocol.
+/// for the whole run, the regime where the retry/backoff loop has to prove
+/// it never deadlocks and never breaks protocol.
 struct SaturationRig {
   TaskGraph g{"saturate"};
   Binding b;
@@ -194,59 +194,9 @@ struct SaturationRig {
   }
 };
 
-TEST(Backpressure, AdmissionLimitedSaturationFinishesWithoutDeadlock) {
-  SaturationRig rig(6, 1, 12);
-  core::InsertionOptions io;
-  io.retry_timeout = 4;  // waiters back off instead of camping
-  const auto ins = core::insert_arbitration(rig.g, rig.b, io);
-
-  SimOptions so;
-  so.strict = true;  // any protocol violation throws
-  so.admission_limit = 2;
-  SystemSimulator sim(ins.graph, rig.b, ins.plan, so);
-  const SimResult r = sim.run(rig.tasks);
-
-  EXPECT_FALSE(r.deadlocked);
-  for (const TaskId t : rig.tasks)
-    EXPECT_GT(r.tasks[t].finish_cycle, 0u) << "task " << t;
-  EXPECT_EQ(r.protocol_violations, 0u);
-  EXPECT_GT(r.admission_rejects, 0u)
-      << "six hammerers against a 2-wide admission limit must reject";
-  EXPECT_GT(r.count(DiagKind::kRejected), 0u);
-  // Every store landed despite the rejections (refusal delays, never
-  // drops, an explicitly-programmed access).
-  for (int t = 0; t < 6; ++t)
-    EXPECT_EQ(sim.segment_data(0)[static_cast<std::size_t>((t * 3 + 11) %
-                                                           16)] >= 0,
-              true);
-}
-
-TEST(Backpressure, ExhaustedRetryBudgetIsTypedNotAViolation) {
-  SaturationRig rig(6, 1, 10);
-  core::InsertionOptions io;
-  io.retry_timeout = 3;
-  const auto ins = core::insert_arbitration(rig.g, rig.b, io);
-
-  SimOptions so;
-  so.strict = true;
-  so.admission_limit = 2;
-  so.retry_budget = 2;  // tiny: stalls exhaust it almost immediately
-  SystemSimulator sim(ins.graph, rig.b, ins.plan, so);
-  const SimResult r = sim.run(rig.tasks);
-
-  EXPECT_FALSE(r.deadlocked);
-  for (const TaskId t : rig.tasks)
-    EXPECT_GT(r.tasks[t].finish_cycle, 0u);
-  // The stalled clients surface kTimedOut and then wait patiently — the
-  // run completes with zero protocol violations.
-  EXPECT_GT(r.budget_exhausted, 0u);
-  EXPECT_GT(r.count(DiagKind::kTimedOut), 0u);
-  EXPECT_EQ(r.protocol_violations, 0u);
-}
-
 TEST(Backpressure, OverloadNeverDeadlocksTheDegradationSupervisor) {
-  // A bank dies mid-overload: the PR 5 supervisor must drain and remap
-  // while admission control is actively refusing requests on the
+  // A bank dies mid-overload: the degradation supervisor must drain and
+  // remap while every waiter keeps timing out and backing off on the
   // survivor.  The drain must complete (bounded by drain_timeout) and
   // every task must finish on the remapped bank.
   SaturationRig rig(6, 2, 10);
@@ -256,8 +206,6 @@ TEST(Backpressure, OverloadNeverDeadlocksTheDegradationSupervisor) {
 
   SimOptions so;
   so.strict = false;  // fail-stop bank faults are expected, not fatal
-  so.admission_limit = 2;
-  so.retry_budget = 8;
   so.degrade.enabled = true;
   so.degrade.strikes = 3;
   so.degrade.strike_window = 64;

@@ -22,7 +22,6 @@ using core::Binding;
 using core::InsertionOptions;
 using core::InsertionResult;
 using core::RoundRobinArbiter;
-using core::RoundRobinOptions;
 using rcsim::DiagKind;
 using rcsim::SimOptions;
 using rcsim::SimResult;
@@ -81,7 +80,7 @@ TEST(FaultPlan, FiltersKindsByTargetShape) {
 // ------------------------------------------------- behavioral SEU semantics
 
 TEST(FaultArbiter, HardenedRecoversWithinOneCycle) {
-  RoundRobinArbiter arb(4, RoundRobinOptions{0, true});
+  RoundRobinArbiter arb(4, /*harden=*/true);
   (void)arb.step(0b0100);  // -> C2
   ASSERT_EQ(arb.state_name(), "C2");
   arb.flip_state_bit(0);  // F0 also hot: two-hot illegal

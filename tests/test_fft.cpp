@@ -142,7 +142,7 @@ TEST(FftDesign, GTasksReadExactlyTheirColumn) {
 /// F tasks still contend (each scatters into every ML bank), so the design
 /// goes through arbiter insertion like any other.
 TEST(FftDesign, ComputesTheExactSpectrum) {
-  const FftDesign d = build_fft_design({200, 380, 0, 0});
+  const FftDesign d = build_fft_design();
   core::Binding binding;
   binding.task_to_pe.assign(d.graph.num_tasks(), 0);
   binding.segment_to_bank.resize(12);

@@ -212,7 +212,8 @@ TEST_P(FlowFuzz, ArbitratedExecutionIsAlwaysClean) {
 
         rcsim::SimOptions so;
         so.strict = true;  // any conflict or violation throws
-        so.rr_max_hold = rng.chance(1, 3) ? 4 : 0;
+        // Draw kept so every later case of the stream stays the same.
+        (void)rng.chance(1, 3);
         rcsim::SystemSimulator sim(ins.graph, fc.binding, ins.plan, so);
         CaseOut out;
         out.num_tasks = fc.tasks.size();

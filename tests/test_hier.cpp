@@ -636,14 +636,12 @@ std::vector<std::unique_ptr<core::Arbiter>> observed_arbiters(int n) {
     for (const core::CheckMode mode :
          {core::CheckMode::kNone, core::CheckMode::kDuplicate,
           core::CheckMode::kTmr})
-      specs.push_back(
-          {.kind = kind, .arity = 4, .rr = {}, .self_check = mode});
+      specs.push_back({.kind = kind, .arity = 4, .self_check = mode});
   for (const core::Policy policy :
        {core::Policy::kFifo, core::Policy::kPriority, core::Policy::kRandom})
     specs.push_back({.policy = policy,
                      .kind = ArbiterKind::kFlatFsm,
                      .arity = 4,
-                     .rr = {},
                      .self_check = core::CheckMode::kNone});
   std::vector<std::unique_ptr<core::Arbiter>> arbiters;
   for (const core::SystemArbiterSpec& spec : specs)
@@ -807,17 +805,6 @@ TEST(ArbiterFactory, BuildsTheMatchingKindAtEveryWidth) {
       }
     }
   }
-
-  // rr preemption/hardening carry to every width: at 128 ports a holder
-  // of port 5 is preempted for port 100 after max_hold_cycles grants.
-  core::SystemArbiterSpec held;
-  held.rr.max_hold_cycles = 4;
-  auto held128 = core::make_system_arbiter(128, held);
-  const std::vector<std::uint64_t> two = {1ull << 5, 1ull << (100 - 64)};
-  std::vector<int> grants;
-  for (int cyc = 0; cyc < 6; ++cyc)
-    grants.push_back(held128.arbiter->step(two));
-  EXPECT_EQ(grants, (std::vector<int>{5, 5, 5, 5, 100, 100}));
 
   // Non-round-robin policies ignore the kind machinery entirely and have
   // no modelled register.

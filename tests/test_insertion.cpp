@@ -280,9 +280,7 @@ TEST(Insertion, LongComputeBreaksBurst) {
   binding.num_banks = 1;
   binding.bank_names = {"B"};
 
-  InsertionOptions options;
-  options.hold_compute_limit = 8;
-  const InsertionResult r = insert_arbitration(g, binding, options);
+  const InsertionResult r = insert_arbitration(g, binding, {});
   EXPECT_EQ(count_ops(r.graph.task(0).program, OpCode::kAcquire), 2)
       << "a 100-cycle compute must not be covered by a held grant";
 }

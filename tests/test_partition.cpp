@@ -397,82 +397,6 @@ TEST(ChannelMap, ThrowsWhenNoRouteWideEnough) {
                CheckError);
 }
 
-// ---------------------------------------------- degradation remap planning
-
-TEST(MemoryMap, FailedBanksAreNeverAssigned) {
-  TaskGraph g("shrunk");
-  g.add_segment("s0", 1024, 16);
-  Program p;
-  p.load_imm(0, 0).store(0, 0, 0).halt();
-  const TaskId a = g.add_task("a", p, 10);
-  const std::vector<int> pes{0};
-  const board::Board board = board::wildforce();
-
-  MemoryMapOptions opt;
-  for (board::BankId b = 0; b + 1 < board.num_banks(); ++b)
-    opt.failed_banks.push_back(b);  // only the last bank survives
-  const MemoryMapResult r = map_memory(g, {a}, board, pes, opt);
-  EXPECT_EQ(r.bank_of_segment[0], static_cast<int>(board.num_banks() - 1));
-
-  MemoryMapOptions none;
-  for (board::BankId b = 0; b < board.num_banks(); ++b)
-    none.failed_banks.push_back(b);
-  EXPECT_THROW(map_memory(g, {a}, board, pes, none), CheckError);
-}
-
-TEST(ChannelRemap, GroupMovesOntoAWideEnoughSurvivor) {
-  ChannelFixture fx(2, 8);  // two dedicated 8-bit phys channels on mini2
-  ChannelMapResult r = map_channels(fx.g, fx.tasks, board::mini2(), fx.pes);
-  ASSERT_EQ(r.phys.size(), 2u);
-
-  const ChannelRemap plan =
-      remap_channels(fx.g, r, /*dead_phys=*/0, {false, false});
-  EXPECT_TRUE(plan.feasible);
-  EXPECT_EQ(plan.target_phys, 1);
-  ASSERT_EQ(plan.moved.size(), 1u);
-  // The tables were rewritten in place: the dead channel's logical load
-  // now rides the survivor.
-  EXPECT_EQ(r.phys_of_channel[plan.moved[0]], 1);
-  EXPECT_EQ(r.phys[1].logical.size(), 2u);
-  EXPECT_TRUE(r.phys[0].logical.empty());
-}
-
-TEST(ChannelRemap, TooNarrowSurvivorIsInfeasibleAndLeavesTablesAlone) {
-  // 12-bit and 4-bit channels share mini2's 16-bit link as two dedicated
-  // phys channels.  The 4-bit survivor cannot carry the 12-bit channel.
-  TaskGraph g("narrow");
-  Program snd1, snd2, rcv1, rcv2;
-  snd1.load_imm(0, 1).send(0, 0).halt();
-  snd2.load_imm(0, 2).send(1, 0).halt();
-  rcv1.recv(0, 0).halt();
-  rcv2.recv(0, 1).halt();
-  const TaskId a = g.add_task("a", snd1, 10);
-  const TaskId b = g.add_task("b", rcv1, 10);
-  const TaskId c = g.add_task("c", snd2, 10);
-  const TaskId d = g.add_task("d", rcv2, 10);
-  g.add_channel("wide", 12, a, b);
-  g.add_channel("thin", 4, c, d);
-  const std::vector<int> pes{0, 1, 0, 1};
-  ChannelMapResult r = map_channels(g, {a, b, c, d}, board::mini2(), pes);
-  ASSERT_EQ(r.phys.size(), 2u);
-  const ChannelMapResult before = r;
-
-  const int wide_phys = r.phys_of_channel[0];
-  const int thin_phys = r.phys_of_channel[1];
-  // Thin dies: the wide survivor has room.
-  EXPECT_TRUE(remap_channels(g, r, thin_phys, {false, false}).feasible);
-  r = before;
-  // Wide dies: the thin survivor is too narrow; tables stay untouched.
-  const ChannelRemap no = remap_channels(g, r, wide_phys, {false, false});
-  EXPECT_FALSE(no.feasible);
-  EXPECT_EQ(r.phys_of_channel, before.phys_of_channel);
-
-  // A survivor already quarantined by an earlier failure is also barred.
-  std::vector<bool> failed(2, false);
-  failed[static_cast<std::size_t>(wide_phys)] = true;
-  EXPECT_FALSE(remap_channels(g, r, thin_phys, failed).feasible);
-}
-
 // ------------------------------------------------------------------- binding
 
 TEST(Binding, AssemblesFromPartitionResults) {

@@ -222,25 +222,6 @@ TEST(Random, EventuallyServesEveryoneUnderChurn) {
   for (int t = 0; t < 4; ++t) EXPECT_GT(grants[static_cast<std::size_t>(t)], 0);
 }
 
-TEST(RoundRobinPreemption, HogIsPreemptedAfterWindow) {
-  RoundRobinArbiter arb(3, RoundRobinOptions{/*max_hold_cycles=*/4});
-  // Task 0 requests forever; task 1 joins at cycle 2 and never gives up.
-  EXPECT_EQ(arb.step(0b001), 0);
-  EXPECT_EQ(arb.step(0b001), 0);
-  EXPECT_EQ(arb.step(0b011), 0);
-  EXPECT_EQ(arb.step(0b011), 0);  // 4th granted cycle for task 0
-  EXPECT_EQ(arb.step(0b011), 1) << "holder must be preempted";
-  // Preemption only triggers when someone else waits.
-  RoundRobinArbiter solo(3, RoundRobinOptions{2});
-  for (int i = 0; i < 10; ++i)
-    EXPECT_EQ(solo.step(0b001), 0) << "no waiter, no preemption";
-}
-
-TEST(RoundRobinPreemption, DisabledByDefault) {
-  RoundRobinArbiter arb(2);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(arb.step(0b11), 0);
-}
-
 TEST(Arbiter, RejectsBadSizes) {
   EXPECT_THROW(RoundRobinArbiter(0), CheckError);
   EXPECT_THROW(RoundRobinArbiter(kMaxWideInputs + 1), CheckError);

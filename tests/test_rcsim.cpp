@@ -240,41 +240,6 @@ TEST(Rcsim, GrantWaitCyclesAccounted) {
   EXPECT_GT(r.arbiters[0].granted_cycles, 0u);
 }
 
-TEST(Rcsim, PreemptionBoundsHolding) {
-  // Task 0 holds with a huge M; with rr_max_hold the second task still
-  // finishes long before task 0 releases voluntarily.
-  TaskGraph g("hog");
-  g.add_segment("s0", 64, 16);
-  g.add_segment("s1", 64, 16);
-  Program hog;
-  hog.load_imm(0, 0);
-  for (int i = 0; i < 12; ++i) hog.store(0, 0, 0, i % 8);
-  hog.halt();
-  Program meek;
-  meek.load_imm(0, 0).store(1, 0, 0).halt();
-  g.add_task("hog", hog, 1);
-  g.add_task("meek", meek, 1);
-  Binding b = single_bank_binding(g, 2);
-
-  InsertionOptions huge_m;
-  huge_m.batch_m = 1000;
-  const InsertionResult ins = core::insert_arbitration(g, b, huge_m);
-
-  SimOptions no_preempt;
-  SystemSimulator sim1(ins.graph, b, ins.plan, no_preempt);
-  const SimResult r1 = sim1.run({0, 1});
-
-  SimOptions preempt;
-  preempt.rr_max_hold = 3;
-  SystemSimulator sim2(ins.graph, b, ins.plan, preempt);
-  const SimResult r2 = sim2.run({0, 1});
-
-  EXPECT_LT(r2.tasks[1].finish_cycle, r1.tasks[1].finish_cycle)
-      << "preemption must shorten the meek task's wait";
-  EXPECT_EQ(r2.bank_conflicts, 0u);
-  EXPECT_EQ(r2.protocol_violations, 0u);
-}
-
 // ------------------------------------------------------------- channels
 
 TEST(Rcsim, ChannelTransfersValue) {
