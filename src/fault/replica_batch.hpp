@@ -64,7 +64,10 @@ struct ReplicaBatchOptions {
 struct ReplicaBatchResult {
   /// Per-replica grant-stream checksum, replica order (the scalar
   /// Simulator fold: c = c * 31 + (grant_i ? i + 1 : 0) per grant per
-  /// cycle).
+  /// cycle).  Computed after each batch's timed loop, lane-parallel and a
+  /// group of up to 8 grants at a time: over g grants the fold is exactly
+  /// c = c * 31^g + T[b] mod 2^64, b the lane's g grant bits and T a
+  /// 256-entry table per group.
   std::vector<std::uint64_t> checksums;
   /// FNV-style fold of `checksums` in replica order — one word to compare
   /// across engines, widths, tiers and job counts.

@@ -215,10 +215,15 @@ struct RunState {
   [[nodiscard]] const core::Binding& binding() const { return *binding_; }
   [[nodiscard]] const core::ArbitrationPlan& plan() const { return *plan_; }
 
-  /// The arbiter index and port of task `t` on `resource`, or {-1, -1}.
+  /// The arbiter index and port of task `t` on `resource`, or {-1, -1}:
+  /// plan().port_lookup's answer, read from port_index.
   [[nodiscard]] std::pair<int, int> arbiter_port(tg::TaskId t,
                                                  int resource) const {
-    return plan_->port_lookup(resource, t);
+    if (resource < 0 ||
+        static_cast<std::size_t>(resource) >= port_index.size())
+      return {-1, -1};
+    const auto& row = port_index[static_cast<std::size_t>(resource)];
+    return t < row.size() ? row[t] : std::pair{-1, -1};
   }
   /// Old resource id -> live resource id after remaps (path-compressed).
   /// Group-move remapping keeps this a function, so programs whose
@@ -293,6 +298,11 @@ struct RunState {
 
   std::vector<TaskCtx> ctx;  // per TaskId
   std::vector<ArbiterLane> lanes;
+  // (arbiter, port) per resource, indexed by TaskId: port_lookup's first
+  // match in arbiters_of_resource order.  add_lane fills its resource's
+  // row and a remap clears the rows whose arbiters it retires; an empty
+  // row means no arbiter guards the resource.
+  std::vector<std::vector<std::pair<int, int>>> port_index;
   FaultSchedule faults;
   std::vector<ChannelReg> chan_reg;  // per logical channel
   std::vector<NaiveReg> naive_reg;   // per physical channel

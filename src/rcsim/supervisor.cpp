@@ -207,6 +207,7 @@ void RunState::apply_move(int r) {
   retire_lanes(r);
   if (live != r) retire_lanes(live);
   p.arbiters_of_resource[static_cast<std::size_t>(r)].clear();
+  port_index[static_cast<std::size_t>(r)].clear();
   if (!ports.empty()) {
     // The regenerated arbiter is round-robin and keeps the structure in
     // effect for this run: under kAuto, the latest kind planned for the
@@ -222,6 +223,7 @@ void RunState::apply_move(int r) {
                                    : p.arbiters.back().kind;
     for (const core::ArbiterInstance& prev : p.arbiters)
       if (prev.resource == live) inst.kind = prev.kind;
+    port_index[static_cast<std::size_t>(live)].clear();
     add_lane(inst);
     p.arbiters_of_resource[static_cast<std::size_t>(live)].assign(
         1, static_cast<int>(p.arbiters.size()));

@@ -158,6 +158,7 @@ RunState::RunState(const tg::TaskGraph& g, const core::Binding& b,
   // quarantined resource).
   if (opt.arbiter_metrics)
     result.arbiter_obs.reserve(p.arbiters.size() + b.num_resources());
+  port_index.resize(b.num_resources());
   for (const core::ArbiterInstance& inst : p.arbiters) add_lane(inst);
   faults = split_faults(opt.faults, result.arbiters, b);
   for (TaskId t = 0; t < g.num_tasks(); ++t) ctx[t].id = t;
@@ -186,6 +187,15 @@ void RunState::add_lane(const core::ArbiterInstance& inst) {
   spec.harden = opt.harden;
   spec.self_check = opt.self_check;
   spec.seed = opt.seed;
+  const int a = static_cast<int>(lanes.size());
+  if (inst.resource >= 0 && inst.resource < num_res) {
+    auto& row = port_index[static_cast<std::size_t>(inst.resource)];
+    row.resize(graph.num_tasks(), {-1, -1});
+    for (int port = 0; port < n; ++port) {
+      auto& entry = row[inst.ports[static_cast<std::size_t>(port)]];
+      if (entry.first < 0) entry = {a, port};
+    }
+  }
   ArbiterLane& lane = lanes.emplace_back();
   static_cast<core::SystemArbiter&>(lane) = core::make_system_arbiter(n, spec);
   const auto words = static_cast<std::size_t>((n + 63) / 64);

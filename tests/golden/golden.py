@@ -3,8 +3,9 @@
 
 Each bench writes its modelled report(s) as JSON.  The canonical form of a
 report drops the host-dependent top-level keys (wall_ms, timestamp_utc,
-commit) and sorts every object's keys; tests/golden/ holds that form for
-every report listed in BENCHES.
+commit), keeps only the keys of KEY_FILTER where the bench has one, and
+sorts every object's keys; tests/golden/ holds that form for every report
+listed in BENCHES.
 
   golden.py check <bench-binary>   run one bench, compare its reports
   golden.py update <build-dir>     re-run every bench, rewrite the goldens
@@ -41,6 +42,7 @@ BENCHES = {
     "bench_policy_ablation": ["BENCH_policy_ablation.json"],
     "bench_encoding_ablation": ["BENCH_encoding_ablation.json"],
     "bench_arbiter_scaling": ["BENCH_arbiter_scaling.json"],
+    "bench_sim_throughput": ["BENCH_sim_throughput.json"],
 }
 
 # Extra environment per bench: the service benches and the arbiter-scaling
@@ -51,16 +53,31 @@ BENCH_ENV = {
     "bench_arbiter_scaling": {"RCARB_SCALING_SMOKE": "1"},
 }
 
+
+def checksum_notes(report):
+    """The wide-lane checksum notes; the rest of the report is host rates."""
+    return {"notes": {key: value for key, value in report["notes"].items()
+                      if key.startswith("checksum_")}}
+
+
+# Per-bench key filter over a parsed report, for benches whose reports are
+# mostly host-dependent.
+KEY_FILTER = {
+    "bench_sim_throughput": checksum_notes,
+}
+
 HOST_KEYS = ("wall_ms", "timestamp_utc", "commit")
 MAX_LISTED = 60
 
 
-def canonical(path):
+def canonical(path, bench):
     with open(path, encoding="utf-8") as f:
         report = json.load(f)
     if isinstance(report, dict):
         for key in HOST_KEYS:
             report.pop(key, None)
+    if bench in KEY_FILTER:
+        report = KEY_FILTER[bench](report)
     return json.dumps(report, sort_keys=True, indent=1) + "\n"
 
 
@@ -108,7 +125,7 @@ def check(binary):
     with tempfile.TemporaryDirectory() as out_dir:
         run_bench(binary, out_dir)
         for report in BENCHES[name]:
-            got = canonical(os.path.join(out_dir, report))
+            got = canonical(os.path.join(out_dir, report), name)
             with open(os.path.join(HERE, report), encoding="utf-8") as f:
                 want = f.read()
             if got == want:
@@ -132,7 +149,7 @@ def update(build_dir):
             for report in reports:
                 with open(os.path.join(HERE, report), "w",
                           encoding="utf-8") as f:
-                    f.write(canonical(os.path.join(out_dir, report)))
+                    f.write(canonical(os.path.join(out_dir, report), name))
                 print(f"wrote tests/golden/{report}")
     return 0
 

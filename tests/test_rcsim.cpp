@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/insertion.hpp"
+#include "rcsim/run_state.hpp"
 #include "rcsim/system_sim.hpp"
 #include "support/check.hpp"
 
@@ -583,6 +584,46 @@ INSTANTIATE_TEST_SUITE_P(
           .append("_")
           .append(core::to_string(std::get<1>(param_info.param)));
     });
+
+TEST(RcsimPortIndex, MatchesThePlanLookupAcrossABankRemapPast64Writers) {
+  // 80 writers, half on each of two banks: two 40-port arbiters, merged
+  // into one 80-port arbiter on bank 0 when bank 1 fails.  The run's port
+  // index answers exactly as the plan's linear lookup before and after.
+  const int writers = 80;
+  const TaskGraph g = writers_graph(writers, 1);
+  Binding b = single_bank_binding(g, writers);
+  b.num_banks = 2;
+  b.bank_names = {"BANK0", "BANK1"};
+  for (int seg = writers / 2; seg < writers; ++seg)
+    b.segment_to_bank[static_cast<std::size_t>(seg)] = 1;
+  const InsertionResult ins = core::insert_arbitration(g, b, {});
+  ASSERT_EQ(ins.plan.arbiters.size(), 2u);
+  SimOptions options;
+  options.degrade.enabled = true;
+  std::vector<std::vector<std::int64_t>> memory;
+  std::vector<TaskId> all;
+  for (int t = 0; t < writers; ++t) all.push_back(static_cast<TaskId>(t));
+  detail::RunState s(ins.graph, b, ins.plan, options, memory, all);
+
+  const auto expect_plan_lookup = [&](const char* when) {
+    for (int r = 0; r < static_cast<int>(b.num_resources()); ++r)
+      for (TaskId t = 0; t < ins.graph.num_tasks(); ++t)
+        EXPECT_EQ(s.arbiter_port(t, r), s.plan().port_lookup(r, t))
+            << when << ": resource " << r << ", task " << t;
+  };
+  expect_plan_lookup("after construction");
+  EXPECT_EQ(s.arbiter_port(writers - 1, 1), std::pair(1, writers / 2 - 1));
+
+  s.res_failed[1] = 1;
+  ASSERT_TRUE(s.freeze_move(1).feasible);
+  s.apply_move(1);
+  ASSERT_EQ(s.plan().arbiters.size(), 3u);
+  ASSERT_EQ(s.plan().arbiters[2].ports.size(),
+            static_cast<std::size_t>(writers));
+  expect_plan_lookup("after the remap");
+  EXPECT_EQ(s.arbiter_port(writers - 1, 0), std::pair(2, writers - 1));
+  EXPECT_EQ(s.arbiter_port(writers - 1, 1), std::pair(-1, -1));
+}
 
 TEST(RcsimWideLane, MultiGrantsPastTheFirstWordAreCounted) {
   // An upset of F70 while C0 holds leaves a 100-port unhardened flat

@@ -363,33 +363,67 @@ TEST(ReplicaBatch, ByteIdenticalAcrossJobsWidthsAndTiers) {
   }
 }
 
+/// Replica r's checksum on the scalar Simulator: the fold every replica
+/// batch must reproduce.
+std::uint64_t scalar_checksum(const Netlist& nl,
+                              const fault::ReplicaBatchSpec& spec,
+                              std::size_t r) {
+  Simulator sim(nl);
+  std::uint64_t checksum = 0;
+  for (std::size_t c = 0; c < spec.requests.size(); ++c) {
+    for (std::size_t i = 0; i < spec.req.size(); ++i)
+      sim.set_input(spec.req[i], (spec.requests[c] >> i) & 1);
+    sim.settle();
+    for (std::size_t i = 0; i < spec.grant.size(); ++i)
+      checksum = checksum * 31 + (sim.get(spec.grant[i]) ? i + 1 : 0);
+    if (spec.seu[r].cycle == c) {
+      const NetId net = spec.state[spec.seu[r].state_bit];
+      sim.poke_register(net, !sim.get(net));
+    }
+    sim.clock();
+  }
+  return checksum;
+}
+
 TEST(ReplicaBatch, MatchesScalarSimulatorReplicas) {
   const auto& s = core::synthesize_round_robin_cached(
       3, synth::Encoding::kOneHot, /*harden=*/true);
-  const std::size_t cycles = 80;
   const fault::ReplicaBatchSpec spec =
-      campaign_spec(s.netlist, 3, /*replicas=*/70, /*seed=*/31337, cycles);
+      campaign_spec(s.netlist, 3, /*replicas=*/70, /*seed=*/31337,
+                    /*cycles=*/80);
   fault::ReplicaBatchOptions opt;
   opt.lanes = 64;
   const fault::ReplicaBatchResult wide = fault::run_replica_batch(spec, opt);
 
   for (const std::size_t r : {std::size_t{0}, std::size_t{33},
-                              std::size_t{69}}) {
-    Simulator sim(s.netlist);
-    std::uint64_t checksum = 0;
-    for (std::size_t c = 0; c < cycles; ++c) {
-      for (std::size_t i = 0; i < spec.req.size(); ++i)
-        sim.set_input(spec.req[i], (spec.requests[c] >> i) & 1);
-      sim.settle();
-      for (std::size_t i = 0; i < spec.grant.size(); ++i)
-        checksum = checksum * 31 + (sim.get(spec.grant[i]) ? i + 1 : 0);
-      if (spec.seu[r].cycle == c) {
-        const NetId net = spec.state[spec.seu[r].state_bit];
-        sim.poke_register(net, !sim.get(net));
-      }
-      sim.clock();
+                              std::size_t{69}})
+    EXPECT_EQ(wide.checksums[r], scalar_checksum(s.netlist, spec, r))
+        << "replica " << r;
+}
+
+TEST(ReplicaBatch, FoldsGrantGroupsPastOneByte) {
+  // The fold takes a cycle's grants 8 at a time: 8 grants fill one group,
+  // 13 leave a 5-grant tail and 16 fill two.  523 replicas leave a final
+  // batch of 11 lanes at every width, so part of its last byte of lanes
+  // is idle.  Every replica must match the scalar fold.
+  for (const int n : {8, 13, 16}) {
+    const auto& g = core::generate_cached({.n = n});
+    const fault::ReplicaBatchSpec spec =
+        campaign_spec(g.synth.netlist, n, /*replicas=*/523,
+                      /*seed=*/static_cast<std::uint64_t>(4000 + n),
+                      /*cycles=*/40);
+    std::vector<std::uint64_t> want(spec.seu.size());
+    for (std::size_t r = 0; r < want.size(); ++r)
+      want[r] = scalar_checksum(g.synth.netlist, spec, r);
+    for (const std::size_t lanes :
+         {std::size_t{64}, std::size_t{256}, std::size_t{512}}) {
+      fault::ReplicaBatchOptions opt;
+      opt.lanes = lanes;
+      opt.tier = SimdTier::kScalar;
+      const fault::ReplicaBatchResult r = fault::run_replica_batch(spec, opt);
+      EXPECT_EQ(r.batches, (spec.seu.size() + lanes - 1) / lanes);
+      EXPECT_EQ(r.checksums, want) << "n=" << n << ", " << lanes << " lanes";
     }
-    EXPECT_EQ(wide.checksums[r], checksum) << "replica " << r;
   }
 }
 
