@@ -84,8 +84,9 @@ RoundRobinArbiter::RoundRobinArbiter(int n, bool harden)
 
 namespace {
 
-// scan and first_hot run on every step; declared inline so GCC folds them
-// into it rather than calling them (measurably slower at word widths).
+// scan runs on every step; declared inline so GCC folds it into the step
+// rather than calling it (measurably slower at word widths).  first_hot
+// runs only on upsets, rewrites and multi-hot steps (recount).
 
 /// First requesting port cyclically at or after `start` among the n ports
 /// of a (n + 63) / 64-word request vector, or -1.
@@ -138,35 +139,37 @@ int RoundRobinArbiter::do_step(std::span<const std::uint64_t> words) {
   const std::uint64_t* requests = words.data();
   clear_words(grant_);
   grant_count_ = 0;
-  int hot_count = 0;
-  int hot = first_hot(f_bits_, c_bits_, n_, &hot_count);
-  if (hot_count != 1) {
+  if (hot_count_ != 1) {
     if (!harden_) {
       // Zero-hot: no state recognizer fires; the machine is dead.
-      return hot_count == 0 ? -1 : step_multi_hot(requests);
+      if (hot_count_ == 0) return -1;
+      const int granted = step_multi_hot(requests);
+      recount();
+      return granted;
     }
     // Hardened register bank: any non-one-hot code loads the reset state
     // F0 — the safe all-free state — and arbitration resumes in the same
     // step (recovery within one cycle, matching the hardened netlist).
     reset();
-    hot = 0;
     ++recoveries_;
   }
 
-  const bool in_c = hot >= n_;
-  const int index = in_c ? hot - n_ : hot;
+  const bool in_c = hot_ >= n_;
+  const int index = in_c ? hot_ - n_ : hot_;
 
   const int granted = scan(requests, n_, index);
   if (granted < 0) {
     // Fig. 5: no requests — Fi stays, Ci retires to F(i+1).
     if (in_c) {
       clear_bit(c_bits_, index);
-      set_bit(f_bits_, (index + 1) % n_);
+      hot_ = (index + 1) % n_;
+      set_bit(f_bits_, hot_);
     }
     return -1;
   }
   clear_bit(in_c ? c_bits_ : f_bits_, index);
   set_bit(c_bits_, granted);
+  hot_ = n_ + granted;
   set_bit(grant_, granted);
   grant_count_ = 1;
   return granted;
@@ -202,7 +205,13 @@ void RoundRobinArbiter::reset() {
   std::fill(f_bits_.begin(), f_bits_.end(), 0);
   f_bits_[0] = 1;
   std::fill(c_bits_.begin(), c_bits_.end(), 0);
+  hot_count_ = 1;
+  hot_ = 0;
   grant_only(-1);
+}
+
+void RoundRobinArbiter::recount() {
+  hot_ = first_hot(f_bits_, c_bits_, n_, &hot_count_);
 }
 
 std::string RoundRobinArbiter::describe() const {
@@ -210,11 +219,9 @@ std::string RoundRobinArbiter::describe() const {
 }
 
 std::string RoundRobinArbiter::state_name() const {
-  int count = 0;
-  const int hot = first_hot(f_bits_, c_bits_, n_, &count);
-  RCARB_CHECK(count == 1, "state_name on an illegal register");
-  std::string name = hot < n_ ? "F" : "C";
-  name += std::to_string(hot < n_ ? hot : hot - n_);
+  RCARB_CHECK(hot_count_ == 1, "state_name on an illegal register");
+  std::string name = hot_ < n_ ? "F" : "C";
+  name += std::to_string(hot_ < n_ ? hot_ : hot_ - n_);
   return name;
 }
 
@@ -224,17 +231,12 @@ void RoundRobinArbiter::read_state(std::vector<std::uint64_t>& words) const {
   deposit_bits(c_bits_.data(), n_, words, n_);
 }
 
-bool RoundRobinArbiter::state_legal() const {
-  int count = 0;
-  (void)first_hot(f_bits_, c_bits_, n_, &count);
-  return count == 1;
-}
-
 void RoundRobinArbiter::flip_bit(int bit) {
   std::vector<std::uint64_t>& reg = bit < n_ ? f_bits_ : c_bits_;
   const int i = bit < n_ ? bit : bit - n_;
   reg[static_cast<std::size_t>(i) >> 6] ^=
       1ull << (static_cast<unsigned>(i) & 63u);
+  recount();
 }
 
 // ---------------------------------------------------------------------- FIFO

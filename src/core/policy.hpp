@@ -243,7 +243,7 @@ class RoundRobinArbiter final : public Arbiter {
   [[nodiscard]] int num_state_bits() const override { return 2 * n_; }
   void read_state(std::vector<std::uint64_t>& words) const override;
   /// True when the register holds exactly one hot bit.
-  [[nodiscard]] bool state_legal() const override;
+  [[nodiscard]] bool state_legal() const override { return hot_count_ == 1; }
 
  protected:
   /// The Fig. 5 transition.
@@ -253,10 +253,17 @@ class RoundRobinArbiter final : public Arbiter {
  private:
   /// The transition of an unhardened multi-hot register.
   int step_multi_hot(const std::uint64_t* requests);
+  /// Re-derives hot_ and hot_count_ from the register by a scan.
+  void recount();
 
   bool harden_;
   std::vector<std::uint64_t> f_bits_;  // one-hot among F0..F(n-1); reset F0
   std::vector<std::uint64_t> c_bits_;  // one-hot among C0..C(n-1)
+  // The register's hot bits, kept current by every write (do_step, reset,
+  // flip_bit): their count capped at 2, and the lowest as a state bit (Fi
+  // = i, else Ci = n + i; meaningful when the count is 1).
+  int hot_count_ = 1;
+  int hot_ = 0;
 };
 
 /// FIFO arbiter: requests are served in arrival order.

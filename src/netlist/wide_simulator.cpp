@@ -217,22 +217,6 @@ void WideLaneSimulator::set_input_all(NetId net, bool value) {
   set_input(net, row);
 }
 
-void WideLaneSimulator::set_input_lane(NetId net, std::size_t lane,
-                                       bool value) {
-  RCARB_CHECK(netlist_->driver_kind(net) == DriverKind::kPrimaryInput,
-              "set_input on a non-input net");
-  RCARB_CHECK(lane < lanes_, "lane out of range");
-  std::uint64_t row[kMaxLanes / 64];
-  impl_->get_word(net, row);
-  const std::uint64_t bit = std::uint64_t{1} << (lane % 64);
-  if (value) {
-    row[lane / 64] |= bit;
-  } else {
-    row[lane / 64] &= ~bit;
-  }
-  impl_->set_input_word(net, row);
-}
-
 void WideLaneSimulator::settle() { impl_->settle(); }
 
 void WideLaneSimulator::clock() { impl_->clock(); }

@@ -80,8 +80,6 @@ class WideLaneSimulator {
   void set_input(const std::string& name, const std::uint64_t* word);
   /// Sets a primary input to the same value in every lane.
   void set_input_all(NetId net, bool value);
-  /// Sets a primary input in one lane, leaving the others untouched.
-  void set_input_lane(NetId net, std::size_t lane, bool value);
 
   /// Propagates combinational logic to a fixed point (all lanes).
   void settle();

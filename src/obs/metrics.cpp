@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <limits>
 
+#include "support/check.hpp"
+
 namespace rcarb::obs {
 
 namespace {
@@ -243,6 +245,12 @@ void ArbiterProbe::on_step(std::span<const std::uint64_t> words, int grant) {
     }
   }
   ++steps_;
+}
+
+void ArbiterProbe::idle_steps(std::uint64_t steps) {
+  RCARB_ASSERT(holder_ < 0 && req_count_ == 0,
+               "idle steps need no holder and no request");
+  steps_ += steps;
 }
 
 void ArbiterProbe::wait_edge(std::size_t i, bool was, bool now) {

@@ -135,6 +135,10 @@ class ArbiterProbe final : public core::ArbiterObserver {
   explicit ArbiterProbe(ArbiterMetrics* metrics);
 
   void on_step(std::span<const std::uint64_t> requests, int grant) override;
+  /// `steps` steps on all-zero requests with no grant, when no port
+  /// requests and none holds: what that many on_step calls would record,
+  /// which is only the step count.
+  void idle_steps(std::uint64_t steps);
 
   /// Adds the cycles of the still-open waits to `wait_cycles`, so every
   /// metric is current.  Call before reading or resetting the metrics

@@ -28,6 +28,10 @@ SimResult SystemSimulator::run(const std::vector<TaskId>& tasks) {
         RCARB_CHECK(false, s.result.diagnostics.back().format());
       break;
     }
+    if (const std::uint64_t quiet = s.quiet_cycles(); quiet > 0) {
+      s.skip_quiet(quiet);
+      continue;
+    }
     s.inject_faults();
     if (s.degrade_on) s.supervise();
     s.arbitrate();
@@ -192,10 +196,8 @@ void RunState::arbitrate() {
       eff[w] = lane.requests[w] & ~lane.force_release[w];
       if (grant_suppress[w] != 0) grant_suppress[w] = 0;
     }
-    for (const fault::FaultEvent& w : faults.stucks) {
-      if (static_cast<std::size_t>(w.arbiter) != a || cycle < w.cycle ||
-          cycle >= w.cycle + w.duration)
-        continue;
+    for (const fault::FaultEvent& w : opened_stucks(a)) {
+      if (cycle >= w.cycle + w.duration) continue;
       if (sink != nullptr && cycle == w.cycle)
         trace(obs::TraceKind::kFault,
               static_cast<int>(inst.ports[static_cast<std::size_t>(w.port)]),
@@ -755,7 +757,7 @@ void RunState::run_watchdog() {
   }
 }
 
-void RunState::account_serving() {
+void RunState::account_serving(std::uint64_t cycles) {
   // A cycle serves unless a quarantine was in progress, an access failed,
   // or a live task is stuck against a failed / capacity-exhausted
   // resource.  Before any permanent fault is active every cycle serves.
@@ -777,8 +779,84 @@ void RunState::account_serving() {
       }
     }
   }
-  if (!faults_possible || !degraded_cycle) ++result.serving_cycles;
+  if (!faults_possible || !degraded_cycle) result.serving_cycles += cycles;
   degraded_cycle = false;
+}
+
+// ---- The quiet-stretch jump (see run_state.hpp). ----
+std::span<const fault::FaultEvent> RunState::opened_stucks(std::size_t a) {
+  if (a >= faults.stucks.size()) return {};
+  StuckWindows& s = faults.stucks[a];
+  const std::vector<fault::FaultEvent>& w = s.windows;
+  while (s.opened < w.size() && w[s.opened].cycle <= cycle) ++s.opened;
+  while (s.closed < s.opened &&
+         cycle >= w[s.closed].cycle + w[s.closed].duration)
+    ++s.closed;
+  return {w.data() + s.closed, s.opened - s.closed};
+}
+
+std::uint64_t RunState::quiet_cycles() {
+  // Readiness is rescanned on the first cycle and after each finish.
+  if (degrade_on || cycle == 0 || finished_count != finished_at_scan)
+    return 0;
+  std::int64_t shortest = 0;  // the least compute_left of a running task
+  for (TaskId t : tasks) {
+    const TaskCtx& c = ctx[t];
+    if (!c.started || c.finished) continue;
+    if (c.compute_left <= 1 || c.requesting >= 0 || c.retry_resource >= 0)
+      return 0;
+    if (shortest == 0 || c.compute_left < shortest) shortest = c.compute_left;
+  }
+  if (shortest == 0) return 0;
+  // The cycle that retires the shortest compute runs one by one.
+  std::uint64_t k = static_cast<std::uint64_t>(shortest) - 1;
+  k = std::min(k, opt.max_cycles - cycle);
+  const auto before = [&](std::uint64_t at) {
+    k = at > cycle ? std::min(k, at - cycle) : 0;
+  };
+  const FaultSchedule& f = faults;
+  if (f.flip_next < f.flips.size()) before(f.flips[f.flip_next].cycle);
+  if (f.perm_next < f.perm_res.size()) before(f.perm_res[f.perm_next].first);
+  if (f.latch_next < f.latchups.size())
+    before(f.latchups[f.latch_next].first);
+  for (std::size_t a = 0; a < lanes.size() && k > 0; ++a) {
+    const ArbiterLane& lane = lanes[a];
+    // The last step sampled no request and granted nobody, from a legal,
+    // error-free (was_illegal) and unfrozen register: a fixed point.
+    if (lane.grant_holder >= 0 || lane.was_illegal ||
+        lane.arbiter->frozen())
+      return 0;
+    for (std::size_t w = 0; w < lane.eff.size(); ++w)
+      if ((lane.requests[w] | lane.pending[w] | lane.force_release[w] |
+           lane.eff[w]) != 0)
+        return 0;
+    // A stretch overlaps no stuck-at window: none may be open now, and the
+    // stretch ends before the next one opens.
+    for (const fault::FaultEvent& w : opened_stucks(a))
+      if (cycle < w.cycle + w.duration) return 0;
+    if (a < f.stucks.size() && f.stucks[a].opened < f.stucks[a].windows.size())
+      before(f.stucks[a].windows[f.stucks[a].opened].cycle);
+  }
+  return k;
+}
+
+void RunState::skip_quiet(std::uint64_t cycles) {
+  for (TaskId t : tasks) {
+    TaskCtx& c = ctx[t];
+    if (c.started && !c.finished)
+      c.compute_left -= static_cast<std::int64_t>(cycles);
+  }
+  for (std::size_t a = 0; a < lanes.size(); ++a) {
+    if (lanes[a].probe != nullptr) lanes[a].probe->idle_steps(cycles);
+    if (opt.record_request_trace) {
+      std::vector<std::uint64_t>& trace = result.request_trace[a];
+      trace.resize(trace.size() + cycles * lanes[a].eff.size(), 0);
+    }
+  }
+  account_serving(cycles);
+  cycle += cycles;
+  last_progress_cycle = cycle - 1;
+  result.skipped_cycles += cycles;
 }
 
 }  // namespace detail

@@ -13,6 +13,29 @@
 //   6     account_serving    availability accounting
 // attribute_stall (stall.cpp) explains a run that stopped making progress.
 //
+// Quiet stretches are jumped, not stepped.  Before the phases of a cycle,
+// quiet_cycles() finds how many cycles would do nothing but count down
+// fixed-latency computes, and skip_quiet() advances that many in one step.
+// A stretch is quiet when
+//   - every running task is inside a kCompute with compute_left > 1 (no
+//     task starts: no finish since the last readiness scan);
+//   - no task asserts a request or waits out a retry backoff;
+//   - every lane's request, pending, force-release and sampled words are
+//     zero, it grants nobody, and its register is legal, error-free and
+//     not latched up;
+//   - no stuck-at window is open;
+//   - the degradation supervisor is off (its timers run every cycle).
+// It ends one cycle before the first compute retires, at max_cycles, and
+// before the next scheduled flip, permanent fault, latch-up or stuck-at
+// window start.
+// The jump rests on one arbiter property (tests/test_policy.cpp,
+// OneZeroStepReachesAFixedPoint): after one step on all-zero requests,
+// every arbiter kind and policy, replicated or not, is at a fixed point —
+// more all-zero steps grant nobody and leave its register unchanged.  So
+// the skipped cycles' only effects are counts: compute_left, the progress
+// stamp, serving cycles, all-zero request-trace words and each probe's
+// step count.
+//
 // Each run starts from the system as constructed: an online remap copies
 // the binding and plan into the RunState (copy on first write), so the
 // simulator's own copies never change and only segment memory persists.
@@ -21,6 +44,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,11 +75,21 @@ struct LoopFrame {
   std::int64_t remaining = 0;
 };
 
+/// One arbiter's req/grant stuck-at windows in start-cycle order (input
+/// order among equal starts), with two replay cursors that only move
+/// forward: every window before `opened` has started, and every window
+/// before `closed` has ended.
+struct StuckWindows {
+  std::vector<fault::FaultEvent> windows;
+  std::size_t opened = 0;
+  std::size_t closed = 0;
+};
+
 /// SimOptions::faults split by application point, each stream
 /// cycle-sorted, with its replay cursor.
 struct FaultSchedule {
-  std::vector<fault::FaultEvent> flips;   // kFsmBitFlip
-  std::vector<fault::FaultEvent> stucks;  // req/grant stuck-at windows
+  std::vector<fault::FaultEvent> flips;  // kFsmBitFlip
+  std::vector<StuckWindows> stucks;      // per plan arbiter
   // Per physical channel: armed corruption masks (cycle, xor mask), latest
   // first; each send consumes from the back.
   std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>>
@@ -169,7 +203,16 @@ struct RunState {
   void step_tasks();
   void rebuild_requests();
   void run_watchdog();
-  void account_serving();
+  /// Adds `cycles` cycles of availability accounting.
+  void account_serving(std::uint64_t cycles = 1);
+  // The quiet-stretch jump (cycle.cpp).
+  /// Cycles from this one that are quiet (see the top of this file), or 0.
+  std::uint64_t quiet_cycles();
+  /// Advances `cycles` quiet cycles in one step.
+  void skip_quiet(std::uint64_t cycles);
+  /// Lane a's stuck-at windows that have opened by this cycle, past the
+  /// leading ones that have ended (later ones may have ended too).
+  std::span<const fault::FaultEvent> opened_stucks(std::size_t a);
   // Phase 1, per arbiter.
   /// `illegal`: the register failed state_legal() before the step.
   void check_registers(std::size_t a, bool illegal);

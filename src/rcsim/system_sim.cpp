@@ -73,6 +73,7 @@ FaultSchedule split_faults(const std::vector<fault::FaultEvent>& events,
                            const std::vector<ArbiterStats>& arbiters,
                            const core::Binding& binding) {
   FaultSchedule f;
+  f.stucks.resize(arbiters.size());
   f.chan_corrupt.resize(binding.num_phys_channels);
   const auto in = [](int i, std::size_t n) {
     return i >= 0 && static_cast<std::size_t>(i) < n;
@@ -89,7 +90,7 @@ FaultSchedule split_faults(const std::vector<fault::FaultEvent>& events,
       case fault::FaultKind::kGrantDrop:
         if (arbiter_ok(e.arbiter) && e.port >= 0 &&
             e.port < arbiters[static_cast<std::size_t>(e.arbiter)].ports)
-          f.stucks.push_back(e);
+          f.stucks[static_cast<std::size_t>(e.arbiter)].windows.push_back(e);
         break;
       case fault::FaultKind::kChannelCorrupt:
         if (in(e.channel, binding.num_phys_channels))
@@ -110,10 +111,13 @@ FaultSchedule split_faults(const std::vector<fault::FaultEvent>& events,
         break;
     }
   }
-  std::stable_sort(f.flips.begin(), f.flips.end(),
-                   [](const fault::FaultEvent& a, const fault::FaultEvent& b) {
-                     return a.cycle < b.cycle;
-                   });
+  const auto by_cycle = [](const fault::FaultEvent& a,
+                           const fault::FaultEvent& b) {
+    return a.cycle < b.cycle;
+  };
+  std::stable_sort(f.flips.begin(), f.flips.end(), by_cycle);
+  for (StuckWindows& s : f.stucks)
+    std::stable_sort(s.windows.begin(), s.windows.end(), by_cycle);
   for (auto& q : f.chan_corrupt) std::stable_sort(q.rbegin(), q.rend());
   std::stable_sort(f.perm_res.begin(), f.perm_res.end());
   std::stable_sort(f.latchups.begin(), f.latchups.end());

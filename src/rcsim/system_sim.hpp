@@ -173,6 +173,10 @@ struct SimResult {
   /// One lifecycle record per quarantined resource (MTTR accounting).
   std::vector<degrade::QuarantineRecord> quarantine_events;
 
+  /// Cycles the simulator advanced in quiet-stretch jumps instead of one by
+  /// one (its own bookkeeping: every other field is the same either way).
+  std::uint64_t skipped_cycles = 0;
+
   std::vector<SimDiagnostic> diagnostics;
 
   /// Per-arbiter counters and histograms (empty when

@@ -3,9 +3,9 @@
 
 Each bench writes its modelled report(s) as JSON.  The canonical form of a
 report drops the host-dependent top-level keys (wall_ms, timestamp_utc,
-commit), keeps only the keys of KEY_FILTER where the bench has one, and
-sorts every object's keys; tests/golden/ holds that form for every report
-listed in BENCHES.
+commit) and notes (simd_tier), keeps only the keys of KEY_FILTER where the
+bench has one, and sorts every object's keys; tests/golden/ holds that form
+for every report listed in BENCHES.
 
   golden.py check <bench-binary>   run one bench, compare its reports
   golden.py update <build-dir>     re-run every bench, rewrite the goldens
@@ -67,6 +67,10 @@ KEY_FILTER = {
 }
 
 HOST_KEYS = ("wall_ms", "timestamp_utc", "commit")
+# Notes that name the host rather than a modelled value: simd_tier is the
+# host's SIMD tier (or $RCARB_SIMD), so keeping it would fail every golden
+# of a bench that writes it on a host without that tier.
+HOST_NOTES = ("simd_tier",)
 MAX_LISTED = 60
 
 
@@ -76,6 +80,8 @@ def canonical(path, bench):
     if isinstance(report, dict):
         for key in HOST_KEYS:
             report.pop(key, None)
+        for key in HOST_NOTES:
+            report.get("notes", {}).pop(key, None)
     if bench in KEY_FILTER:
         report = KEY_FILTER[bench](report)
     return json.dumps(report, sort_keys=True, indent=1) + "\n"

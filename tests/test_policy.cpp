@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
 #include <cstring>
+#include <vector>
 
+#include "core/arbiter_factory.hpp"
 #include "core/policy.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -239,6 +242,127 @@ TEST(Arbiter, FactoryAndDescribe) {
   EXPECT_EQ(make_arbiter(Policy::kPriority, 4)->describe(), "priority(4)");
   EXPECT_EQ(make_arbiter(Policy::kRandom, 4)->describe(), "random(4)");
   EXPECT_STREQ(to_string(Policy::kRoundRobin), "round-robin");
+}
+
+// Random request words for an n-port arbiter: each word ANDs 1-3 draws,
+// so densities range from ~1/8 to ~1/2 of the ports.
+std::vector<std::uint64_t> random_requests(Rng& rng, int n) {
+  std::vector<std::uint64_t> words(static_cast<std::size_t>((n + 63) / 64));
+  for (std::uint64_t& w : words) {
+    w = rng.next_u64();
+    for (auto k = rng.next_below(3); k > 0; --k) w &= rng.next_u64();
+  }
+  if (n % 64 != 0) words.back() &= (1ull << (n % 64)) - 1;
+  return words;
+}
+
+// The property rcsim's quiet-stretch jump rests on: from any state reached
+// from reset, one step on all-zero requests lands on a fixed point.  Two
+// further all-zero steps grant nobody and leave the register as it was,
+// and an arbiter that took them answers any later request stream exactly
+// like its twin that did not (which covers the policies without a state
+// register: FIFO's queue, the holders, the random policy's draws).
+TEST(Arbiter, OneZeroStepReachesAFixedPoint) {
+  struct Case {
+    SystemArbiterSpec spec;
+    int n;
+  };
+  std::vector<Case> cases;
+  for (const int n : {2, 8, 65, 130}) {
+    for (const ArbiterKind kind :
+         {ArbiterKind::kFlatFsm, ArbiterKind::kHierarchical,
+          ArbiterKind::kPrefix})
+      for (const CheckMode check :
+           {CheckMode::kNone, CheckMode::kDuplicate, CheckMode::kTmr})
+        for (const bool harden : {false, true})
+          if (!harden || (kind == ArbiterKind::kFlatFsm &&
+                          check == CheckMode::kNone))
+            cases.push_back({{.kind = kind, .harden = harden,
+                              .self_check = check},
+                             n});
+    if (n <= 64)  // the other policies stop at 64 ports
+      for (const Policy policy :
+           {Policy::kFifo, Policy::kPriority, Policy::kRandom})
+        cases.push_back({{.policy = policy, .seed = 7}, n});
+  }
+  Rng rng(2026);
+  for (const Case& c : cases) {
+    for (int trial = 0; trial < 12; ++trial) {
+      SCOPED_TRACE(std::string(to_string(c.spec.policy)) + " " +
+                   to_string(c.spec.kind) + " " +
+                   to_string(c.spec.self_check) +
+                   (c.spec.harden ? " hardened" : "") +
+                   " n=" + std::to_string(c.n) +
+                   " trial=" + std::to_string(trial));
+      auto quiet = make_system_arbiter(c.n, c.spec).arbiter;
+      auto twin = make_system_arbiter(c.n, c.spec).arbiter;
+      // A seeded reachable state: the same random history on both.
+      for (auto steps = rng.next_below(40); steps > 0; --steps) {
+        const std::vector<std::uint64_t> req = random_requests(rng, c.n);
+        ASSERT_EQ(quiet->step(req), twin->step(req));
+      }
+      const std::vector<std::uint64_t> zero(
+          static_cast<std::size_t>((c.n + 63) / 64), 0);
+      EXPECT_EQ(quiet->step(zero), -1);
+      EXPECT_EQ(twin->step(zero), -1);
+      std::vector<std::uint64_t> fixed;
+      quiet->read_state(fixed);
+      for (int k = 0; k < 2; ++k) {
+        EXPECT_EQ(quiet->step(zero), -1);
+        EXPECT_EQ(quiet->last_grant_count(), 0);
+        EXPECT_FALSE(quiet->error());
+        EXPECT_TRUE(quiet->state_legal());
+        std::vector<std::uint64_t> now;
+        quiet->read_state(now);
+        EXPECT_EQ(now, fixed);
+      }
+      for (int k = 0; k < 24; ++k) {
+        const std::vector<std::uint64_t> req = random_requests(rng, c.n);
+        ASSERT_EQ(quiet->step(req), twin->step(req)) << "step " << k;
+        ASSERT_EQ(quiet->last_grant_words(), twin->last_grant_words());
+      }
+    }
+  }
+}
+
+// state_legal() reads a hot count kept by every register write; it must
+// equal a one-hot check of the register read back, through steps, upsets,
+// rewrites and resets, hardened or not.
+TEST(RoundRobin, StateLegalTracksEveryRegisterWrite) {
+  Rng rng(36);
+  for (const int n : {1, 2, 8, 65, 130}) {
+    for (const bool harden : {false, true}) {
+      RoundRobinArbiter arb(n, harden);
+      std::vector<std::uint64_t> reg;
+      for (int k = 0; k < 400; ++k) {
+        switch (rng.next_below(8)) {
+          case 0:
+            arb.flip_state_bit(static_cast<int>(
+                rng.next_below(static_cast<std::uint64_t>(2 * n))));
+            break;
+          case 1: {
+            arb.read_state(reg);
+            for (std::uint64_t& w : reg) w &= rng.next_u64() & rng.next_u64();
+            arb.load_state(reg);
+            break;
+          }
+          case 2: arb.reset(); break;
+          default: arb.step(random_requests(rng, n)); break;
+        }
+        arb.read_state(reg);
+        int hot = 0;
+        for (const std::uint64_t w : reg) hot += std::popcount(w);
+        ASSERT_EQ(arb.state_legal(), hot == 1)
+            << "n=" << n << " harden=" << harden << " op " << k;
+        if (hot == 1) {
+          int bit = 0;
+          while (!test_bit(reg, bit)) ++bit;
+          ASSERT_EQ(arb.state_name(), (bit < n ? "F" : "C") +
+                                          std::to_string(bit % n));
+        }
+      }
+    }
+  }
 }
 
 TEST(Fifo, ServesInArrivalOrder) {
