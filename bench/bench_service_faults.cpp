@@ -90,23 +90,10 @@ core::CheckMode check_mode(Mode m) {
 /// Port count of the scalable-kind TMR cells.
 constexpr int kWidePorts = 256;
 
-core::ArbiterChoice choice_of(core::ArbiterKind k) {
-  switch (k) {
-    case core::ArbiterKind::kFlatFsm: return core::ArbiterChoice::kFlatFsm;
-    case core::ArbiterKind::kHierarchical:
-      return core::ArbiterChoice::kHierarchical;
-    case core::ArbiterKind::kPrefix: return core::ArbiterChoice::kPrefix;
-  }
-  return core::ArbiterChoice::kFlatFsm;
-}
-
 /// Register bits of one resource's arbiter (copies included): the SEU
 /// range of the fault plan.
 int register_bits(const ServiceOptions& o) {
-  const core::ArbiterKind kind =
-      core::resolve_arbiter_choice(o.arbiter_kind, o.ports, 0.0);
-  return core::make_system_arbiter(o.ports, {.kind = kind,
-                                             .arity = o.arbiter_arity,
+  return core::make_system_arbiter(o.ports, {.kind = o.arbiter_kind,
                                              .self_check = o.self_check})
       .arbiter->num_state_bits();
 }
@@ -190,7 +177,7 @@ ServiceOptions cell_options(const CellSpec& spec) {
   ServiceOptions o = base_options();
   if (wide(spec)) {
     o.ports = kWidePorts;
-    o.arbiter_kind = choice_of(spec.kind);
+    o.arbiter_kind = spec.kind;
   }
   return o;
 }

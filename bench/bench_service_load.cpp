@@ -202,16 +202,6 @@ constexpr core::ArbiterKind kWideKinds[] = {core::ArbiterKind::kFlatFsm,
                                             core::ArbiterKind::kHierarchical,
                                             core::ArbiterKind::kPrefix};
 
-core::ArbiterChoice to_choice(core::ArbiterKind kind) {
-  switch (kind) {
-    case core::ArbiterKind::kFlatFsm: return core::ArbiterChoice::kFlatFsm;
-    case core::ArbiterKind::kHierarchical:
-      return core::ArbiterChoice::kHierarchical;
-    case core::ArbiterKind::kPrefix: return core::ArbiterChoice::kPrefix;
-  }
-  return core::ArbiterChoice::kFlatFsm;
-}
-
 void print_wide_sweep(obs::BenchReporter& rep) {
   std::vector<int> widths{64, 256};
   if (!smoke_mode()) widths.push_back(1024);
@@ -255,7 +245,7 @@ void print_wide_sweep(obs::BenchReporter& rep) {
         o.service_cycles = 1;
         o.queue_capacity = 32;
         o.policy = OverloadPolicy::kTailDrop;
-        o.arbiter_kind = to_choice(c.kind);
+        o.arbiter_kind = c.kind;
         o.arrivals.rate = c.load * 2.0;
         // The seed derives from (width, load) only, so the three kinds of
         // one cell face identical arrival/routing/jitter streams — their

@@ -7,21 +7,7 @@
 
 namespace rcarb::core {
 
-const char* to_string(ArbiterChoice c) {
-  switch (c) {
-    case ArbiterChoice::kAuto:
-      return "auto";
-    case ArbiterChoice::kFlatFsm:
-      return "flat";
-    case ArbiterChoice::kHierarchical:
-      return "hier";
-    case ArbiterChoice::kPrefix:
-      return "prefix";
-  }
-  return "?";
-}
-
-ArbiterKind select_arbiter_kind(int n, double timing_budget_mhz, int arity,
+ArbiterKind select_arbiter_kind(int n, double timing_budget_mhz,
                                 const timing::DelayModel& model) {
   RCARB_CHECK(n >= 1 && n <= kMaxWideInputs,
               "arbiter size must be in [1, kMaxWideInputs]");
@@ -35,8 +21,7 @@ ArbiterKind select_arbiter_kind(int n, double timing_budget_mhz, int arity,
   double fastest_fmax = -1.0;
   for (std::size_t k = first; k < candidates.size(); ++k) {
     const double fmax =
-        generate_cached({.n = n, .kind = candidates[k], .arity = arity}, model)
-            .chars.fmax_mhz;
+        generate_cached({.n = n, .kind = candidates[k]}, model).chars.fmax_mhz;
     if (fmax >= timing_budget_mhz) return candidates[k];
     if (fmax > fastest_fmax) {
       fastest_fmax = fmax;
@@ -46,23 +31,6 @@ ArbiterKind select_arbiter_kind(int n, double timing_budget_mhz, int arity,
   return fastest;
 }
 
-ArbiterKind resolve_arbiter_choice(ArbiterChoice choice, int n,
-                                   double timing_budget_mhz, int arity,
-                                   const timing::DelayModel& model) {
-  switch (choice) {
-    case ArbiterChoice::kAuto:
-      return select_arbiter_kind(n, timing_budget_mhz, arity, model);
-    case ArbiterChoice::kFlatFsm:
-      return ArbiterKind::kFlatFsm;
-    case ArbiterChoice::kHierarchical:
-      return ArbiterKind::kHierarchical;
-    case ArbiterChoice::kPrefix:
-      return ArbiterKind::kPrefix;
-  }
-  RCARB_CHECK(false, "unknown arbiter choice");
-  return ArbiterKind::kFlatFsm;
-}
-
 SystemArbiter make_system_arbiter(int n, const SystemArbiterSpec& spec) {
   // Kind is a round-robin concept; the other policies have one behavioral
   // model each.
@@ -70,9 +38,10 @@ SystemArbiter make_system_arbiter(int n, const SystemArbiterSpec& spec) {
     return {make_arbiter(spec.policy, n, spec.seed), ArbiterKind::kFlatFsm};
   if (spec.self_check != CheckMode::kNone)
     return {std::make_unique<SelfCheckingArbiter>(n, spec.self_check,
-                                                  spec.kind, spec.arity),
+                                                  spec.kind),
             spec.kind};
-  return {make_scalable_arbiter(spec.kind, n, spec.arity, spec.harden),
+  // Arity 4, the tree GeneratorSpec (and so the flow) prices.
+  return {make_scalable_arbiter(spec.kind, n, /*arity=*/4, spec.harden),
           spec.kind};
 }
 

@@ -1,18 +1,20 @@
 // Arbiter kind selection and the single system-layer arbiter factory.
 //
-// There are three synthesizable round-robin structures (core/hier.hpp),
-// each pre-characterized for area and fmax by the one generator memo
-// (core::generate_cached).  This module is the one audited construction
-// path the system layers (src/service, src/rcsim) share:
+// There are three synthesizable round-robin structures, named by one enum,
+// core::ArbiterKind (core/hier.hpp), each pre-characterized for area and
+// fmax by the one generator memo (core::generate_cached).  Every options
+// struct and every plan holds a resolved kind; this module is the one
+// audited construction path the system layers (src/service, src/rcsim)
+// share:
 //
-//  * ArbiterChoice: what an options struct asks for — an explicit kind or
-//    kAuto, which resolves from the port count and an fmax budget by
-//    looking each candidate up in generate_cached (select_arbiter_kind).
-//  * make_system_arbiter: builds the behavioral arbiter for a resolved
-//    kind plus the policy/self-check/hardening switches the simulators
-//    need.  Callers drive every kind through core::Arbiter alone: grants,
-//    SEU injection, latch-up and the self-check counters are all on its
-//    state-register surface.
+//  * select_arbiter_kind: the cheapest kind whose pre-characterized fmax
+//    meets a budget, for a caller that wants one picked before it fills in
+//    its options.
+//  * make_system_arbiter: builds the behavioral arbiter for a kind plus the
+//    policy/self-check/hardening switches the simulators need.  Callers
+//    drive every kind through core::Arbiter alone: grants, SEU injection,
+//    latch-up and the self-check counters are all on its state-register
+//    surface.  Hierarchical trees have arity 4, as the flow prices them.
 #pragma once
 
 #include <cstdint>
@@ -25,16 +27,9 @@
 
 namespace rcarb::core {
 
-/// What an options struct requests: a concrete structure, or kAuto to let
-/// select_arbiter_kind pick from the port count and a timing budget.
-enum class ArbiterChoice : std::uint8_t {
-  kAuto,          // resolve from (n, fmax budget) via generate_cached
-  kFlatFsm,       // Fig. 5 chain (RoundRobinArbiter)
-  kHierarchical,  // tree-of-arbiters
-  kPrefix,        // Kogge-Stone thermometer-mask
-};
-
-[[nodiscard]] const char* to_string(ArbiterChoice c);
+/// The old name of ArbiterKind, kept only because perfbench/svc_workload.cpp
+/// still spells it; the next benchmark change deletes this line.
+using ArbiterChoice = ArbiterKind;
 
 /// Picks the cheapest structure whose pre-characterized fmax meets
 /// `timing_budget_mhz` (> 0 required), consulting generate_cached in area
@@ -43,24 +38,14 @@ enum class ArbiterChoice : std::uint8_t {
 /// synthesizing it just to rule it out would dominate the caller.
 /// When nothing meets the budget the fastest structure wins.
 [[nodiscard]] ArbiterKind select_arbiter_kind(
-    int n, double timing_budget_mhz, int arity = 4,
+    int n, double timing_budget_mhz,
     const timing::DelayModel& model = timing::xc4000e_speed3());
 
-/// Maps a choice to a concrete kind: explicit choices pass through (the
-/// budget is ignored); kAuto runs select_arbiter_kind and therefore
-/// requires timing_budget_mhz > 0.
-[[nodiscard]] ArbiterKind resolve_arbiter_choice(
-    ArbiterChoice choice, int n, double timing_budget_mhz, int arity = 4,
-    const timing::DelayModel& model = timing::xc4000e_speed3());
-
-/// Everything a system layer configures about one arbiter instance.  The
-/// kind must already be resolved (no kAuto here): resolution happens once
-/// at the options boundary, construction is pure.
+/// Everything a system layer configures about one arbiter instance.
 struct SystemArbiterSpec {
   Policy policy = Policy::kRoundRobin;
   /// Round-robin structure; ignored for non-round-robin policies.
   ArbiterKind kind = ArbiterKind::kFlatFsm;
-  int arity = 4;  // tree arity, kHierarchical only
   /// Illegal-state recovery (RoundRobinArbiter); flat-only — the scalable
   /// kinds have no one-hot register to harden, and the self-checking copies
   /// stay unhardened (the replication is the hardening).

@@ -35,6 +35,9 @@ struct ArbiterCharacteristics {
   std::size_t aig_ands = 0;
   /// Fixed per-burst protocol cost (Fig. 8): known before synthesis.
   int overhead_cycles = 0;
+
+  friend bool operator==(const ArbiterCharacteristics&,
+                         const ArbiterCharacteristics&) = default;
 };
 
 /// A fully generated arbiter: netlist plus its characterization.

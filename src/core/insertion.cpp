@@ -164,10 +164,7 @@ InsertionResult insert_arbitration(const tg::TaskGraph& graph,
       inst.resource_name = binding.resource_name(r);
       inst.ports = std::move(ports);
       inst.policy = options.policy;
-      inst.kind = resolve_arbiter_choice(options.arbiter_kind,
-                                         static_cast<int>(inst.ports.size()),
-                                         options.arbiter_fmax_budget_mhz,
-                                         options.arbiter_arity);
+      inst.kind = options.arbiter_kind;
       plan.arbiters_of_resource[static_cast<std::size_t>(r)].push_back(
           static_cast<int>(plan.arbiters.size()));
       ++plan.stats.arbiters;

@@ -12,13 +12,18 @@
 // resource are excluded from that resource's arbiter — they only need safe
 // line defaults.  If serialization covers all accessors, no arbiter is
 // inserted at all.
+//
+// Every instance records its round-robin structure (ArbiterInstance::kind,
+// from InsertionOptions::arbiter_kind).  That field is the one source of
+// the structure: the flow pre-characterizes it and rcsim builds it, both
+// at first build and when the supervisor regenerates an arbiter.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "core/arbiter_factory.hpp"
+#include "core/hier.hpp"
 #include "core/line_merge.hpp"
 #include "core/policy.hpp"
 #include "support/check.hpp"
@@ -79,9 +84,8 @@ struct ArbiterInstance {
   std::string resource_name;
   std::vector<tg::TaskId> ports;  // request-line order
   Policy policy = Policy::kRoundRobin;
-  /// Round-robin structure, resolved at insertion time (never kAuto) so
-  /// the simulator instantiates — and the synthesis flow characterizes —
-  /// the matching AIG generator.
+  /// Round-robin structure.  The one source of it: the simulator
+  /// instantiates, and the synthesis flow characterizes, this kind.
   ArbiterKind kind = ArbiterKind::kFlatFsm;
 
   /// Request index of a task, or -1 if the task has no port.
@@ -107,13 +111,9 @@ struct InsertionOptions {
   /// Backoff cap in cycles (backoff doubles per consecutive retry of the
   /// same burst, starting at 1, and never exceeds this).
   int retry_backoff_limit = 64;
-  /// Round-robin arbiter structure recorded on every instance.  kAuto
-  /// resolves per instance from its port count and
-  /// arbiter_fmax_budget_mhz (required > 0) via the pre-characterized
-  /// area/fmax cache.
-  ArbiterChoice arbiter_kind = ArbiterChoice::kFlatFsm;
-  int arbiter_arity = 4;  // tree arity for kHierarchical
-  double arbiter_fmax_budget_mhz = 0.0;
+  /// Round-robin arbiter structure recorded on every instance; hierarchical
+  /// trees have arity 4.
+  ArbiterKind arbiter_kind = ArbiterKind::kFlatFsm;
 };
 
 struct InsertionStats {

@@ -5,6 +5,7 @@
 #include "core/rr_fsm.hpp"
 #include "support/check.hpp"
 #include "support/text.hpp"
+#include "synth/fsm.hpp"
 
 namespace rcarb::core {
 
@@ -23,8 +24,7 @@ std::string guard_condition(const logic::Cube& guard, const synth::Fsm& fsm) {
   return join(terms, " and ");
 }
 
-}  // namespace
-
+// VHDL for a validated Mealy FSM: clk/rst, inputs, outputs, one process.
 std::string emit_fsm_vhdl(const synth::Fsm& fsm, synth::Encoding encoding) {
   fsm.validate();
   std::ostringstream os;
@@ -103,6 +103,8 @@ std::string emit_fsm_vhdl(const synth::Fsm& fsm, synth::Encoding encoding) {
   os << "end architecture rtl;\n";
   return os.str();
 }
+
+}  // namespace
 
 std::string emit_round_robin_vhdl(int n, synth::Encoding encoding) {
   return emit_fsm_vhdl(build_round_robin_fsm(n), encoding);

@@ -11,7 +11,6 @@
 #include <string>
 
 #include "synth/encoding.hpp"
-#include "synth/fsm.hpp"
 
 namespace rcarb::core {
 
@@ -20,10 +19,5 @@ namespace rcarb::core {
 /// generator parameterized the schemes.
 [[nodiscard]] std::string emit_round_robin_vhdl(int n,
                                                 synth::Encoding encoding);
-
-/// Emits VHDL for an arbitrary validated Mealy FSM with the same structure
-/// (clk/rst, inputs, outputs, one process).
-[[nodiscard]] std::string emit_fsm_vhdl(const synth::Fsm& fsm,
-                                        synth::Encoding encoding);
 
 }  // namespace rcarb::core

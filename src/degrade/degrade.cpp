@@ -165,13 +165,6 @@ const QuarantineRecord& ResourceSupervisor::record(int resource) const {
   return records_[cells_[static_cast<std::size_t>(resource)].record];
 }
 
-int ResourceSupervisor::num_serving() const {
-  int n = 0;
-  for (const Cell& c : cells_)
-    if (c.state == QuarantineState::kHealthy) ++n;
-  return n;
-}
-
 BankRemapPlan plan_bank_remap(const std::vector<std::size_t>& segment_bytes,
                               const std::vector<int>& bank_of_segment,
                               const std::vector<std::size_t>& bank_free_bytes,

@@ -199,7 +199,6 @@ class ResourceSupervisor {
   [[nodiscard]] bool serving(int resource) const {
     return state(resource) == QuarantineState::kHealthy;
   }
-  [[nodiscard]] int num_serving() const;
   [[nodiscard]] const StrikeTracker& strikes() const { return tracker_; }
   /// Every quarantine's lifecycle record, in classification order.  Open
   /// records (still draining/reconfiguring) have unset later stages —

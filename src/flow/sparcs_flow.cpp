@@ -73,9 +73,8 @@ FlowReport run_flow(const tg::TaskGraph& input, const board::Board& board,
     // across every run_flow call, of the kind the simulator instantiates.
     for (const core::ArbiterInstance& inst : pr.plan.arbiters) {
       const core::ArbiterCharacteristics& chars =
-          core::generate_cached({.n = static_cast<int>(inst.ports.size()),
-                                 .kind = inst.kind,
-                                 .arity = options.insertion.arbiter_arity})
+          core::generate_cached(
+              {.n = static_cast<int>(inst.ports.size()), .kind = inst.kind})
               .chars;
       pr.arbiter_chars.push_back(chars);
       report.total_arbiter_clbs += chars.clbs;

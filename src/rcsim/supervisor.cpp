@@ -209,11 +209,10 @@ void RunState::apply_move(int r) {
   p.arbiters_of_resource[static_cast<std::size_t>(r)].clear();
   port_index[static_cast<std::size_t>(r)].clear();
   if (!ports.empty()) {
-    // The regenerated arbiter is round-robin and keeps the structure in
-    // effect for this run: under kAuto, the latest kind planned for the
-    // surviving resource (falling back to the plan's last instance when the
-    // survivor was unarbitrated before the merge); an explicit SimOptions
-    // choice is re-applied by add_lane either way.
+    // The regenerated arbiter is round-robin and keeps the plan's
+    // structure: the latest kind planned for the surviving resource
+    // (falling back to the plan's last instance when the survivor was
+    // unarbitrated before the merge).
     core::ArbiterInstance inst;
     inst.resource = live;
     inst.resource_name = binding().resource_name(live);

@@ -180,14 +180,7 @@ void RunState::add_lane(const core::ArbiterInstance& inst) {
   const int n = static_cast<int>(inst.ports.size());
   core::SystemArbiterSpec spec;
   spec.policy = inst.policy;
-  // kAuto follows the plan's per-instance resolved kind; an explicit
-  // SimOptions choice overrides it for every instance.
-  spec.kind = opt.arbiter_kind == core::ArbiterChoice::kAuto
-                  ? inst.kind
-                  : core::resolve_arbiter_choice(opt.arbiter_kind, n,
-                                                 /*timing_budget_mhz=*/0.0,
-                                                 opt.arbiter_arity);
-  spec.arity = opt.arbiter_arity;
+  spec.kind = inst.kind;  // the structure the flow priced
   spec.harden = opt.harden;
   spec.self_check = opt.self_check;
   spec.seed = opt.seed;

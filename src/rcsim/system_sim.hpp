@@ -8,7 +8,11 @@
 // without the grant is a protocol violation, and two simultaneous drivers
 // of one bank or physical channel are a hardware conflict.  Both are
 // detected and reported — the unarbitrated baseline benches rely on the
-// detector to show *why* arbitration is necessary.
+// detector to show *why* arbitration is necessary.  Every arbiter takes its
+// structure from its plan instance (core::ArbiterInstance::kind), the
+// structure the flow pre-characterized, both at first build and when the
+// degradation supervisor regenerates one; there is no simulator-side kind
+// option.
 #pragma once
 
 #include <cstdint>
@@ -57,6 +61,8 @@ struct SimOptions {
   /// (SEU-flipped) states, the watchdog force-releases hung holders, and
   /// channel words are SECDED-protected (single-bit corruptions corrected).
   /// Off, the same faults are detected and reported but not repaired.
+  /// The scalable kinds have no one-hot register to recover; upsets and
+  /// latch-ups land in their packed state registers.
   bool harden = false;
   /// Deterministic fault schedule (see fault::plan_faults), applied against
   /// this run's arbiters and physical channels.
@@ -68,15 +74,6 @@ struct SimOptions {
   /// `error` output is the evidence stream the degradation supervisor
   /// classifies; kNone (the default) instantiates the plain arbiters.
   core::CheckMode self_check = core::CheckMode::kNone;
-  /// Round-robin arbiter structure (core/arbiter_factory.hpp).  kAuto (the
-  /// default) follows each ArbiterInstance's resolved kind from the
-  /// insertion pass — kFlatFsm unless InsertionOptions::arbiter_kind chose
-  /// otherwise — so plans and simulation stay in agreement; an explicit
-  /// choice overrides the plan for every instance.  The scalable kinds
-  /// have no one-hot register: `harden` does not apply to them; upsets
-  /// and latch-ups land in their packed state registers.
-  core::ArbiterChoice arbiter_kind = core::ArbiterChoice::kAuto;
-  int arbiter_arity = 4;  // tree arity for kHierarchical
   /// Supervisory recovery controller: classify permanent faults (K strikes
   /// in W cycles), quarantine the resource, drain in-flight bursts at the
   /// Fig. 8 batch boundary and remap its load onto survivors.  Disabled by
@@ -130,7 +127,7 @@ struct TaskStats {
 struct ArbiterStats {
   std::string resource_name;
   int ports = 0;
-  /// Structure actually instantiated (plan kind or SimOptions override).
+  /// Structure instantiated: the plan's ArbiterInstance::kind.
   core::ArbiterKind kind = core::ArbiterKind::kFlatFsm;
   std::uint64_t grants = 0;         // grant-holder changes
   std::uint64_t granted_cycles = 0; // cycles with any grant asserted

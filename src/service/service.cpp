@@ -64,10 +64,9 @@ struct Slot {
 };
 
 struct ResourceState {
-  ResourceState(int ports, core::ArbiterKind kind, int arity,
-                core::CheckMode self_check, obs::ArbiterMetrics* metrics)
+  ResourceState(int ports, core::ArbiterKind kind, core::CheckMode self_check,
+                obs::ArbiterMetrics* metrics)
       : arb(core::make_system_arbiter(ports, {.kind = kind,
-                                              .arity = arity,
                                               .self_check = self_check})),
         probe(metrics),
         slots(static_cast<std::size_t>(ports)),
@@ -150,12 +149,6 @@ class Engine {
     RCARB_CHECK(opt_.service_cycles >= 1, "service_cycles must be positive");
     RCARB_CHECK(opt_.queue_capacity >= 1, "queue_capacity must be positive");
     RCARB_CHECK(opt_.util_window >= 1, "util_window must be positive");
-    RCARB_CHECK(opt_.arbiter_arity >= 2 && opt_.arbiter_arity <= 4,
-                "arbiter_arity must be in [2, 4]");
-    RCARB_CHECK(opt_.arbiter_kind != core::ArbiterChoice::kAuto ||
-                    opt_.arbiter_fmax_budget_mhz > 0.0,
-                "arbiter_kind kAuto needs arbiter_fmax_budget_mhz > 0 (the "
-                "fmax floor the selected structure must meet)");
     RCARB_CHECK(opt_.retry.max_retries == 0 ||
                     opt_.retry.timeout >
                         static_cast<int>(opt_.retry.backoff_base),
@@ -173,17 +166,14 @@ class Engine {
                 "the retry ring");
     if (opt_.retry.max_retries > 0)
       wheel_.resize(static_cast<std::size_t>(opt_.retry.backoff_limit) + 1);
-    kind_ = core::resolve_arbiter_choice(opt_.arbiter_kind, opt_.ports,
-                                         opt_.arbiter_fmax_budget_mhz,
-                                         opt_.arbiter_arity);
     validate_fault_plan();
     stats_.per_resource.resize(static_cast<std::size_t>(opt_.resources));
     for (int r = 0; r < opt_.resources; ++r) {
       auto& rs = stats_.per_resource[static_cast<std::size_t>(r)];
-      reset_resource_stats(rs, "svc" + std::to_string(r), opt_.ports, kind_);
+      reset_resource_stats(rs, "svc" + std::to_string(r), opt_.ports,
+                           opt_.arbiter_kind);
       res_.push_back(std::make_unique<ResourceState>(
-          opt_.ports, kind_, opt_.arbiter_arity, opt_.self_check,
-          &rs.arbiter));
+          opt_.ports, opt_.arbiter_kind, opt_.self_check, &rs.arbiter));
       live_.push_back(r);
     }
     supervisor_ = degrade::ResourceSupervisor(opt_.resources, opt_.degrade);
@@ -631,7 +621,7 @@ class Engine {
     for (auto& st : res_) st->probe.settle();
     for (std::size_t r = 0; r < stats_.per_resource.size(); ++r)
       reset_resource_stats(stats_.per_resource[r], "svc" + std::to_string(r),
-                           opt_.ports, kind_);
+                           opt_.ports, opt_.arbiter_kind);
     // The admission estimator restarts from a defined state: window phase
     // re-anchored here, empty busy count, shedding disarmed.  Before this
     // the warmup's partial window and armed/disarmed flag leaked into the
@@ -666,7 +656,6 @@ class Engine {
   std::vector<std::vector<Request>> wheel_;
   std::uint64_t cycle_ = 0;
   std::uint64_t util_anchor_ = 0;  // cycle the util windows count from
-  core::ArbiterKind kind_ = core::ArbiterKind::kFlatFsm;
   degrade::ResourceSupervisor supervisor_;
   std::size_t next_fault_ = 0;  // cursor into opt_.faults
   std::vector<int> live_;       // routable resources, ascending

@@ -6,13 +6,15 @@
 // routes each request to one of R arbitrated resources, and parks it in
 // that resource's *bounded* FIFO queue.  Up to `ports` requests per
 // resource contend on a round-robin arbiter of the configured structure
-// (ServiceOptions::arbiter_kind — flat Fig. 5 chain, hierarchical tree,
-// or parallel-prefix; one Req line per dispatch port, Fig. 8 semantics:
-// the grant holds while Req is up, service ends by deasserting it), so
-// queueing discipline, arbitration fairness and the 2-cycle protocol
-// overhead all appear in the measured latencies.  The Req lines are
-// words (bit p of word p / 64 = port p), up to core::kMaxWideInputs ports
-// per resource.
+// (ServiceOptions::arbiter_kind — flat Fig. 5 chain, arity-4 hierarchical
+// tree, or parallel-prefix; one Req line per dispatch port, Fig. 8
+// semantics: the grant holds while Req is up, service ends by deasserting
+// it), so queueing discipline, arbitration fairness and the 2-cycle
+// protocol overhead all appear in the measured latencies.  The kind is
+// always an explicit core::ArbiterKind; a caller that wants one picked
+// from an fmax budget calls core::select_arbiter_kind first.  The Req
+// lines are words (bit p of word p / 64 = port p), up to
+// core::kMaxWideInputs ports per resource.
 //
 // Three overload policies decide what happens when a queue is full:
 //  - kBlock: arrivals wait in an (almost) unbounded backlog, like a
@@ -121,16 +123,12 @@ struct ServiceOptions {
   int queue_capacity = 32; // bounded FIFO depth per resource
   OverloadPolicy policy = OverloadPolicy::kBlock;
 
-  // ---- Arbiter structure (core/arbiter_factory.hpp). ----
-  /// kFlatFsm (default) is the paper's Fig. 5 chain; kHierarchical and
-  /// kPrefix are the scalable structures; kAuto picks the cheapest kind
-  /// whose pre-characterized fmax (core::generate_cached) meets
-  /// arbiter_fmax_budget_mhz, and therefore runs synthesis on first use.
-  core::ArbiterChoice arbiter_kind = core::ArbiterChoice::kFlatFsm;
-  int arbiter_arity = 4;  // tree arity for kHierarchical, in [2, 4]
-  /// Fmax floor (MHz) the auto-selected structure must meet.  Required
-  /// (> 0) when arbiter_kind == kAuto; unused otherwise.
-  double arbiter_fmax_budget_mhz = 0.0;
+  // ---- Arbiter structure (core/hier.hpp). ----
+  /// kFlatFsm (default) is the paper's Fig. 5 chain; kHierarchical (a
+  /// tree of arity 4) and kPrefix are the scalable structures.  A caller
+  /// that wants the cheapest kind meeting an fmax floor asks
+  /// core::select_arbiter_kind first.
+  core::ArbiterKind arbiter_kind = core::ArbiterKind::kFlatFsm;
 
   // ---- kAdmitShed estimator. ----
   int util_window = 256;          // cycles per utilization sample

@@ -384,7 +384,8 @@ TEST(ResourceSupervisor, LifecycleDrainsPricesAndRestores) {
             T::kQuarantined);
   EXPECT_FALSE(sup.serving(0));
   EXPECT_TRUE(sup.serving(1));
-  EXPECT_EQ(sup.num_serving(), 1);
+  EXPECT_EQ(static_cast<int>(sup.serving(0)) + static_cast<int>(sup.serving(1)),
+            1);
   // Further evidence against the quarantined resource never re-classifies.
   EXPECT_EQ(sup.strike(0, 13, degrade::StrikeSource::kSelfCheckError),
             T::kNone);
@@ -720,46 +721,36 @@ TEST(DegradeEndToEnd, ReconfigurationPreservesTheConfiguredArbiterKind) {
   // Regression: the post-quarantine rebuild used to hand-roll a flat
   // round-robin arbiter, silently dropping the configured structure on
   // exactly the reconfiguration path.  Both construction sites now build
-  // through core::make_system_arbiter, so the regenerated arbiter keeps
-  // the explicit SimOptions kind — and the run still preserves data.
+  // through core::make_system_arbiter from the plan's kind, so the
+  // regenerated arbiter keeps it — and the run still preserves data.
   TwoBankRig rig;
-  const auto ins = core::insert_arbitration(rig.graph, rig.binding, {});
   fault::FaultEvent dead;
   dead.kind = fault::FaultKind::kBankFailure;
   dead.cycle = 10;
   dead.bank = 1;
-  rcsim::SimOptions so = degrade_options();
-  so.faults = {dead};
-  so.arbiter_kind = core::ArbiterChoice::kPrefix;
-  rcsim::SystemSimulator sim(ins.graph, rig.binding, ins.plan, so);
-  const rcsim::SimResult r = sim.run(rig.tasks);
-  EXPECT_FALSE(r.deadlocked);
-  EXPECT_EQ(r.remaps, 1u);
-  ASSERT_GT(r.arbiters.size(), ins.plan.arbiters.size())
-      << "the remap must regenerate an arbiter over the survivor";
-  for (const rcsim::ArbiterStats& st : r.arbiters)
-    EXPECT_EQ(st.kind, core::ArbiterKind::kPrefix) << st.resource_name;
-
-  // The default (kAuto) follows the plan's per-instance resolved kind
-  // into the regenerated arbiter instead of resetting it to flat.
-  core::InsertionOptions io;
-  io.arbiter_kind = core::ArbiterChoice::kHierarchical;
-  const auto ins_h = core::insert_arbitration(rig.graph, rig.binding, io);
-  rcsim::SimOptions follow = degrade_options();
-  follow.faults = {dead};
-  rcsim::SystemSimulator sim_h(ins_h.graph, rig.binding, ins_h.plan, follow);
-  const rcsim::SimResult rh = sim_h.run(rig.tasks);
-  EXPECT_EQ(rh.remaps, 1u);
-  ASSERT_GT(rh.arbiters.size(), ins_h.plan.arbiters.size());
-  for (const rcsim::ArbiterStats& st : rh.arbiters)
-    EXPECT_EQ(st.kind, core::ArbiterKind::kHierarchical) << st.resource_name;
-
-  // Data correctness is unchanged by the structure.
-  rcsim::SystemSimulator ref(ins.graph, rig.binding, ins.plan,
+  const auto flat = core::insert_arbitration(rig.graph, rig.binding, {});
+  rcsim::SystemSimulator ref(flat.graph, rig.binding, flat.plan,
                              degrade_options());
   (void)ref.run(rig.tasks);
-  EXPECT_EQ(sim.segment_data(0), ref.segment_data(0));
-  EXPECT_EQ(sim.segment_data(1), ref.segment_data(1));
+  for (const core::ArbiterKind kind :
+       {core::ArbiterKind::kHierarchical, core::ArbiterKind::kPrefix}) {
+    const auto ins = core::insert_arbitration(rig.graph, rig.binding,
+                                              {.arbiter_kind = kind});
+    rcsim::SimOptions so = degrade_options();
+    so.faults = {dead};
+    rcsim::SystemSimulator sim(ins.graph, rig.binding, ins.plan, so);
+    const rcsim::SimResult r = sim.run(rig.tasks);
+    const char* label = core::to_string(kind);
+    EXPECT_FALSE(r.deadlocked) << label;
+    EXPECT_EQ(r.remaps, 1u) << label;
+    ASSERT_GT(r.arbiters.size(), ins.plan.arbiters.size())
+        << label << ": the remap must regenerate an arbiter over the survivor";
+    for (const rcsim::ArbiterStats& st : r.arbiters)
+      EXPECT_EQ(st.kind, kind) << label << " " << st.resource_name;
+    // Data correctness is unchanged by the structure.
+    EXPECT_EQ(sim.segment_data(0), ref.segment_data(0)) << label;
+    EXPECT_EQ(sim.segment_data(1), ref.segment_data(1)) << label;
+  }
 }
 
 TEST(DegradeEndToEnd, AvailabilityBeatsTheStallOnlyBaseline) {

@@ -204,6 +204,41 @@ TEST(SparcsFlow, PolicyIsConfigurable) {
   }
 }
 
+TEST(SparcsFlow, PricesTheStructureItSimulates) {
+  // The flow's pre-characterization holds only if the arbiter it prices is
+  // the arbiter rcsim runs: every instance's kind reaches both.
+  const fft::FftDesign d = fft::build_fft_design();
+  const fft::Block block = test_block(8);
+  FlowOptions o = with_preload(d, block);
+  const auto pinned = fft::paper_partitions(d);
+  o.pinned_partitions = &pinned;
+  o.pinned_binding = [&](std::size_t tp) { return fft::paper_binding(d, tp); };
+  for (const core::ArbiterKind kind :
+       {core::ArbiterKind::kFlatFsm, core::ArbiterKind::kHierarchical,
+        core::ArbiterKind::kPrefix}) {
+    o.insertion.arbiter_kind = kind;
+    const FlowReport report = run_flow(d.graph, board::wildforce(), o);
+    const char* label = core::to_string(kind);
+    expect_spectrum_ok(report, d, block);
+    ASSERT_EQ(report.partitions.size(), pinned.size()) << label;
+    for (const PartitionReport& pr : report.partitions) {
+      EXPECT_EQ(pr.sim.bank_conflicts, 0u) << label;
+      ASSERT_EQ(pr.sim.arbiters.size(), pr.plan.arbiters.size()) << label;
+      ASSERT_EQ(pr.arbiter_chars.size(), pr.plan.arbiters.size()) << label;
+      for (std::size_t i = 0; i < pr.plan.arbiters.size(); ++i) {
+        const core::ArbiterInstance& inst = pr.plan.arbiters[i];
+        EXPECT_EQ(inst.kind, kind) << label;
+        EXPECT_EQ(pr.sim.arbiters[i].kind, inst.kind) << label;
+        EXPECT_EQ(pr.arbiter_chars[i],
+                  core::generate_cached(
+                      {.n = static_cast<int>(inst.ports.size()), .kind = kind})
+                      .chars)
+            << label << " " << inst.resource_name;
+      }
+    }
+  }
+}
+
 TEST(SparcsFlow, SummaryMentionsPartitionsAndArbiters) {
   const fft::FftDesign d = fft::build_fft_design();
   FlowOptions o;

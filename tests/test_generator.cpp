@@ -229,12 +229,13 @@ TEST(GeneratorSpec, ChainEntryIsOneReferenceAcrossSpellings) {
   // too.
   for (const int n : {1, 2, 8, 20, 21, 24}) {
     const GeneratedArbiter& chain = generate_cached({.n = n});
-    // run_flow: {ports, instance kind, insertion arity}.
+    // Any arity: it counts only for the tree.
     EXPECT_EQ(&chain, &generate_cached({.n = n,
                                         .kind = ArbiterKind::kFlatFsm,
                                         .arity = 2}))
         << "n=" << n;
-    // kAuto's flat candidate (select_arbiter_kind).
+    // select_arbiter_kind's flat candidate, through perfbench's
+    // forwarder.
     EXPECT_EQ(&chain, &generate_scalable_cached(ArbiterKind::kFlatFsm, n))
         << "n=" << n;
     // degrade::arbiter_reconfig_cycles, unreplicated.

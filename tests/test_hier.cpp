@@ -636,12 +636,11 @@ std::vector<std::unique_ptr<core::Arbiter>> observed_arbiters(int n) {
     for (const core::CheckMode mode :
          {core::CheckMode::kNone, core::CheckMode::kDuplicate,
           core::CheckMode::kTmr})
-      specs.push_back({.kind = kind, .arity = 4, .self_check = mode});
+      specs.push_back({.kind = kind, .self_check = mode});
   for (const core::Policy policy :
        {core::Policy::kFifo, core::Policy::kPriority, core::Policy::kRandom})
     specs.push_back({.policy = policy,
                      .kind = ArbiterKind::kFlatFsm,
-                     .arity = 4,
                      .self_check = core::CheckMode::kNone});
   std::vector<std::unique_ptr<core::Arbiter>> arbiters;
   for (const core::SystemArbiterSpec& spec : specs)
@@ -707,7 +706,6 @@ TEST(WideObserver, BaseStepWideRejectsWidthsPast64) {
 // ================================================ kind selection + factory
 
 TEST(ArbiterFactory, SelectionHonorsTheBudgetInAreaOrder) {
-  using core::ArbiterChoice;
   // A floor every structure meets picks the cheapest candidate: the flat
   // chain at word widths, the tree past them (flat is never synthesized
   // there — its fmax decays ~1/N and could only lose).
@@ -732,14 +730,6 @@ TEST(ArbiterFactory, SelectionHonorsTheBudgetInAreaOrder) {
             ArbiterKind::kFlatFsm);
   EXPECT_THROW((void)core::select_arbiter_kind(16, 0.0), CheckError);
   EXPECT_THROW((void)core::select_arbiter_kind(0, 1.0), CheckError);
-
-  EXPECT_EQ(core::resolve_arbiter_choice(ArbiterChoice::kPrefix, 16, 0.0),
-            ArbiterKind::kPrefix);
-  EXPECT_EQ(core::resolve_arbiter_choice(ArbiterChoice::kAuto, 16, 1.0),
-            ArbiterKind::kFlatFsm);
-  EXPECT_THROW(
-      (void)core::resolve_arbiter_choice(ArbiterChoice::kAuto, 16, 0.0),
-      CheckError);
 }
 
 TEST(ArbiterFactory, BuildsTheMatchingKindAtEveryWidth) {
@@ -755,13 +745,13 @@ TEST(ArbiterFactory, BuildsTheMatchingKindAtEveryWidth) {
   EXPECT_EQ(wide.arbiter->num_state_bits(), 256)
       << "one flat class at every width";
 
+  // The tree the flow prices: arity 4.
   SystemArbiterSpec hier_spec;
   hier_spec.kind = ArbiterKind::kHierarchical;
-  hier_spec.arity = 2;
   auto hier = core::make_system_arbiter(96, hier_spec);
   EXPECT_EQ(hier.kind, ArbiterKind::kHierarchical);
   EXPECT_EQ(hier.arbiter->num_state_bits(),
-            core::make_hier_shape(96, 2).num_state_bits());
+            core::make_hier_shape(96, 4).num_state_bits());
 
   SystemArbiterSpec prefix_spec;
   prefix_spec.kind = ArbiterKind::kPrefix;

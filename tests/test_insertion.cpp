@@ -286,28 +286,18 @@ TEST(Insertion, LongComputeBreaksBurst) {
 }
 
 TEST(Insertion, ArbiterKindResolvesAtPlanTime) {
-  // Instances carry a concrete kind (never kAuto): explicit choices pass
-  // through, kAuto resolves from the port count and the fmax budget so
-  // downstream consumers (rcsim, flow characterization) never re-decide.
+  // Every instance carries the options' kind, so downstream consumers
+  // (rcsim, flow characterization) read one structure from the plan.
   SharedBankFixture fx;
   const InsertionResult def = insert_arbitration(fx.graph, fx.binding, {});
   ASSERT_EQ(def.plan.arbiters.size(), 1u);
   EXPECT_EQ(def.plan.arbiters[0].kind, ArbiterKind::kFlatFsm);
 
   InsertionOptions options;
-  options.arbiter_kind = ArbiterChoice::kPrefix;
+  options.arbiter_kind = ArbiterKind::kPrefix;
   const InsertionResult pre =
       insert_arbitration(fx.graph, fx.binding, options);
   EXPECT_EQ(pre.plan.arbiters[0].kind, ArbiterKind::kPrefix);
-
-  options.arbiter_kind = ArbiterChoice::kAuto;
-  options.arbiter_fmax_budget_mhz = 1.0;  // any structure meets this
-  const InsertionResult car =
-      insert_arbitration(fx.graph, fx.binding, options);
-  EXPECT_EQ(car.plan.arbiters[0].kind, ArbiterKind::kFlatFsm);
-
-  options.arbiter_fmax_budget_mhz = 0.0;
-  EXPECT_THROW(insert_arbitration(fx.graph, fx.binding, options), CheckError);
 }
 
 TEST(Insertion, RejectsMalformedBinding) {

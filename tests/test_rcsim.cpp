@@ -423,10 +423,11 @@ struct WritersFixture {
   InsertionResult ins;
   std::vector<TaskId> all;
 
-  WritersFixture(int tasks, int bursts)
+  WritersFixture(int tasks, int bursts,
+                 core::ArbiterKind kind = core::ArbiterKind::kFlatFsm)
       : g(writers_graph(tasks, bursts)),
         binding(single_bank_binding(g, static_cast<std::size_t>(tasks))),
-        ins(core::insert_arbitration(g, binding, {})) {
+        ins(core::insert_arbitration(g, binding, {.arbiter_kind = kind})) {
     for (int t = 0; t < tasks; ++t) all.push_back(static_cast<TaskId>(t));
   }
 
@@ -503,12 +504,11 @@ TEST(RcsimArbiterFaults, FrozenScalableArbitersDegenerateToFixedPriority) {
   // Each cycle then re-arbitrates from scratch and the lowest requesting
   // port wins, so task t finishes all of its bursts before task t + 1,
   // and task 0 finishes earlier than under the fault-free rotation.
-  for (const core::ArbiterChoice kind :
-       {core::ArbiterChoice::kHierarchical, core::ArbiterChoice::kPrefix}) {
+  for (const core::ArbiterKind kind :
+       {core::ArbiterKind::kHierarchical, core::ArbiterKind::kPrefix}) {
     for (const int n : {8, 40}) {
-      WritersFixture fx(n, 3);
+      WritersFixture fx(n, 3, kind);
       SimOptions options;
-      options.arbiter_kind = kind;
       const SimResult clean = fx.run(options);
       options.faults = {arbiter_fault(fault::FaultKind::kArbiterLatchup)};
       const SimResult r = fx.run(options);
@@ -528,14 +528,13 @@ TEST(RcsimArbiterFaults, FrozenScalableArbitersDegenerateToFixedPriority) {
 TEST(RcsimArbiterFaults, SelfCheckedLatchUpIsDetectedPastThirtyTwoPorts) {
   // A replicated register keeps copy 0 pinned at its current value; the
   // comparator sees the divergence at every kind and width.
-  for (const core::ArbiterChoice kind :
-       {core::ArbiterChoice::kFlatFsm, core::ArbiterChoice::kHierarchical,
-        core::ArbiterChoice::kPrefix}) {
-    WritersFixture fx(40, 3);
+  for (const core::ArbiterKind kind :
+       {core::ArbiterKind::kFlatFsm, core::ArbiterKind::kHierarchical,
+        core::ArbiterKind::kPrefix}) {
+    WritersFixture fx(40, 3, kind);
     SimOptions options;
     options.strict = false;
     options.no_progress_window = 200;
-    options.arbiter_kind = kind;
     options.self_check = core::CheckMode::kDuplicate;
     options.faults = {arbiter_fault(fault::FaultKind::kArbiterLatchup)};
     const SimResult r = fx.run(options);
@@ -547,7 +546,7 @@ TEST(RcsimArbiterFaults, SelfCheckedLatchUpIsDetectedPastThirtyTwoPorts) {
 
 class RcsimWide
     : public ::testing::TestWithParam<
-          std::tuple<core::ArbiterChoice, core::CheckMode>> {};
+          std::tuple<core::ArbiterKind, core::CheckMode>> {};
 
 TEST_P(RcsimWide, WritersPast64PortsShareOneBankWithoutConflict) {
   // Default (strict) options: 65, 128 and 1,000 writers share one bank
@@ -558,9 +557,8 @@ TEST_P(RcsimWide, WritersPast64PortsShareOneBankWithoutConflict) {
   for (const auto& [n, bursts] : {std::pair{64, 4}, std::pair{65, 4},
                                   std::pair{128, 4}, std::pair{1000, 1}}) {
     const std::string what = "n=" + std::to_string(n);
-    WritersFixture fx(n, bursts);
+    WritersFixture fx(n, bursts, kind);
     SimOptions options;
-    options.arbiter_kind = kind;
     options.self_check = mode;
     SimResult r;
     ASSERT_NO_THROW(r = fx.run(options)) << what;
@@ -574,9 +572,9 @@ TEST_P(RcsimWide, WritersPast64PortsShareOneBankWithoutConflict) {
 
 INSTANTIATE_TEST_SUITE_P(
     KindsAndModes, RcsimWide,
-    ::testing::Combine(::testing::Values(core::ArbiterChoice::kFlatFsm,
-                                         core::ArbiterChoice::kHierarchical,
-                                         core::ArbiterChoice::kPrefix),
+    ::testing::Combine(::testing::Values(core::ArbiterKind::kFlatFsm,
+                                         core::ArbiterKind::kHierarchical,
+                                         core::ArbiterKind::kPrefix),
                        ::testing::Values(core::CheckMode::kNone,
                                          core::CheckMode::kTmr)),
     [](const auto& param_info) {

@@ -325,9 +325,9 @@ TEST(QuietJump, SeededFaultsMatchThePerCycleEngine) {
   const std::vector<TaskId> all = {0, 1, 2};
   std::uint64_t fault_free_skipped = 0;
   int cells = 0;
-  for (const core::ArbiterChoice kind :
-       {core::ArbiterChoice::kFlatFsm, core::ArbiterChoice::kHierarchical,
-        core::ArbiterChoice::kPrefix}) {
+  for (const core::ArbiterKind kind :
+       {core::ArbiterKind::kFlatFsm, core::ArbiterKind::kHierarchical,
+        core::ArbiterKind::kPrefix}) {
     core::InsertionOptions io;
     io.arbiter_kind = kind;
     io.retry_timeout = 12;

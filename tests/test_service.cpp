@@ -332,14 +332,6 @@ TEST(ServiceEngine, RejectsNonsenseOptions) {
   o = small_options();
   o.queue_capacity = 0;
   EXPECT_THROW((void)run_service(o), CheckError);
-  o = small_options();
-  o.arbiter_arity = 5;
-  EXPECT_THROW((void)run_service(o), CheckError);
-  // kAuto without a timing budget is ambiguous, not a default.
-  o = small_options();
-  o.arbiter_kind = core::ArbiterChoice::kAuto;
-  o.arbiter_fmax_budget_mhz = 0.0;
-  EXPECT_THROW((void)run_service(o), CheckError);
 }
 
 TEST(ServiceEngine, RejectsRetryTimeoutInsideTheFirstBackoff) {
@@ -422,8 +414,8 @@ TEST(ServiceEngine, ScalableKindsMatchFlatAggregatesAtWordWidths) {
       o.measure_cycles = 4'000;
       const ServiceStats flat = run_service(o);
       EXPECT_EQ(flat.per_resource[0].arbiter.kind, "flat");
-      for (const core::ArbiterChoice kind :
-           {core::ArbiterChoice::kHierarchical, core::ArbiterChoice::kPrefix}) {
+      for (const core::ArbiterKind kind :
+           {core::ArbiterKind::kHierarchical, core::ArbiterKind::kPrefix}) {
         o.arbiter_kind = kind;
         const ServiceStats s = run_service(o);
         const char* label = core::to_string(kind);
@@ -436,7 +428,7 @@ TEST(ServiceEngine, ScalableKindsMatchFlatAggregatesAtWordWidths) {
         EXPECT_EQ(s.retries, flat.retries) << label;
         EXPECT_EQ(s.queue_depth.sum(), flat.queue_depth.sum()) << label;
       }
-      o.arbiter_kind = core::ArbiterChoice::kFlatFsm;
+      o.arbiter_kind = core::ArbiterKind::kFlatFsm;
     }
   }
 }
@@ -444,9 +436,9 @@ TEST(ServiceEngine, ScalableKindsMatchFlatAggregatesAtWordWidths) {
 TEST(ServiceEngine, WidePortsServeThroughEveryKind) {
   // Past 64 ports the Req lines span several words; all three kinds (flat through the width-generic RoundRobinArbiter) must carry a
   // 256-port resource.
-  for (const core::ArbiterChoice kind :
-       {core::ArbiterChoice::kFlatFsm, core::ArbiterChoice::kHierarchical,
-        core::ArbiterChoice::kPrefix}) {
+  for (const core::ArbiterKind kind :
+       {core::ArbiterKind::kFlatFsm, core::ArbiterKind::kHierarchical,
+        core::ArbiterKind::kPrefix}) {
     ServiceOptions o;
     o.resources = 2;
     o.ports = 256;
@@ -461,8 +453,7 @@ TEST(ServiceEngine, WidePortsServeThroughEveryKind) {
     const ServiceStats s = run_service(o);
     const char* label = core::to_string(kind);
     EXPECT_EQ(s.per_resource[0].arbiter.ports, 256) << label;
-    EXPECT_EQ(s.per_resource[0].arbiter.kind,
-              kind == core::ArbiterChoice::kFlatFsm ? "flat" : label);
+    EXPECT_EQ(s.per_resource[0].arbiter.kind, label);
     EXPECT_GT(s.completed, 0u) << label;
     EXPECT_NEAR(s.goodput(), s.offered_rate(), 0.05) << label;
     EXPECT_EQ(s.timed_out, 0u) << label;
@@ -483,7 +474,10 @@ TEST(ServiceEngine, WideSweepIsByteIdenticalSerialVsParallel) {
           o.service_cycles = 1;
           o.queue_capacity = 32;
           o.policy = OverloadPolicy::kTailDrop;
-          o.arbiter_kind = static_cast<core::ArbiterChoice>(1 + i % 3);
+          constexpr core::ArbiterKind kKinds[] = {
+              core::ArbiterKind::kFlatFsm, core::ArbiterKind::kHierarchical,
+              core::ArbiterKind::kPrefix};
+          o.arbiter_kind = kKinds[i % 3];
           o.arrivals.rate = 0.8 + 0.6 * static_cast<double>(i / 3);
           o.warmup_cycles = 200;
           o.measure_cycles = 1'500;
@@ -661,9 +655,9 @@ TEST(ServiceEngine, WidePortFingerprintsArePinned) {
                                      OverloadPolicy::kBlock};
   std::size_t i = 0;
   for (const int ports : {63, 64, 65, 129, 1000}) {
-    for (const core::ArbiterChoice kind :
-         {core::ArbiterChoice::kFlatFsm, core::ArbiterChoice::kHierarchical,
-          core::ArbiterChoice::kPrefix}) {
+    for (const core::ArbiterKind kind :
+         {core::ArbiterKind::kFlatFsm, core::ArbiterKind::kHierarchical,
+          core::ArbiterKind::kPrefix}) {
       for (const OverloadPolicy pol : policies) {
         ServiceOptions o;
         o.resources = 2;
@@ -719,23 +713,6 @@ TEST(ServiceEngine, EstimatorRestartsAtTheMeasurementBoundary) {
     ASSERT_TRUE(found) << "warmup " << warmup;
     EXPECT_GE(first_shed, warmup + 256) << "warmup " << warmup;
   }
-}
-
-TEST(ServiceEngine, AutoKindResolvesFromTheBudget) {
-  // A floor every structure meets keeps the flat chain at word widths —
-  // and the kAuto run is byte-identical to asking for kFlatFsm.
-  ServiceOptions o = small_options();
-  o.arrivals.rate = 0.6;
-  const ServiceStats flat = run_service(o);
-  o.arbiter_kind = core::ArbiterChoice::kAuto;
-  o.arbiter_fmax_budget_mhz = 1.0;
-  const ServiceStats chosen = run_service(o);
-  EXPECT_EQ(chosen.summarize(), flat.summarize());
-  EXPECT_EQ(chosen.per_resource[0].arbiter.kind, "flat");
-  // Past word widths the flat chain is no longer a candidate.
-  o.ports = 96;
-  const ServiceStats wide = run_service(o);
-  EXPECT_EQ(wide.per_resource[0].arbiter.kind, "hier");
 }
 
 // ---------------------------------------------------------- retry/backoff

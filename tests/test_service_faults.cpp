@@ -379,9 +379,9 @@ TEST(ServiceFaults, EveryKindModeAndWidthTakesSeusAndLatchupsConserved) {
   // Fault plans reach every arbiter kind, replicated or not, at every
   // width: the planner draws SEUs over the arbiter's whole register
   // (copies included), and no combination CHECK-fails or loses a request.
-  for (const core::ArbiterChoice kind :
-       {core::ArbiterChoice::kFlatFsm, core::ArbiterChoice::kHierarchical,
-        core::ArbiterChoice::kPrefix})
+  for (const core::ArbiterKind kind :
+       {core::ArbiterKind::kFlatFsm, core::ArbiterKind::kHierarchical,
+        core::ArbiterKind::kPrefix})
     for (const core::CheckMode mode :
          {core::CheckMode::kNone, core::CheckMode::kDuplicate,
           core::CheckMode::kTmr})
@@ -395,7 +395,7 @@ TEST(ServiceFaults, EveryKindModeAndWidthTakesSeusAndLatchupsConserved) {
         o.warmup_cycles = 300;
         o.measure_cycles = 1'500;
         core::SystemArbiterSpec spec;
-        spec.kind = core::resolve_arbiter_choice(kind, ports, 0.0);
+        spec.kind = kind;
         spec.self_check = mode;
         const int bits =
             core::make_system_arbiter(ports, spec).arbiter->num_state_bits();
