@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "core/arbiter_factory.hpp"
+#include "fault/service_faults.hpp"
 #include "service/arrivals.hpp"
 #include "service/service.hpp"
 #include "support/check.hpp"
@@ -683,6 +685,172 @@ TEST(ServiceEngine, WidePortFingerprintsArePinned) {
     }
   }
   EXPECT_EQ(i, std::size(kPinned));
+}
+
+/// One engine configuration of EventCellsArePinned.
+struct PinnedCell {
+  std::string name;
+  ServiceOptions options;
+};
+
+/// svc_narrow's shape (perfbench): 4 resources x 8 flat ports, 6-cycle
+/// service, 32-deep admit-shed queues, Poisson arrivals at 1.5x capacity.
+ServiceOptions narrow_options() {
+  ServiceOptions o;
+  o.resources = 4;
+  o.ports = 8;
+  o.service_cycles = 6;
+  o.queue_capacity = 32;
+  o.policy = OverloadPolicy::kAdmitShed;
+  o.arrivals.rate = 1.0;
+  o.warmup_cycles = 2'000;
+  o.measure_cycles = 8'000;
+  o.seed = 0x5eed;
+  return o;
+}
+
+/// A seeded plan of upsets, latch-ups and resource failures over the whole
+/// run, warmup included, drawn against the arbiter `o` builds.
+std::vector<fault::FaultEvent> mixed_plan(const ServiceOptions& o,
+                                          std::uint64_t seed) {
+  const int bits =
+      core::make_system_arbiter(o.ports, {.kind = o.arbiter_kind,
+                                          .self_check = o.self_check})
+          .arbiter->num_state_bits();
+  fault::ServiceFaultPlanOptions po;
+  po.seed = seed;
+  po.inject_after = 300;
+  po.horizon = o.warmup_cycles + o.measure_cycles;
+  po.rate = 1.5e-3;
+  po.kinds = {fault::FaultKind::kFsmBitFlip, fault::FaultKind::kFsmBitFlip,
+              fault::FaultKind::kArbiterLatchup, fault::FaultKind::kFsmBitFlip,
+              fault::FaultKind::kBankFailure};
+  return fault::plan_service_faults(o.resources, bits, po);
+}
+
+std::vector<PinnedCell> pinned_cells() {
+  std::vector<PinnedCell> cells;
+  cells.push_back({"narrow", narrow_options()});
+  {
+    ServiceOptions o = narrow_options();
+    o.self_check = core::CheckMode::kDuplicate;
+    cells.push_back({"narrow dmr", o});
+  }
+  {
+    ServiceOptions o = narrow_options();
+    o.arbiter_kind = core::ArbiterKind::kHierarchical;
+    o.self_check = core::CheckMode::kTmr;
+    cells.push_back({"narrow hier tmr", o});
+  }
+  {
+    // svc_wide's shape: one resource of 1024 prefix ports at 1.5x load.
+    ServiceOptions o = narrow_options();
+    o.resources = 1;
+    o.ports = 1024;
+    o.arbiter_kind = core::ArbiterKind::kPrefix;
+    o.arrivals.rate = 0.25;
+    o.warmup_cycles = 1'000;
+    o.measure_cycles = 5'000;
+    cells.push_back({"wide prefix", o});
+  }
+  for (const core::CheckMode mode :
+       {core::CheckMode::kNone, core::CheckMode::kDuplicate,
+        core::CheckMode::kTmr}) {
+    ServiceOptions o = narrow_options();
+    o.self_check = mode;
+    o.degrade.enabled = mode != core::CheckMode::kNone;
+    o.faults = mixed_plan(o, 41);
+    cells.push_back(
+        {std::string("narrow faults ") + core::to_string(mode), o});
+  }
+  for (const core::ArbiterKind kind :
+       {core::ArbiterKind::kHierarchical, core::ArbiterKind::kPrefix}) {
+    ServiceOptions o = narrow_options();
+    o.resources = 3;
+    o.ports = 65;
+    o.service_cycles = 9;
+    o.arbiter_kind = kind;
+    o.arrivals.rate = 0.5;
+    o.degrade.enabled = true;
+    o.faults = mixed_plan(o, 43);
+    cells.push_back(
+        {std::string("65-port faults ") + core::to_string(kind), o});
+  }
+  {
+    // Short odd windows, bursty load, blocking, no warmup: the util-window
+    // boundaries and the backlog land mid-service.
+    ServiceOptions o = narrow_options();
+    o.policy = OverloadPolicy::kBlock;
+    o.block_backlog_factor = 4;
+    o.arrivals.kind = ArrivalKind::kBursty;
+    o.arrivals.rate = 0.7;
+    o.service_cycles = 5;
+    o.util_window = 7;
+    o.warmup_cycles = 0;
+    cells.push_back({"block bursty", o});
+  }
+  {
+    ServiceOptions o = narrow_options();
+    o.resources = 2;
+    o.ports = 65;
+    o.arbiter_kind = core::ArbiterKind::kPrefix;
+    o.policy = OverloadPolicy::kTailDrop;
+    o.arrivals.kind = ArrivalKind::kDiurnal;
+    o.arrivals.period = 1'500;
+    o.arrivals.rate = 0.3;
+    o.service_cycles = 9;
+    o.util_window = 1;
+    o.retry.max_retries = 0;
+    o.warmup_cycles = 333;
+    cells.push_back({"tail-drop diurnal", o});
+  }
+  {
+    ServiceOptions o = narrow_options();
+    o.arbiter_kind = core::ArbiterKind::kHierarchical;
+    o.service_cycles = 1;
+    o.arrivals.rate = 3.0;
+    cells.push_back({"one-cycle service", o});
+  }
+  return cells;
+}
+
+TEST(ServiceEngine, EventCellsArePinned) {
+  // Engine shapes the wide-port cells do not reach: the perfbench narrow
+  // and wide shapes, DMR/TMR, seeded upsets, latch-ups and resource
+  // failures, every overload policy and arrival kind, odd utilization
+  // windows and one-cycle service.  The values were recorded from the
+  // engine that stepped every resource in full on every cycle.
+  static const char* const kPinned[] = {
+      "8000 7738 5334 0 56 16438 14090 2404 0 0 0 0 0 0 0 0 0 0 0 0 32000 "
+      "98 98 422347 269544 18240450680006914019",
+      "8000 7738 5334 0 56 16438 14090 2404 0 0 0 0 0 0 0 0 0 0 0 0 32000 "
+      "98 98 422347 269544 18240450680006914019",
+      "8000 7738 5334 0 56 16438 14090 2404 0 0 0 0 0 0 0 0 0 0 0 0 32000 "
+      "98 98 422347 269544 9822605746866981951",
+      "5000 1245 316 518 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 5000 98 509 "
+      "46041 0 16511792208318675072",
+      "8000 7738 2380 0 12781 12293 19789 5277 14 0 0 3174 528 0 0 0 0 0 "
+      "0 528 14276 114 195 225525 608080 16305229113059191657",
+      "8000 7738 2904 4 205 24092 19420 4858 14 203 203 0 0 9 212 6 3 3 3 "
+      "102 17450 108 80 272535 161749 10920381889287015010",
+      "8000 7738 2901 8 158 24216 19498 4848 14 15 9 0 0 9 24 5 0 2 3 102 "
+      "17450 98 79 271877 159900 2349548253143923054",
+      "8000 3887 1050 0 8349 4232 9816 2750 12 0 0 0 0 0 0 0 0 0 0 0 9450 "
+      "237 324 119763 528834 13199776719699397056",
+      "8000 3887 1049 1 8302 4226 9764 2750 12 0 0 0 0 0 0 0 0 0 0 0 9450 "
+      "236 323 117683 528409 6911406207305579988",
+      "8000 6246 4861 806 1434 0 1239 195 0 0 0 0 0 0 0 0 0 0 0 0 32000 0 "
+      "384 1022624 1535393 9039236318473154384",
+      "8000 2410 1769 9 454 0 0 454 0 0 0 0 0 0 0 0 0 0 0 0 16000 15 193 "
+      "358909 339109 8655811399885340031",
+      "8000 23726 23712 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 32000 4 18 "
+      "57313 962 5181659749582230171",
+  };
+  const std::vector<PinnedCell> cells = pinned_cells();
+  ASSERT_EQ(cells.size(), std::size(kPinned));
+  for (std::size_t i = 0; i < cells.size(); ++i)
+    EXPECT_EQ(fingerprint(run_service(cells[i].options)), kPinned[i])
+        << cells[i].name;
 }
 
 TEST(ServiceEngine, EstimatorRestartsAtTheMeasurementBoundary) {
