@@ -258,6 +258,12 @@ int PrefixArbiter::do_step(std::span<const std::uint64_t> requests) {
   return grant_only(g);
 }
 
+bool PrefixArbiter::holds() const {
+  int hot = 0;
+  for (const std::uint64_t w : ptr_) hot += std::popcount(w);
+  return hot == 1;
+}
+
 void PrefixArbiter::flip_bit(int bit) {
   ptr_[static_cast<std::size_t>(bit) >> 6] ^=
       1ull << (static_cast<unsigned>(bit) & 63u);

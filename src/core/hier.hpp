@@ -104,6 +104,8 @@ class HierarchicalArbiter final : public Arbiter {
  protected:
   int do_step(std::span<const std::uint64_t> requests) override;
   void flip_bit(int bit) override;
+  /// A valid holder names a port: the hold path keeps it.
+  [[nodiscard]] bool holds() const override { return valid_ && held_ < n_; }
 
  private:
   HierShape shape_;
@@ -131,6 +133,9 @@ class PrefixArbiter final : public Arbiter {
  protected:
   int do_step(std::span<const std::uint64_t> requests) override;
   void flip_bit(int bit) override;
+  /// A one-hot pointer: the mask starts at its port, which a requesting
+  /// port wins again.
+  [[nodiscard]] bool holds() const override;
 
  private:
   std::vector<std::uint64_t> ptr_;

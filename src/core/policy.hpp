@@ -135,6 +135,14 @@ class Arbiter {
     if (frozen_) load_state(frozen_state_);
   }
 
+  /// True when the register holds one port's grant that every later step
+  /// re-asserts, leaving the register unchanged, for as long as that
+  /// port's Req stays up, whatever the other lines do: the Fig. 8 hold is
+  /// a fixed point.  After a step that granted one port, that port is the
+  /// held one.  False on a frozen register, on an illegal one and for an
+  /// arbiter that does not answer (the default, and a self-checking one).
+  [[nodiscard]] bool holds_grant() const { return !frozen() && holds(); }
+
   /// Every grant asserted by the last step, words-encoded.  Legal states
   /// assert at most one; an unhardened multi-hot flat register can assert
   /// several (the mutual-exclusion violation a fault campaign must surface).
@@ -164,6 +172,8 @@ class Arbiter {
   virtual int do_step(std::span<const std::uint64_t> requests) = 0;
   /// XORs one state bit; `bit` is already range-checked.
   virtual void flip_bit(int bit);
+  /// holds_grant() of an unfrozen register.
+  [[nodiscard]] virtual bool holds() const { return false; }
   /// Sets the grant words to exactly `g` (none when g < 0); returns g.
   int grant_only(int g);
 
@@ -249,6 +259,10 @@ class RoundRobinArbiter final : public Arbiter {
   /// The Fig. 5 transition.
   int do_step(std::span<const std::uint64_t> requests) override;
   void flip_bit(int bit) override;
+  /// In Ci alone: the scan from i re-grants a requesting i.
+  [[nodiscard]] bool holds() const override {
+    return hot_count_ == 1 && hot_ >= n_;
+  }
 
  private:
   /// The transition of an unhardened multi-hot register.

@@ -46,13 +46,19 @@ std::uint64_t sat_add(std::uint64_t a, std::uint64_t b) {
 
 }  // namespace
 
-void Histogram::record(std::uint64_t value) {
+void Histogram::record(std::uint64_t value, std::uint64_t times) {
+  if (times == 0) return;
   const int m = bucket_of(value);
   auto& cell = sub_[static_cast<std::size_t>(m) * kSubBuckets +
                     static_cast<std::size_t>(sub_of(value, m))];
-  cell = sat_add(cell, 1);
-  count_ = sat_add(count_, 1);
-  sum_ = sat_add(sum_, value);
+  cell = sat_add(cell, times);
+  count_ = sat_add(count_, times);
+  // value * times, pinned at UINT64_MAX like `times` sat_adds of value.
+  const std::uint64_t total =
+      value != 0 && times > std::numeric_limits<std::uint64_t>::max() / value
+          ? std::numeric_limits<std::uint64_t>::max()
+          : value * times;
+  sum_ = sat_add(sum_, total);
   max_ = std::max(max_, value);
 }
 
@@ -250,6 +256,13 @@ void ArbiterProbe::on_step(std::span<const std::uint64_t> words, int grant) {
 void ArbiterProbe::idle_steps(std::uint64_t steps) {
   RCARB_ASSERT(holder_ < 0 && req_count_ == 0,
                "idle steps need no holder and no request");
+  steps_ += steps;
+}
+
+void ArbiterProbe::held_steps(std::uint64_t steps) {
+  RCARB_ASSERT(holder_ >= 0 && core::test_bit(req_, holder_),
+               "held steps need a holder that requests");
+  hold_len_ += steps;
   steps_ += steps;
 }
 

@@ -34,7 +34,9 @@ class Histogram {
   static constexpr int kSubBits = 4;
   static constexpr int kSubBuckets = 1 << kSubBits;  // 16: <= 6.25% error
 
-  void record(std::uint64_t value);
+  /// Records `value` `times` times: the same histogram as that many
+  /// single records, saturation included.
+  void record(std::uint64_t value, std::uint64_t times = 1);
 
   /// Element-wise accumulation of `other` (per-worker service histograms
   /// are combined this way in parallel sweep reductions).  All counters use
@@ -139,6 +141,10 @@ class ArbiterProbe final : public core::ArbiterObserver {
   /// requests and none holds: what that many on_step calls would record,
   /// which is only the step count.
   void idle_steps(std::uint64_t steps);
+  /// `steps` steps that repeat the last one: the same request words and
+  /// the same grant, to a holder that keeps its Req up.  What that many
+  /// on_step calls would record: the hold and every open wait grow.
+  void held_steps(std::uint64_t steps);
 
   /// Adds the cycles of the still-open waits to `wait_cycles`, so every
   /// metric is current.  Call before reading or resetting the metrics

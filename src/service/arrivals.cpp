@@ -18,13 +18,11 @@ constexpr std::uint64_t kDwellMean = 512;
 constexpr double kTroughFactor = 0.25;
 constexpr double kPeakFactor = 1.75;
 
-/// Poisson(lambda) sample by Knuth's inversion (product of uniforms).
-/// Exact for the small per-cycle lambdas used here (lambda < ~10); the
-/// loop length is itself the sample, so the rng draw count varies — which
-/// is fine, every stream owns a private Rng.
-int poisson(Rng& rng, double lambda) {
-  if (lambda <= 0.0) return 0;
-  const double limit = std::exp(-lambda);
+/// Poisson(lambda) sample by Knuth's inversion (product of uniforms),
+/// given limit = exp(-lambda).  Exact for the small per-cycle lambdas used
+/// here (lambda < ~10); the loop length is itself the sample, so the rng
+/// draw count varies — which is fine, every stream owns a private Rng.
+int poisson(Rng& rng, double limit) {
   int k = 0;
   double p = 1.0;
   do {
@@ -79,7 +77,17 @@ double ArrivalProcess::current_rate() const {
 }
 
 int ArrivalProcess::step() {
-  const int n = poisson(rng_, current_rate());
+  const double rate = current_rate();
+  int n = 0;
+  if (rate > 0.0) {
+    // Poisson and bursty rates repeat cycle after cycle: exp only on a
+    // change.
+    if (rate != limit_rate_) {
+      limit_rate_ = rate;
+      limit_ = std::exp(-rate);
+    }
+    n = poisson(rng_, limit_);
+  }
   if (opt_.kind == ArrivalKind::kBursty && rng_.chance(1, kDwellMean))
     bursting_ = !bursting_;
   ++cycle_;

@@ -55,6 +55,8 @@ class ArrivalProcess {
   Rng rng_;
   std::uint64_t cycle_ = 0;
   bool bursting_ = false;  // MMPP state
+  double limit_rate_ = -1.0;  // the rate limit_ was computed for
+  double limit_ = 1.0;        // exp(-limit_rate_)
 };
 
 }  // namespace rcarb::service

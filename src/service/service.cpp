@@ -91,6 +91,11 @@ struct ResourceState {
     const std::size_t tail = slots.size() - w * 64;  // ports from word w on
     return ~req_words[w] & (tail >= 64 ? ~0ull : (1ull << tail) - 1);
   }
+  [[nodiscard]] bool any_idle() const {
+    for (std::size_t w = 0; w < req_words.size(); ++w)
+      if (idle(w) != 0) return true;
+    return false;
+  }
   void set_waiting(std::size_t p) {
     core::set_bit(waiting, p);
     core::set_bit(req_words, p);
@@ -120,6 +125,11 @@ struct ResourceState {
   bool latched = false;  // latch-up: the arbiter is frozen until restored
   bool failed = false;   // resource datapath dead: completions are lost
   std::uint64_t resyncs_seen = 0;  // cumulative-counter delta tracking
+  // ---- Event-driven stepping (Engine::hold_is_fixed). ----
+  bool held = false;         // on a held grant: no arbiter step is due
+  std::size_t holder = 0;    // the slot holding that grant
+  std::uint64_t synced = 0;  // first cycle not yet accounted
+  std::uint64_t wake = 0;    // next cycle serve_one_cycle runs
 };
 
 /// Re-initializes the measured fields of one ResourceStats in place —
@@ -165,7 +175,8 @@ class Engine {
                 "the cycle whose timers already fired, and the limit sizes "
                 "the retry ring");
     if (opt_.retry.max_retries > 0)
-      wheel_.resize(static_cast<std::size_t>(opt_.retry.backoff_limit) + 1);
+      wheel_.resize(std::bit_ceil(
+          static_cast<std::size_t>(opt_.retry.backoff_limit) + 1));
     validate_fault_plan();
     stats_.per_resource.resize(static_cast<std::size_t>(opt_.resources));
     for (int r = 0; r < opt_.resources; ++r) {
@@ -248,6 +259,11 @@ class Engine {
         default:
           break;  // validated unreachable
       }
+      // The register or the datapath changed under the hold: step now.
+      ResourceState& hit = *res_[static_cast<std::size_t>(
+          e.kind == fault::FaultKind::kBankFailure ? e.bank : e.arbiter)];
+      hit.held = false;
+      hit.wake = cycle_;
     }
   }
 
@@ -258,7 +274,7 @@ class Engine {
     // Their own re-refusals land in other buckets (every delay is >= 1
     // and <= backoff_limit), so this one is stable while it drains.
     if (!wheel_.empty()) {
-      std::vector<Request>& due = wheel_[cycle_ % wheel_.size()];
+      std::vector<Request>& due = wheel_[cycle_ & (wheel_.size() - 1)];
       for (const Request& req : due) {
         ++stats_.retries;
         submit(req);
@@ -271,19 +287,30 @@ class Engine {
       ++stats_.offered;
       submit(Request{cycle_, 0});
     }
-    // 3. Dispatch + arbitrate + serve, one cycle per resource.
-    for (int r = 0; r < opt_.resources; ++r) serve_one_cycle(r);
+    // 3. Dispatch + arbitrate + serve, one cycle per resource that has an
+    // event due (the others sit on a held grant, see hold_is_fixed).
+    const bool window_end = --util_left_ == 0;
+    if (window_end) util_left_ = static_cast<std::uint64_t>(opt_.util_window);
+    for (int r = 0; r < opt_.resources; ++r)
+      if (res_[static_cast<std::size_t>(r)]->wake <= cycle_)
+        serve_one_cycle(r, window_end);
     ++cycle_;
   }
 
-  void serve_one_cycle(int r) {
+  void serve_one_cycle(int r, bool window_end) {
     ResourceState& st = *res_[static_cast<std::size_t>(r)];
     auto& rs = stats_.per_resource[static_cast<std::size_t>(r)];
+    catch_up(st, rs, cycle_);
     const degrade::QuarantineState qs = supervisor_.state(r);
+    int g = -1;
     switch (qs) {
       case degrade::QuarantineState::kHealthy:
-        dispatch(st);
-        arbitrate_and_serve(r, st, rs);
+        if (st.held) {
+          g = serve_held(r, st);
+        } else {
+          dispatch(st);
+          g = arbitrate_and_serve(r, st, rs);
+        }
         break;
       case degrade::QuarantineState::kDraining: {
         // Routing is already failed over and the queue is flushed; the
@@ -341,9 +368,7 @@ class Engine {
     // Window boundaries are anchored at the last stats reset so the
     // measured run's first window is always full-width regardless of the
     // warmup length.
-    if ((cycle_ + 1 - util_anchor_) %
-            static_cast<std::uint64_t>(opt_.util_window) ==
-        0) {
+    if (window_end) {
       const double util = static_cast<double>(st.busy_window) /
                           static_cast<double>(opt_.util_window);
       st.shed_armed =
@@ -351,6 +376,61 @@ class Engine {
       st.busy_window = 0;
     }
     rs.queue_depth.record(st.queue.size());
+    st.synced = cycle_ + 1;
+    if (g >= 0) st.holder = static_cast<std::size_t>(g);
+    st.held = g >= 0 && hold_is_fixed(r, st);
+    // On the hold, r next has something to do at the holder's completion
+    // or at the util-window boundary (faults and dispatchable work wake
+    // it sooner, in apply_faults and submit); in between it sleeps.
+    st.wake = st.held ? std::min(cycle_ + static_cast<std::uint64_t>(
+                                              st.slots[st.holder].service_left),
+                                 cycle_ + util_left_)
+                      : cycle_ + 1;
+  }
+
+  /// True when resource r, whose last step granted st.holder, is at a
+  /// fixed point.  A held grant is one of every arbiter kind that answers
+  /// holds_grant(): while the holder's Req stays up, each step re-grants it
+  /// and leaves the register as it was, and the probe sees the same step
+  /// again.  So while r is supervisor-healthy and functioning, its holder
+  /// mid-service and dispatch idle (no idle slot, or no queued work), a
+  /// cycle of r only counts the service down: serve_held runs one without
+  /// the step and catch_up accounts any number at once.  The hold ends at
+  /// the holder's completion, a fault on r, or work queued while a slot
+  /// is idle.
+  [[nodiscard]] bool hold_is_fixed(int r, const ResourceState& st) const {
+    const core::Arbiter& arb = *st.arb.arbiter;
+    return supervisor_.state(r) == degrade::QuarantineState::kHealthy &&
+           !st.latched && functioning(st) && st.is_serving(st.holder) &&
+           arb.last_grant_count() == 1 && arb.holds_grant() &&
+           (st.queue.empty() || !st.any_idle());
+  }
+
+  /// One arbitration clock on the hold (hold_is_fixed): the step would
+  /// re-grant the holder and change nothing, so only the probe and the
+  /// holder's service move.  Returns the grant.
+  int serve_held(int r, ResourceState& st) {
+    ++stats_.skipped_resource_cycles;
+    st.probe.held_steps(1);
+    ++st.busy_window;
+    if (--st.slots[st.holder].service_left == 0) complete(r, st, st.holder);
+    return static_cast<int>(st.holder);
+  }
+
+  /// Accounts the cycles [st.synced, until) that st slept through on the
+  /// hold: what that many cycles of serve_held would have done, plus their
+  /// availability and queue-depth samples (the queue has not changed
+  /// since st.synced).
+  void catch_up(ResourceState& st, ResourceStats& rs, std::uint64_t until) {
+    const std::uint64_t k = until - st.synced;
+    if (k == 0) return;
+    stats_.skipped_resource_cycles += k;
+    st.probe.held_steps(k);
+    st.busy_window += static_cast<int>(k);
+    st.slots[st.holder].service_left -= static_cast<int>(k);
+    stats_.serving_resource_cycles += k;
+    rs.queue_depth.record(st.queue.size(), k);
+    st.synced = until;
   }
 
   /// Idle dispatch ports take the queue head: FIFO order onto the lowest
@@ -373,10 +453,11 @@ class Engine {
 
   /// One arbitration clock for resource r: step the (possibly replicated)
   /// arbiter on the Req words, sample the error net, serve the grant.
-  void arbitrate_and_serve(int r, ResourceState& st, ResourceStats& rs) {
+  /// Returns the grant (-1: none).
+  int arbitrate_and_serve(int r, ResourceState& st, ResourceStats& rs) {
     // A latch-up silences an unprotected arbiter (no clocking, no grants);
     // a self-checking one keeps clocking on its healthy copies.
-    if (st.latched && opt_.self_check == core::CheckMode::kNone) return;
+    if (st.latched && opt_.self_check == core::CheckMode::kNone) return -1;
     core::Arbiter& arb = *st.arb.arbiter;
     // Fig. 8 request lines: waiting and serving slots keep Req asserted.
     const int g = arb.step(st.req_words);
@@ -412,6 +493,7 @@ class Engine {
         if (--slot.service_left == 0) complete(r, st, p);
       }
     }
+    return g;
   }
 
   /// Can this resource's arbiter actually grant work right now?
@@ -557,6 +639,13 @@ class Engine {
         }
         break;
     }
+    // Asleep, r sampled the depth before this push on every cycle it
+    // skipped; with a slot idle, the push ends its hold (dispatch is due).
+    catch_up(st, rs, cycle_);
+    if (st.held && st.any_idle()) {
+      st.held = false;
+      st.wake = cycle_;
+    }
     st.queue.push_back(req);
   }
 
@@ -576,7 +665,7 @@ class Engine {
     ++next.attempts;
     const std::uint64_t due =
         cycle_ + retry_delay(opt_.retry, next.attempts, jitter_rng_);
-    wheel_[due % wheel_.size()].push_back(next);
+    wheel_[due & (wheel_.size() - 1)].push_back(next);
   }
 
   void diag(obs::DiagKind kind, int resource) {
@@ -599,7 +688,15 @@ class Engine {
     return n;
   }
 
+  /// Brings every asleep resource's accounting up to cycle_.
+  void catch_up_all() {
+    for (std::size_t r = 0; r < res_.size(); ++r)
+      catch_up(*res_[r], stats_.per_resource[r], cycle_);
+  }
+
   void reset_stats() {
+    // The warmup's skipped cycles land in its stats, discarded below.
+    catch_up_all();
     // The probes point into per_resource[r].arbiter, so every reset is in
     // place: the vector must never reallocate or be replaced.
     stats_.cycles = 0;
@@ -610,7 +707,7 @@ class Engine {
     stats_.multi_grants = stats_.corrupted = stats_.failed_service = 0;
     stats_.strikes = stats_.quarantines = stats_.drain_aborts = 0;
     stats_.restored = stats_.retired = stats_.requeued = 0;
-    stats_.serving_resource_cycles = 0;
+    stats_.serving_resource_cycles = stats_.skipped_resource_cycles = 0;
     stats_.in_flight_at_start = in_flight_now();
     stats_.in_flight_at_end = 0;
     stats_.latency = obs::Histogram{};
@@ -626,15 +723,18 @@ class Engine {
     // re-anchored here, empty busy count, shedding disarmed.  Before this
     // the warmup's partial window and armed/disarmed flag leaked into the
     // measured run, so measurements depended on warmup_cycles modulo
-    // util_window.
-    util_anchor_ = cycle_;
+    // util_window.  Every resource runs its next cycle, so a sleep timed
+    // against the old window phase ends there.
+    util_left_ = static_cast<std::uint64_t>(opt_.util_window);
     for (auto& st : res_) {
       st->busy_window = 0;
       st->shed_armed = false;
+      st->wake = cycle_;
     }
   }
 
   void finalize() {
+    catch_up_all();
     stats_.cycles = opt_.measure_cycles;
     stats_.in_flight_at_end = in_flight_now();
     stats_.quarantine_events = supervisor_.records();
@@ -650,12 +750,14 @@ class Engine {
   Rng route_rng_;
   Rng jitter_rng_;
   std::vector<std::unique_ptr<ResourceState>> res_;
-  /// Client retry timers: a ring of backoff_limit + 1 buckets, bucket
-  /// `due % size` holding the attempts due at cycle `due` in push order.
-  /// Empty when retries are off.
+  /// Client retry timers: a ring of bit_ceil(backoff_limit + 1) buckets,
+  /// bucket `due & (size - 1)` holding the attempts due at cycle `due` in
+  /// push order.  Empty when retries are off.
   std::vector<std::vector<Request>> wheel_;
   std::uint64_t cycle_ = 0;
-  std::uint64_t util_anchor_ = 0;  // cycle the util windows count from
+  /// Cycles until the util window closes, this one included (counted down
+  /// by step(); the window closes on the cycle it reaches 0).
+  std::uint64_t util_left_ = static_cast<std::uint64_t>(opt_.util_window);
   degrade::ResourceSupervisor supervisor_;
   std::size_t next_fault_ = 0;  // cursor into opt_.faults
   std::vector<int> live_;       // routable resources, ascending

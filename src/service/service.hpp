@@ -78,8 +78,9 @@ enum class OverloadPolicy : std::uint8_t {
 [[nodiscard]] const char* to_string(OverloadPolicy p);
 
 /// Largest legal RetryPolicy::backoff_limit when retries are on.  The
-/// engine's retry timers are a ring of backoff_limit + 1 buckets, so this
-/// bounds that ring's memory (~1.5 MB of empty buckets at the cap).
+/// engine's retry timers are a ring of bit_ceil(backoff_limit + 1)
+/// buckets, so this bounds that ring's memory (~3 MB of empty buckets at
+/// the cap).
 inline constexpr int kMaxBackoffLimit = 65'536;
 
 /// Client-side failure handling: timeout, retries, backoff.  With
@@ -223,6 +224,10 @@ struct ServiceStats {
   /// dead arbiter the supervisor has not caught does not count — the
   /// unprotected baseline's availability collapse is the measurement).
   std::uint64_t serving_resource_cycles = 0;
+  /// Resource-cycles the engine accounted on a held grant without
+  /// stepping the arbiter (its own bookkeeping: every other field is the
+  /// same either way).
+  std::uint64_t skipped_resource_cycles = 0;
   /// Request conservation across the measured window: work parked in
   /// queues, dispatch slots and the retry wheel at reset and at the end.
   /// Under every fault mix,

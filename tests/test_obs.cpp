@@ -481,6 +481,82 @@ TEST(ObsMetrics, EdgeDrivenProbeMatchesTheFullScanProbe) {
   }
 }
 
+TEST(Histogram, RecordTimesEqualsRepeatedRecord) {
+  Rng rng(0x7157);
+  Histogram bulk, single;
+  for (int i = 0; i < 2'000; ++i) {
+    const std::uint64_t v = rng.next_u64() >> rng.next_below(64);
+    const std::uint64_t times = rng.next_below(40);  // 0 records nothing
+    bulk.record(v, times);
+    for (std::uint64_t k = 0; k < times; ++k) single.record(v);
+    ASSERT_TRUE(same_histogram(single, bulk, "after a bulk record"))
+        << "record " << i;
+  }
+  // The sum saturates exactly where that many single records pin it.
+  Histogram big_bulk, big_single;
+  const std::uint64_t big = std::numeric_limits<std::uint64_t>::max() / 3;
+  big_bulk.record(big, 5);
+  for (int k = 0; k < 5; ++k) big_single.record(big);
+  EXPECT_TRUE(same_histogram(big_single, big_bulk, "saturated"));
+  EXPECT_EQ(big_bulk.sum(), std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(ArbiterProbe, HeldStepsEqualRepeatedOnStep) {
+  // The stream of the edge-driven probe test, with held stretches: after
+  // a step whose holder keeps its Req up, `bulk` takes k steps at once
+  // through held_steps while `stepped` sees the same step k more times.
+  constexpr int kSteps = 2'000;
+  for (const int width : {1, 8, 64, 65, 1024}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    const auto n = static_cast<std::size_t>(width);
+    const std::size_t words = (n + 63) / 64;
+    obs::ArbiterMetrics stepped_m, bulk_m;
+    stepped_m.ports = bulk_m.ports = width;
+    obs::ArbiterProbe stepped(&stepped_m);
+    obs::ArbiterProbe bulk(&bulk_m);
+    Rng rng(derive_seed(0x401d, n));
+    std::vector<std::uint64_t> req(words, 0);
+    const auto has = [&](std::size_t i) {
+      return ((req[i >> 6] >> (i & 63)) & 1) != 0;
+    };
+    int grant = -1;
+    std::uint64_t held = 0;
+    for (int t = 0; t < kSteps; ++t) {
+      for (std::uint64_t k = rng.next_below(4); k > 0; --k) {
+        const std::size_t i = rng.next_below(n);
+        req[i >> 6] ^= 1ull << (i & 63);
+      }
+      if (grant < 0 || !has(static_cast<std::size_t>(grant)) ||
+          rng.next_below(4) == 0) {
+        // A new grant to a requester, or none.
+        grant = -1;
+        const std::size_t start = rng.next_below(n);
+        for (std::size_t k = 0; k < n && grant < 0; ++k)
+          if (has((start + k) % n)) grant = static_cast<int>((start + k) % n);
+      }
+      std::vector<std::uint64_t> sent = req;
+      if (n % 64 != 0) sent.back() |= rng.next_u64() << (n % 64);
+      stepped.on_step(sent, grant);
+      bulk.on_step(sent, grant);
+      if (grant >= 0 && rng.next_below(3) == 0) {
+        const std::uint64_t k = 1 + rng.next_below(12);
+        for (std::uint64_t j = 0; j < k; ++j) stepped.on_step(sent, grant);
+        bulk.held_steps(k);
+        held += k;
+      }
+      if (rng.next_below(200) == 0) {
+        stepped.settle();
+        bulk.settle();
+        ASSERT_TRUE(same_metrics(stepped_m, bulk_m)) << "after step " << t;
+      }
+    }
+    stepped.finish();
+    bulk.finish();
+    ASSERT_TRUE(same_metrics(stepped_m, bulk_m)) << "after finish";
+    EXPECT_GT(held, 0u);
+  }
+}
+
 // ------------------------------------------------------------- trace events
 
 TEST(ObsTrace, ProtocolEventsAreRecorded) {

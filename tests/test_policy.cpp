@@ -325,6 +325,99 @@ TEST(Arbiter, OneZeroStepReachesAFixedPoint) {
   }
 }
 
+// The property the service engine's held-grant sleep rests on: after a
+// granting step from a legal register, every further step with the
+// holder's Req up grants it again and leaves the register as it was,
+// whatever the other lines do.  holds_grant() answers for the three kinds
+// and refuses frozen, illegal and multi-hot registers and the
+// self-checking wrapper.
+TEST(Arbiter, HeldGrantIsAFixedPoint) {
+  Rng rng(0x4e1d);
+  for (const int n : {8, 64, 65, 1024}) {
+    for (const ArbiterKind kind :
+         {ArbiterKind::kFlatFsm, ArbiterKind::kHierarchical,
+          ArbiterKind::kPrefix}) {
+      for (int trial = 0; trial < 8; ++trial) {
+        SCOPED_TRACE(std::string(to_string(kind)) +
+                     " n=" + std::to_string(n) +
+                     " trial=" + std::to_string(trial));
+        auto arb = make_system_arbiter(n, {.kind = kind}).arbiter;
+        for (auto steps = rng.next_below(30); steps > 0; --steps)
+          (void)arb->step(random_requests(rng, n));
+        std::vector<std::uint64_t> req = random_requests(rng, n);
+        set_bit(req, rng.next_below(static_cast<std::uint64_t>(n)));
+        const int g = arb->step(req);
+        ASSERT_GE(g, 0);
+        EXPECT_TRUE(arb->holds_grant());
+        std::vector<std::uint64_t> held;
+        arb->read_state(held);
+        for (int k = 0; k < 6; ++k) {
+          req = random_requests(rng, n);
+          set_bit(req, g);
+          ASSERT_EQ(arb->step(req), g) << "held step " << k;
+          EXPECT_EQ(arb->last_grant_count(), 1);
+          EXPECT_TRUE(arb->holds_grant());
+          std::vector<std::uint64_t> now;
+          arb->read_state(now);
+          EXPECT_EQ(now, held) << "held step " << k;
+        }
+        arb->freeze();
+        EXPECT_FALSE(arb->holds_grant()) << "frozen";
+        arb->thaw();
+        EXPECT_TRUE(arb->holds_grant()) << "thawed";
+
+        // Illegal registers: a second hot bit (multi-hot), the holder's
+        // bit cleared (zero-hot), a held index past the last port.
+        const int bits = arb->num_state_bits();
+        switch (kind) {
+          case ArbiterKind::kFlatFsm:
+            arb->flip_state_bit((g + 1) % n);  // F(g+1) joins C(g)
+            EXPECT_FALSE(arb->holds_grant()) << "multi-hot";
+            arb->flip_state_bit((g + 1) % n);
+            arb->flip_state_bit(n + g);  // C(g) cleared
+            EXPECT_FALSE(arb->holds_grant()) << "zero-hot";
+            break;
+          case ArbiterKind::kPrefix:
+            arb->flip_state_bit((g + 1) % n);
+            EXPECT_FALSE(arb->holds_grant()) << "multi-hot";
+            arb->flip_state_bit((g + 1) % n);
+            arb->flip_state_bit(g);
+            EXPECT_FALSE(arb->holds_grant()) << "zero-hot";
+            break;
+          case ArbiterKind::kHierarchical: {
+            // Held index bits sit below the valid bit; all ones is past
+            // the last port unless n is a power of two.
+            const HierShape shape = make_hier_shape(n, 4);
+            std::vector<std::uint64_t> state;
+            arb->read_state(state);
+            for (int b = shape.ptr_bits_total; b < bits - 1; ++b)
+              if (!test_bit(state, b)) arb->flip_state_bit(b);
+            EXPECT_EQ(arb->holds_grant(), std::has_single_bit(
+                                              static_cast<unsigned>(n)))
+                << "held index all ones";
+            arb->flip_state_bit(bits - 1);  // holder-valid cleared
+            EXPECT_FALSE(arb->holds_grant()) << "no valid holder";
+            break;
+          }
+        }
+      }
+    }
+  }
+  // The self-checking wrapper and the other policies never answer.
+  for (const CheckMode check : {CheckMode::kDuplicate, CheckMode::kTmr}) {
+    auto arb = make_system_arbiter(8, {.self_check = check}).arbiter;
+    ASSERT_EQ(arb->step(0b100), 2);
+    ASSERT_EQ(arb->step(0b110), 2);
+    EXPECT_FALSE(arb->holds_grant()) << to_string(check);
+  }
+  for (const Policy policy :
+       {Policy::kFifo, Policy::kPriority, Policy::kRandom}) {
+    auto arb = make_arbiter(policy, 8);
+    ASSERT_EQ(arb->step(0b100), 2);
+    EXPECT_FALSE(arb->holds_grant()) << to_string(policy);
+  }
+}
+
 // state_legal() reads a hot count kept by every register write; it must
 // equal a one-hot check of the register read back, through steps, upsets,
 // rewrites and resets, hardened or not.
