@@ -306,7 +306,11 @@ class Engine {
     switch (qs) {
       case degrade::QuarantineState::kHealthy:
         if (st.held) {
-          g = serve_held(r, st);
+          // The step would re-grant the holder and change nothing.
+          hold(st, 1);
+          g = static_cast<int>(st.holder);
+          if (st.slots[st.holder].service_left == 0)
+            complete(r, st, st.holder);
         } else {
           dispatch(st);
           g = arbitrate_and_serve(r, st, rs);
@@ -394,10 +398,10 @@ class Engine {
   /// and leaves the register as it was, and the probe sees the same step
   /// again.  So while r is supervisor-healthy and functioning, its holder
   /// mid-service and dispatch idle (no idle slot, or no queued work), a
-  /// cycle of r only counts the service down: serve_held runs one without
-  /// the step and catch_up accounts any number at once.  The hold ends at
-  /// the holder's completion, a fault on r, or work queued while a slot
-  /// is idle.
+  /// cycle of r only counts the service down: serve_one_cycle runs one
+  /// without the step, and catch_up accounts any number at once.  The
+  /// hold ends at the holder's completion, a fault on r, or work queued
+  /// while a slot is idle.
   [[nodiscard]] bool hold_is_fixed(int r, const ResourceState& st) const {
     const core::Arbiter& arb = *st.arb.arbiter;
     return supervisor_.state(r) == degrade::QuarantineState::kHealthy &&
@@ -406,28 +410,22 @@ class Engine {
            (st.queue.empty() || !st.any_idle());
   }
 
-  /// One arbitration clock on the hold (hold_is_fixed): the step would
-  /// re-grant the holder and change nothing, so only the probe and the
-  /// holder's service move.  Returns the grant.
-  int serve_held(int r, ResourceState& st) {
-    ++stats_.skipped_resource_cycles;
-    st.probe.held_steps(1);
-    ++st.busy_window;
-    if (--st.slots[st.holder].service_left == 0) complete(r, st, st.holder);
-    return static_cast<int>(st.holder);
-  }
-
-  /// Accounts the cycles [st.synced, until) that st slept through on the
-  /// hold: what that many cycles of serve_held would have done, plus their
-  /// availability and queue-depth samples (the queue has not changed
-  /// since st.synced).
-  void catch_up(ResourceState& st, ResourceStats& rs, std::uint64_t until) {
-    const std::uint64_t k = until - st.synced;
-    if (k == 0) return;
+  /// k arbitration clocks on the hold (hold_is_fixed), short of the
+  /// holder's completion: only the probe and the holder's service move.
+  void hold(ResourceState& st, std::uint64_t k) {
     stats_.skipped_resource_cycles += k;
     st.probe.held_steps(k);
     st.busy_window += static_cast<int>(k);
     st.slots[st.holder].service_left -= static_cast<int>(k);
+  }
+
+  /// Accounts the cycles [st.synced, until) that st slept through on the
+  /// hold, with their availability and queue-depth samples (the queue has
+  /// not changed since st.synced).
+  void catch_up(ResourceState& st, ResourceStats& rs, std::uint64_t until) {
+    const std::uint64_t k = until - st.synced;
+    if (k == 0) return;
+    hold(st, k);
     stats_.serving_resource_cycles += k;
     rs.queue_depth.record(st.queue.size(), k);
     st.synced = until;
@@ -723,13 +721,12 @@ class Engine {
     // re-anchored here, empty busy count, shedding disarmed.  Before this
     // the warmup's partial window and armed/disarmed flag leaked into the
     // measured run, so measurements depended on warmup_cycles modulo
-    // util_window.  Every resource runs its next cycle, so a sleep timed
-    // against the old window phase ends there.
+    // util_window.  A sleep timed against the old phase ends no later
+    // than the new phase's first boundary (it began at most a window ago).
     util_left_ = static_cast<std::uint64_t>(opt_.util_window);
     for (auto& st : res_) {
       st->busy_window = 0;
       st->shed_armed = false;
-      st->wake = cycle_;
     }
   }
 

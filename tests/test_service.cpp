@@ -811,6 +811,16 @@ std::vector<PinnedCell> pinned_cells() {
     o.arrivals.rate = 3.0;
     cells.push_back({"one-cycle service", o});
   }
+  {
+    // Service longer than the util window, and a warmup that ends mid-
+    // service, so the measured windows start out of phase with the holds.
+    ServiceOptions o = narrow_options();
+    o.service_cycles = 11;
+    o.util_window = 5;
+    o.arrivals.rate = 0.55;
+    o.warmup_cycles = 777;
+    cells.push_back({"long service", o});
+  }
   return cells;
 }
 
@@ -845,6 +855,8 @@ TEST(ServiceEngine, EventCellsArePinned) {
       "358909 339109 8655811399885340031",
       "8000 23726 23712 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 32000 4 18 "
       "57313 962 5181659749582230171",
+      "8000 4292 2908 0 0 9251 7867 1383 0 0 0 0 0 0 0 0 0 0 0 0 32000 86 "
+      "87 343953 246704 11430238572959731403",
   };
   const std::vector<PinnedCell> cells = pinned_cells();
   ASSERT_EQ(cells.size(), std::size(kPinned));
