@@ -259,9 +259,16 @@ int PrefixArbiter::do_step(std::span<const std::uint64_t> requests) {
 }
 
 bool PrefixArbiter::holds() const {
-  int hot = 0;
-  for (const std::uint64_t w : ptr_) hot += std::popcount(w);
-  return hot == 1;
+  // One-hot: exactly one nonzero word, holding a single bit.  No popcount:
+  // the libraries build for baseline x86-64, where std::popcount is a
+  // libgcc call per word.
+  bool hot = false;
+  for (const std::uint64_t w : ptr_) {
+    if (w == 0) continue;
+    if (hot || (w & (w - 1)) != 0) return false;
+    hot = true;
+  }
+  return hot;
 }
 
 void PrefixArbiter::flip_bit(int bit) {

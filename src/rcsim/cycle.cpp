@@ -13,7 +13,8 @@ using tg::OpCode;
 using tg::TaskId;
 
 SimResult SystemSimulator::run(const std::vector<TaskId>& tasks) {
-  detail::RunState s(graph_, binding_, plan_, options_, memory_, tasks);
+  detail::RunState s(graph_, binding_, plan_, *tables_, options_, memory_,
+                     tasks);
   while (s.finished_count < tasks.size()) {
     if (s.cycle >= options_.max_cycles) {
       s.result.deadlocked = true;
@@ -37,7 +38,7 @@ SimResult SystemSimulator::run(const std::vector<TaskId>& tasks) {
     s.arbitrate();
     s.start_ready_tasks();
     s.step_tasks();
-    s.rebuild_requests();
+    if (s.lines_moved) s.reseat_lines();
     if (options_.watchdog_timeout > 0) s.run_watchdog();
     s.account_serving();
     ++s.cycle;
@@ -63,6 +64,7 @@ void RunState::inject_faults() {
     const int bits = arb.num_state_bits() / core::num_copies(opt.self_check);
     if (bits == 0) continue;
     arb.flip_state_bit(e.bit >= 0 ? e.bit % bits : 0);
+    lanes[a].fixed = false;
     trace(obs::TraceKind::kFault, -1, static_cast<int>(a),
           plan().arbiters[a].resource, static_cast<std::int64_t>(e.kind));
   }
@@ -93,6 +95,7 @@ void RunState::inject_faults() {
       arb.load_state(std::vector<std::uint64_t>(
           static_cast<std::size_t>((arb.num_state_bits() + 63) / 64), 0));
     arb.freeze();
+    lanes[a].fixed = false;
     trace(obs::TraceKind::kFault, -1, static_cast<int>(a),
           plan().arbiters[a].resource,
           static_cast<std::int64_t>(fault::FaultKind::kArbiterLatchup));
@@ -179,9 +182,37 @@ void RunState::hand_off(std::size_t a, int g) {
   lane.holder_accessed = false;
 }
 
+bool RunState::lane_at_fixed_point(std::size_t a) {
+  const ArbiterLane& lane = lanes[a];
+  // The words this cycle samples are the request lines (no force-release
+  // or stuck-at window masks them), and they are the last step's.
+  for (std::size_t w = 0; w < lane.eff.size(); ++w)
+    if (lane.force_release[w] != 0 || lane.requests[w] != lane.eff[w])
+      return false;
+  for (const fault::FaultEvent& w : opened_stucks(a))
+    if (cycle < w.cycle + w.duration) return false;
+  return true;
+}
+
 void RunState::arbitrate() {
   for (std::size_t a = 0; a < lanes.size(); ++a) {
     ArbiterLane& lane = lanes[a];
+    if (lane.fixed && lane_at_fixed_point(a)) {
+      // The step would repeat the last one: only the counts move.
+      ++result.skipped_lane_steps;
+      if (opt.record_request_trace) {
+        std::vector<std::uint64_t>& trace = result.request_trace[a];
+        trace.insert(trace.end(), lane.eff.begin(), lane.eff.end());
+      }
+      if (lane.probe != nullptr) {
+        if (lane.grant_holder < 0)
+          lane.probe->idle_steps(1);
+        else
+          lane.probe->held_steps(1);
+      }
+      hand_off(a, lane.grant_holder);
+      continue;
+    }
     const core::ArbiterInstance& inst = plan().arbiters[a];
     // The request lines asserted in prior cycles, as seen through any active
     // stuck-at faults.  The watchdog's force-release masks a request
@@ -192,12 +223,15 @@ void RunState::arbitrate() {
     // grant is known.
     std::vector<std::uint64_t>& eff = lane.eff;
     std::vector<std::uint64_t>& grant_suppress = lane.grant_mask_vis;
+    bool disturbed = false;  // a window or force-release shaped the sample
     for (std::size_t w = 0; w < eff.size(); ++w) {
       eff[w] = lane.requests[w] & ~lane.force_release[w];
+      if (lane.force_release[w] != 0) disturbed = true;
       if (grant_suppress[w] != 0) grant_suppress[w] = 0;
     }
     for (const fault::FaultEvent& w : opened_stucks(a)) {
       if (cycle >= w.cycle + w.duration) continue;
+      disturbed = true;
       if (sink != nullptr && cycle == w.cycle)
         trace(obs::TraceKind::kFault,
               static_cast<int>(inst.ports[static_cast<std::size_t>(w.port)]),
@@ -257,44 +291,89 @@ void RunState::arbitrate() {
     // supervisor (no error wire — the monitor here is simulator
     // omniscience), but the availability metric still records the outage.
     if (illegal) degraded_cycle = true;
+    const core::Arbiter& arb = *lane.arbiter;
     const int g = lane.arbiter->step(eff);
     check_registers(a, illegal);
-    const std::vector<std::uint64_t>& grant = lane.arbiter->last_grant_words();
+    const std::vector<std::uint64_t>& grant = arb.last_grant_words();
     for (std::size_t w = 0; w < grant.size(); ++w)
       lane.grant_mask_vis[w] = grant[w] & ~grant_suppress[w];
     hand_off(a, g);
+    // The two fixed points of the lane skip (top of run_state.hpp).
+    bool fixed = !degrade_on && !disturbed && !lane.was_illegal;
+    if (fixed && g < 0) {
+      fixed = arb.last_grant_count() == 0 && !arb.frozen();
+      for (std::size_t w = 0; w < eff.size() && fixed; ++w)
+        fixed = eff[w] == 0;
+    } else if (fixed) {
+      fixed = arb.last_grant_count() == 1 && arb.holds_grant() &&
+              core::test_bit(eff, g);
+    }
+    lane.fixed = fixed;
   }
 }
 
 // ---- Phases 2 and 3: start ready tasks, run one cycle of each. ----
 void RunState::start_ready_tasks() {
-  // Readiness only changes when a task finishes, so the (allocating)
-  // predecessor scan runs on the first cycle and after each finish.
+  // Readiness only changes when a task finishes, so the scan runs on the
+  // first cycle and after each finish.
   if (finished_count == finished_at_scan && cycle > 0) return;
   finished_at_scan = finished_count;
-  for (TaskId t : tasks) {
+  std::erase_if(running, [&](TaskId t) { return ctx[t].finished; });
+  const auto old_end = static_cast<std::ptrdiff_t>(running.size());
+  std::size_t keep = 0;
+  for (const TaskId t : unstarted) {
     TaskCtx& c = ctx[t];
-    if (c.started || c.finished) continue;
-    bool ready = true;
-    for (TaskId p : graph.predecessors(t))
-      if (ctx[p].in_run && !ctx[p].finished) ready = false;
-    if (!ready) continue;
+    if (c.waiting > 0) {
+      unstarted[keep++] = t;
+      continue;
+    }
     c.started = true;
     c.stats.ran = true;
     c.stats.start_cycle = cycle;
+    running.push_back(t);
     trace(obs::TraceKind::kTaskStart, c.task(), -1, -1, 0);
   }
+  unstarted.resize(keep);
+  // Both runs are in run order; phase 3 steps the merge in run order.
+  std::inplace_merge(running.begin(), running.begin() + old_end,
+                     running.end(), [&](TaskId x, TaskId y) {
+                       return ctx[x].order < ctx[y].order;
+                     });
 }
 
 void RunState::step_tasks() {
   std::fill(bank_user.begin(), bank_user.end(), -1);
   std::fill(chan_user.begin(), chan_user.end(), -1);
-  for (TaskId t : tasks)
-    if (ctx[t].started && !ctx[t].finished) step_task(ctx[t]);
+  for (const TaskId t : running) {
+    TaskCtx& c = ctx[t];
+    if (c.compute_left > 1) {
+      // Mid-compute: the cycle only counts down.
+      --c.compute_left;
+      last_progress_cycle = cycle;
+      continue;
+    }
+    step_task(c);
+  }
+}
+
+void RunState::finish_task(TaskCtx& c) {
+  c.finished = true;
+  c.stats.finish_cycle = cycle;
+  ++finished_count;
+  for (const TaskId s : tables.successors[c.id])
+    if (ctx[s].in_run) --ctx[s].waiting;
+  trace(obs::TraceKind::kTaskFinish, c.task(), -1, -1, 0);
+  if (c.requesting >= 0)
+    fail(DiagKind::kProtocolViolation, c.task(), c.requesting, [&] {
+      return "task " + graph.task(c.id).name +
+             " finished while still requesting " +
+             binding().resource_name(c.requesting);
+    });
+  drive_lines(c);  // a finished task drives no line
 }
 
 void RunState::step_task(TaskCtx& c) {
-  const auto& ops = graph.task(c.id).program.ops();
+  const DecodedProgram& ops = program(c.id);
   bool spent_cycle = false;
   if (c.compute_left > 0) {
     --c.compute_left;
@@ -311,19 +390,11 @@ void RunState::step_task(TaskCtx& c) {
   int control_budget = 64;
   while (!c.finished) {
     if (c.pc >= ops.size()) {
-      c.finished = true;
-      c.stats.finish_cycle = cycle;
-      ++finished_count;
-      trace(obs::TraceKind::kTaskFinish, c.task(), -1, -1, 0);
-      if (c.requesting >= 0)
-        fail(DiagKind::kProtocolViolation, c.task(), c.requesting, [&] {
-          return "task " + graph.task(c.id).name +
-                 " finished while still requesting " +
-                 binding().resource_name(c.requesting);
-        });
+      finish_task(c);
       break;
     }
-    const Op& op = ops[c.pc];
+    const DecodedOp& d = ops[c.pc];
+    const Op& op = d.op;
     if (op.code == OpCode::kLoopBegin || op.code == OpCode::kLoopBeginVar ||
         op.code == OpCode::kLoopEnd || op.code == OpCode::kHalt ||
         (op.code == OpCode::kCompute && op.imm == 0)) {
@@ -339,19 +410,19 @@ void RunState::step_task(TaskCtx& c) {
         last_progress_cycle = cycle;
         break;
       case OpCode::kAcquire:
-      case OpCode::kRelease: exec_protocol(c, op); break;
+      case OpCode::kRelease: exec_protocol(c, d); break;
       case OpCode::kLoad:
-      case OpCode::kStore: exec_memory(c, op); break;
-      case OpCode::kSend: exec_send(c, op); break;
-      case OpCode::kRecv: exec_recv(c, op); break;
+      case OpCode::kStore: exec_memory(c, d); break;
+      case OpCode::kSend: exec_send(c, d); break;
+      case OpCode::kRecv: exec_recv(c, d); break;
       default: exec_register(c, op); break;
     }
   }
 }
 
-void RunState::exec_control(TaskCtx& c, const std::vector<Op>& ops,
+void RunState::exec_control(TaskCtx& c, const DecodedProgram& ops,
                             int& control_budget) {
-  const Op& op = ops[c.pc];
+  const Op& op = ops[c.pc].op;
   if (op.code != OpCode::kHalt)
     RCARB_CHECK(--control_budget > 0, "zero-cost op runaway");
   switch (op.code) {
@@ -365,10 +436,10 @@ void RunState::exec_control(TaskCtx& c, const std::vector<Op>& ops,
         int depth = 1;
         std::size_t pc = c.pc + 1;
         while (depth > 0) {
-          if (ops[pc].code == OpCode::kLoopBegin ||
-              ops[pc].code == OpCode::kLoopBeginVar)
+          const OpCode code = ops[pc].op.code;
+          if (code == OpCode::kLoopBegin || code == OpCode::kLoopBeginVar)
             ++depth;
-          if (ops[pc].code == OpCode::kLoopEnd) --depth;
+          if (code == OpCode::kLoopEnd) --depth;
           ++pc;
         }
         c.pc = pc;
@@ -401,11 +472,13 @@ void RunState::exec_control(TaskCtx& c, const std::vector<Op>& ops,
   }
 }
 
-bool RunState::await_grant(TaskCtx& c, int resource) {
+bool RunState::await_grant(TaskCtx& c, const DecodedOp& d) {
   // Protocol retry bookkeeping shared by the arbitrated access ops:
   // returns true when the access must wait this cycle (stall, backoff, or
   // the Req re-assertion cycle), false when it may proceed.
-  const auto [ai, port] = arbiter_port(c.id, resource);
+  const int resource = d.resource;
+  const int ai = d.arbiter;
+  const int port = d.port;
   if (c.requesting != resource) {
     const bool retrying = c.retry_resource == resource;
     if (retrying && cycle < c.retry_until) return true;  // backing off
@@ -415,6 +488,7 @@ bool RunState::await_grant(TaskCtx& c, int resource) {
       c.requesting = resource;
       c.retry_resource = -1;
       c.request_since = cycle;
+      drive_lines(c);
       if (retrying) {
         ++result.retries;
         if (ai >= 0 && !result.arbiter_obs.empty())
@@ -444,6 +518,7 @@ bool RunState::await_grant(TaskCtx& c, int resource) {
     c.requesting = -1;
     c.retry_resource = resource;
     c.retry_until = cycle + static_cast<std::uint64_t>(c.retry_backoff);
+    drive_lines(c);
     if (!result.arbiter_obs.empty())
       ++result.arbiter_obs[static_cast<std::size_t>(ai)].backoffs;
     trace(obs::TraceKind::kBackoff, c.task(), ai, resource, c.retry_backoff);
@@ -454,11 +529,11 @@ bool RunState::await_grant(TaskCtx& c, int resource) {
   return true;
 }
 
-void RunState::exec_protocol(TaskCtx& c, const Op& op) {
-  // Programs bake resource ids in at insertion time; resolve() translates
-  // ids retired by an online remap to the live one.
-  const int res = resolve(op.a);
-  const bool acquire = op.code == OpCode::kAcquire;
+void RunState::exec_protocol(TaskCtx& c, const DecodedOp& d) {
+  // Programs bake resource ids in at insertion time; the decoded op holds
+  // the live one after an online remap.
+  const int res = d.resource;
+  const bool acquire = d.op.code == OpCode::kAcquire;
   if (acquire ? c.requesting >= 0 && c.requesting != res
               : c.requesting != res) {
     fail(DiagKind::kProtocolViolation, c.task(), res, [&] {
@@ -470,24 +545,27 @@ void RunState::exec_protocol(TaskCtx& c, const Op& op) {
   }
   c.requesting = acquire ? res : -1;
   c.retry_resource = -1;
+  drive_lines(c);
   if (acquire) {
     c.request_since = cycle;
     ++c.stats.acquires;
   }
   if (sink != nullptr)
     trace(acquire ? obs::TraceKind::kRequest : obs::TraceKind::kRelease,
-          c.task(), arbiter_port(c.id, res).first, res, 0);
+          c.task(), d.arbiter, res, 0);
   retire_op(c);  // the Req:=1 / Req:=0 cycle of Fig. 8
 }
 
-bool RunState::blocked(TaskCtx& c, int resource, std::pair<int, int> port,
+bool RunState::blocked(TaskCtx& c, const DecodedOp& d,
                        degrade::StrikeSource evidence) {
   // The grant and fail-stop gate of an access: true when it waits.  A dead
   // bank or stuck channel takes nothing, so the op replays on the survivor
   // once the remap lands: data is stalled, never silently corrupted.
-  const auto [ai, p] = port;
+  const int resource = d.resource;
+  const int ai = d.arbiter;
+  const int p = d.port;
   const bool arbitrated = ai >= 0 && p >= 0;
-  if (arbitrated && await_grant(c, resource)) return true;
+  if (arbitrated && await_grant(c, d)) return true;
   if (resource >= 0 && failed(resource)) {
     strike(resource, evidence);
     degraded_cycle = true;
@@ -500,18 +578,21 @@ bool RunState::blocked(TaskCtx& c, int resource, std::pair<int, int> port,
 void RunState::retired_access(TaskCtx& c, int resource) {
   // Req:=0 right after a retrofitted access retires, so the arbiter
   // rotates per access instead of pinning the grant until task end.
-  if (resource >= 0 && c.requesting == resource && c.implicit_for(resource))
+  if (resource >= 0 && c.requesting == resource &&
+      c.implicit_for(resource)) {
     c.requesting = -1;
+    drive_lines(c);
+  }
   retire_op(c);
 }
 
-void RunState::exec_memory(TaskCtx& c, const Op& op) {
-  const int resource = binding().driven_resource(op);
-  if (blocked(c, resource, arbiter_port(c.id, resource),
-              degrade::StrikeSource::kBankFailure))
-    return;
+void RunState::exec_memory(TaskCtx& c, const DecodedOp& d) {
+  const Op& op = d.op;
+  if (!d.bound) (void)binding().driven_resource(op);  // reports the error
+  const int resource = d.resource;
+  if (blocked(c, d, degrade::StrikeSource::kBankFailure)) return;
   // Single-port bank conflict detection.
-  const int bank = binding().segment_to_bank[static_cast<std::size_t>(op.b)];
+  const int bank = d.unit;
   if (bank >= 0) {
     int& user = bank_user[static_cast<std::size_t>(bank)];
     if (user >= 0 && user != c.task()) {
@@ -544,7 +625,8 @@ void RunState::exec_memory(TaskCtx& c, const Op& op) {
   retired_access(c, resource);
 }
 
-void RunState::exec_send(TaskCtx& c, const Op& op) {
+void RunState::exec_send(TaskCtx& c, const DecodedOp& d) {
+  const Op& op = d.op;
   const auto ch = static_cast<std::size_t>(op.b);
   if (ch < opt.tdm_slots.size() && opt.tdm_slots[ch].second > 0) {
     const auto [slot, period] = opt.tdm_slots[ch];
@@ -554,9 +636,9 @@ void RunState::exec_send(TaskCtx& c, const Op& op) {
       return;
     }
   }
-  const int resource = binding().driven_resource(op);
-  const std::pair<int, int> port = arbiter_port(c.id, resource);
-  const int phys = binding().channel_to_phys[ch];
+  if (!d.bound) (void)binding().driven_resource(op);  // reports the error
+  const int resource = d.resource;
+  const int phys = d.unit;
   const bool naive = opt.naive_shared_channel_register && phys >= 0;
   // Receiver-side backpressure comes first: the sender can see its
   // receiver's ready line regardless of the channel grant, and — so no one
@@ -566,21 +648,22 @@ void RunState::exec_send(TaskCtx& c, const Op& op) {
     if (c.requesting >= 0 && c.requesting == resource) {
       c.dropped_request = c.requesting;
       c.requesting = -1;
+      drive_lines(c);
     }
     ++c.stats.backpressure_cycles;
     return;
   }
   if (!naive && c.dropped_request == resource && c.requesting != resource &&
-      port.first >= 0 && port.second >= 0) {
+      d.arbiter >= 0 && d.port >= 0) {
     // Re-assert the request dropped during backpressure (one cycle, like
     // the Fig. 8 Req:=1 step).
     c.requesting = resource;
     c.dropped_request = -1;
     c.request_since = cycle;
+    drive_lines(c);
     return;
   }
-  if (blocked(c, resource, port, degrade::StrikeSource::kChannelFailure))
-    return;
+  if (blocked(c, d, degrade::StrikeSource::kChannelFailure)) return;
   std::int64_t value = c.regs[op.a];
   if (phys >= 0) {
     const auto p = static_cast<std::size_t>(phys);
@@ -628,10 +711,11 @@ void RunState::exec_send(TaskCtx& c, const Op& op) {
   retired_access(c, resource);
 }
 
-void RunState::exec_recv(TaskCtx& c, const Op& op) {
+void RunState::exec_recv(TaskCtx& c, const DecodedOp& d) {
   // Waiting or consuming both take the cycle.
+  const Op& op = d.op;
   const auto ch = static_cast<std::size_t>(op.b);
-  const int phys = binding().channel_to_phys[ch];
+  const int phys = d.unit;
   if (opt.naive_shared_channel_register && phys >= 0) {
     // The broken single-register baseline has no per-target valid
     // handshake: receivers sample whatever the register holds, so a later
@@ -671,31 +755,34 @@ void RunState::exec_register(TaskCtx& c, const Op& op) {
   retire_op(c);
 }
 
-// ---- Phases 4-6: request lines, watchdog, availability. ----
-void RunState::rebuild_requests() {
+// ---- Request lines, and phases 4-6: re-seat, watchdog, availability. ----
+void RunState::drive_lines(TaskCtx& c) {
   // `pending` additionally counts waiters in a retry backoff: their Req
   // wire is down, but they are still starved behind the holder.  (Senders
   // that dropped their request under receiver backpressure are *not*
-  // pending — they could not proceed even with the grant.)
-  // `requests` is a subset of `pending`, so a zero pending word clears
-  // both; the branch keeps word-width lanes off a memset call.
-  for (ArbiterLane& lane : lanes)
-    for (std::size_t w = 0; w < lane.pending.size(); ++w)
-      if (lane.pending[w] != 0) lane.pending[w] = lane.requests[w] = 0;
-  for (TaskId t : tasks) {
-    const TaskCtx& c = ctx[t];
-    if (c.finished) continue;
-    if (c.requesting >= 0) {
-      const auto [ai, port] = arbiter_port(t, c.requesting);
-      if (ai >= 0 && port >= 0) {
-        core::set_bit(lane(ai).requests, port);
-        core::set_bit(lane(ai).pending, port);
-      }
-    } else if (c.retry_resource >= 0) {
-      const auto [ai, port] = arbiter_port(t, c.retry_resource);
-      if (ai >= 0 && port >= 0) core::set_bit(lane(ai).pending, port);
-    }
+  // pending — they could not proceed even with the grant.)  Each
+  // (arbiter, port) belongs to one task, so a task clears only its own
+  // bits.
+  if (c.line_arbiter >= 0) {
+    ArbiterLane& old = lane(c.line_arbiter);
+    core::clear_bit(old.requests, c.line_port);
+    core::clear_bit(old.pending, c.line_port);
+    c.line_arbiter = -1;
   }
+  const int res = c.requesting >= 0 ? c.requesting : c.retry_resource;
+  if (c.finished || res < 0) return;
+  const auto [ai, port] = arbiter_port(c.id, res);
+  if (ai < 0 || port < 0) return;
+  ArbiterLane& now = lane(ai);
+  if (c.requesting >= 0) core::set_bit(now.requests, port);
+  core::set_bit(now.pending, port);
+  c.line_arbiter = ai;
+  c.line_port = port;
+}
+
+void RunState::reseat_lines() {
+  lines_moved = false;
+  for (const TaskId t : tasks) drive_lines(ctx[t]);
 }
 
 void RunState::run_watchdog() {
@@ -764,13 +851,12 @@ void RunState::account_serving(std::uint64_t cycles) {
   const bool faults_possible =
       degrade_on || faults.perm_next > 0 || faults.latch_next > 0;
   if (faults_possible && !degraded_cycle) {
-    for (TaskId t : tasks) {
+    for (const TaskId t : running) {
       const TaskCtx& c = ctx[t];
-      if (!c.started || c.finished) continue;
+      if (c.finished) continue;
       int res = c.awaited_resource();
-      const auto& ops = graph.task(t).program.ops();
-      if (res < 0 && c.pc < ops.size())
-        res = binding().driven_resource(ops[c.pc]);
+      const DecodedProgram& ops = program(t);
+      if (res < 0 && c.pc < ops.size()) res = driven_resource(ops[c.pc]);
       if (res >= 0 && res < num_res &&
           (failed(res) ||
            quarantine(res) == degrade::QuarantineState::kCapacityExhausted)) {
@@ -800,9 +886,8 @@ std::uint64_t RunState::quiet_cycles() {
   if (degrade_on || cycle == 0 || finished_count != finished_at_scan)
     return 0;
   std::int64_t shortest = 0;  // the least compute_left of a running task
-  for (TaskId t : tasks) {
+  for (const TaskId t : running) {
     const TaskCtx& c = ctx[t];
-    if (!c.started || c.finished) continue;
     if (c.compute_left <= 1 || c.requesting >= 0 || c.retry_resource >= 0)
       return 0;
     if (shortest == 0 || c.compute_left < shortest) shortest = c.compute_left;
@@ -841,11 +926,8 @@ std::uint64_t RunState::quiet_cycles() {
 }
 
 void RunState::skip_quiet(std::uint64_t cycles) {
-  for (TaskId t : tasks) {
-    TaskCtx& c = ctx[t];
-    if (c.started && !c.finished)
-      c.compute_left -= static_cast<std::int64_t>(cycles);
-  }
+  for (const TaskId t : running)
+    ctx[t].compute_left -= static_cast<std::int64_t>(cycles);
   for (std::size_t a = 0; a < lanes.size(); ++a) {
     if (lanes[a].probe != nullptr) lanes[a].probe->idle_steps(cycles);
     if (opt.record_request_trace) {

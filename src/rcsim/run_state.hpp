@@ -8,10 +8,35 @@
 //   1     arbitrate          arbiters sample last cycle's request lines
 //   2     start_ready_tasks  tasks whose in-run predecessors finished
 //   3     step_tasks         one cycle of every running task
-//   4     rebuild_requests   request lines from the tasks' protocol state
+//   4     reseat_lines       after an online remap only (see below)
 //   5     run_watchdog       hung-grant watchdog
 //   6     account_serving    availability accounting
 // attribute_stall (stall.cpp) explains a run that stopped making progress.
+//
+// A stepped cycle costs what changes in it:
+//   - Decoded ops.  SimTables decodes each task's program once per
+//     SystemSimulator: every op carries the resource it drives or names,
+//     its (arbiter, port) and its bank or physical channel.  An online
+//     remap re-decodes the run's copy.
+//   - Edge-driven request lines.  A task's Req and pending bits are set
+//     and cleared where its `requesting` or `retry_resource` changes
+//     (drive_lines), not rebuilt from every task each cycle.  A remap
+//     moves ports, so the cycle it lands re-seats every task's lines after
+//     phase 3, where the next sample first sees them.
+//   - Running tasks only.  Phase 3 walks the running tasks, and a task
+//     counting down a compute costs one branch.  Readiness comes from
+//     each task's count of unfinished in-run predecessors.
+//   - Lane skip.  A lane at a fixed point skips its arbiter step and the
+//     register checks; its probe takes one idle or held step, the request
+//     trace records its words and hand_off runs as on any cycle.  A lane is
+//     at a fixed point when this cycle's request words equal the ones its
+//     last step sampled and that step either granted nobody on all-zero
+//     words (tests/test_policy.cpp, OneZeroStepReachesAFixedPoint) or left
+//     holds_grant() true with the holder's Req up (HeldGrantIsAFixedPoint),
+//     from a legal, error-free and unfrozen register that no upset or
+//     latch-up has touched since, with no stuck-at window open or
+//     force-release pending then or now, and the degradation supervisor
+//     off.  SimResult::skipped_lane_steps counts the skips.
 //
 // Quiet stretches are jumped, not stepped.  Before the phases of a cycle,
 // quiet_cycles() finds how many cycles would do nothing but count down
@@ -28,17 +53,17 @@
 // It ends one cycle before the first compute retires, at max_cycles, and
 // before the next scheduled flip, permanent fault, latch-up or stuck-at
 // window start.
-// The jump rests on one arbiter property (tests/test_policy.cpp,
-// OneZeroStepReachesAFixedPoint): after one step on all-zero requests,
-// every arbiter kind and policy, replicated or not, is at a fixed point —
-// more all-zero steps grant nobody and leave its register unchanged.  So
-// the skipped cycles' only effects are counts: compute_left, the progress
-// stamp, serving cycles, all-zero request-trace words and each probe's
-// step count.
+// The jump rests on the same idle fixed point: after one step on all-zero
+// requests, every arbiter kind and policy, replicated or not, grants
+// nobody and keeps its register on more all-zero steps.  So the skipped
+// cycles' only effects are counts: compute_left, the progress stamp,
+// serving cycles, all-zero request-trace words and each probe's step
+// count.
 //
 // Each run starts from the system as constructed: an online remap copies
-// the binding and plan into the RunState (copy on first write), so the
-// simulator's own copies never change and only segment memory persists.
+// the binding, plan, port index and decoded programs into the RunState
+// (copy on first write), so the simulator's own copies never change and
+// only segment memory persists.
 #pragma once
 
 #include <algorithm>
@@ -46,6 +71,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -110,6 +136,8 @@ struct TaskCtx {
   bool in_run = false;
   bool started = false;
   bool finished = false;
+  std::size_t order = 0;  // index in the run's task list
+  int waiting = 0;        // unfinished in-run control predecessors
   std::size_t pc = 0;
   std::int64_t regs[tg::kNumRegs] = {};
   std::vector<LoopFrame> loops;
@@ -125,6 +153,10 @@ struct TaskCtx {
   int retry_resource = -1;
   std::uint64_t retry_until = 0;
   int retry_backoff = 1;
+  // The (arbiter, port) whose Req / pending bits this task drives now
+  // (-1: none); see RunState::drive_lines.
+  int line_arbiter = -1;
+  int line_port = -1;
   // Resources this task drives without inserted Req/Rel ops (it was the
   // sole client pre-remap, so the insertion pass elided its protocol);
   // the simulator retrofits a per-access Req / release instead.
@@ -150,7 +182,8 @@ struct TaskCtx {
 /// once by add_lane.
 struct ArbiterLane : core::SystemArbiter {
   std::unique_ptr<obs::ArbiterProbe> probe;  // SimOptions::arbiter_metrics
-  // Request lines per port, rebuilt each cycle from task state (phase 4).
+  // Request lines per port, driven by the tasks' protocol state
+  // (RunState::drive_lines).
   std::vector<std::uint64_t> requests;
   // Ports starved behind the holder, whether their Req is up (requests) or
   // temporarily dropped for a bounded retry backoff.  The watchdog counts
@@ -168,6 +201,9 @@ struct ArbiterLane : core::SystemArbiter {
   bool hung_reported = false;  // the watchdog reported this hold
   bool was_illegal = false;
   bool holder_accessed = false;  // the holder retired an access this cycle
+  // The last step left the arbiter at a fixed point for as long as its
+  // request words stay as sampled (the lane skip, top of this file).
+  bool fixed = false;
 
   void restart_hold() {
     hold_streak = 0;
@@ -189,9 +225,97 @@ struct FrozenMove {
 /// first), at any width.
 [[nodiscard]] std::string hex_state(const core::Arbiter& arbiter);
 
+/// Per resource, indexed by TaskId: the (arbiter, port) of the task on the
+/// resource, port_lookup's first match in arbiters_of_resource order.  An
+/// empty row means no arbiter guards the resource.
+using PortIndex = std::vector<std::vector<std::pair<int, int>>>;
+
+/// Fills inst.resource's row of `index` with arbiter `a`'s ports, keeping
+/// earlier entries (first match wins).
+void index_ports(PortIndex& index, const core::ArbiterInstance& inst, int a,
+                 std::size_t num_tasks);
+
+/// One op with what the binding and plan say about it.
+struct DecodedOp {
+  tg::Op op;
+  // The resource a load, store or send drives (-1: none), or the one an
+  // acquire or release names, past any remap.
+  int resource = -1;
+  int arbiter = -1;  // the task's (arbiter, port) on `resource`
+  int port = -1;
+  int unit = -1;  // bank (load/store) or physical channel (send/recv)
+  // False when the binding has no entry for the op's segment or channel:
+  // the op re-derives its resource when it runs, which reports the error.
+  bool bound = true;
+};
+using DecodedProgram = std::vector<DecodedOp>;
+
+/// Decodes task t's `program` into `out` against a binding, a port index
+/// and the resource forwarding of a run (`resolve`).
+template <class Resolve>
+void decode_program(DecodedProgram& out, const tg::Program& program,
+                    tg::TaskId t, const core::Binding& binding,
+                    const PortIndex& port_index, Resolve&& resolve);
+
+/// What a SystemSimulator derives once from its graph, binding and plan.
+/// Runs borrow it; an online remap copies the port index and the decoded
+/// programs into its RunState first.
+struct SimTables {
+  SimTables(const tg::TaskGraph& graph, const core::Binding& binding,
+            const core::ArbitrationPlan& plan);
+  PortIndex port_index;
+  std::vector<DecodedProgram> programs;               // per TaskId
+  std::vector<std::vector<tg::TaskId>> predecessors;  // control, per TaskId
+  std::vector<std::vector<tg::TaskId>> successors;
+};
+
+template <class Resolve>
+void decode_program(DecodedProgram& out, const tg::Program& program,
+                    tg::TaskId t, const core::Binding& binding,
+                    const PortIndex& port_index, Resolve&& resolve) {
+  using tg::OpCode;
+  out.clear();
+  out.reserve(program.ops().size());
+  for (const tg::Op& op : program.ops()) {
+    DecodedOp& d = out.emplace_back();
+    d.op = op;
+    const auto unit = static_cast<std::size_t>(op.b);
+    switch (op.code) {
+      case OpCode::kAcquire:
+      case OpCode::kRelease:
+        d.resource = resolve(op.a);
+        break;
+      case OpCode::kLoad:
+      case OpCode::kStore:
+        d.bound = unit < binding.segment_to_bank.size();
+        if (d.bound) {
+          d.unit = binding.segment_to_bank[unit];
+          d.resource = binding.driven_resource(op);
+        }
+        break;
+      case OpCode::kSend:
+      case OpCode::kRecv:
+        d.bound = unit < binding.channel_to_phys.size();
+        if (d.bound) {
+          d.unit = binding.channel_to_phys[unit];
+          d.resource = binding.driven_resource(op);
+        }
+        break;
+      default:
+        break;
+    }
+    if (d.resource >= 0 &&
+        static_cast<std::size_t>(d.resource) < port_index.size()) {
+      const auto& row = port_index[static_cast<std::size_t>(d.resource)];
+      if (t < row.size()) std::tie(d.arbiter, d.port) = row[t];
+    }
+  }
+}
+
 struct RunState {
   RunState(const tg::TaskGraph& graph, const core::Binding& binding,
-           const core::ArbitrationPlan& plan, const SimOptions& options,
+           const core::ArbitrationPlan& plan, const SimTables& tables,
+           const SimOptions& options,
            std::vector<std::vector<std::int64_t>>& memory,
            const std::vector<tg::TaskId>& tasks);
 
@@ -201,7 +325,8 @@ struct RunState {
   void arbitrate();
   void start_ready_tasks();
   void step_tasks();
-  void rebuild_requests();
+  /// Re-drives every run task's lines after a remap moved ports.
+  void reseat_lines();
   void run_watchdog();
   /// Adds `cycles` cycles of availability accounting.
   void account_serving(std::uint64_t cycles = 1);
@@ -214,22 +339,36 @@ struct RunState {
   /// leading ones that have ended (later ones may have ended too).
   std::span<const fault::FaultEvent> opened_stucks(std::size_t a);
   // Phase 1, per arbiter.
+  /// True when lane a is at a fixed point this cycle (the lane skip).
+  bool lane_at_fixed_point(std::size_t a);
   /// `illegal`: the register failed state_legal() before the step.
   void check_registers(std::size_t a, bool illegal);
   void hand_off(std::size_t a, int g);
   // Phase 3, per task: one handler per op family.
   void step_task(TaskCtx& c);
-  void exec_control(TaskCtx& c, const std::vector<tg::Op>& ops,
+  void finish_task(TaskCtx& c);
+  void exec_control(TaskCtx& c, const DecodedProgram& ops,
                     int& control_budget);
-  void exec_protocol(TaskCtx& c, const tg::Op& op);  // acquire / release
-  void exec_memory(TaskCtx& c, const tg::Op& op);
-  void exec_send(TaskCtx& c, const tg::Op& op);
-  void exec_recv(TaskCtx& c, const tg::Op& op);
+  void exec_protocol(TaskCtx& c, const DecodedOp& d);  // acquire / release
+  void exec_memory(TaskCtx& c, const DecodedOp& d);
+  void exec_send(TaskCtx& c, const DecodedOp& d);
+  void exec_recv(TaskCtx& c, const DecodedOp& d);
   void exec_register(TaskCtx& c, const tg::Op& op);
-  bool blocked(TaskCtx& c, int resource, std::pair<int, int> port,
+  /// The resource a load, store or send drives, or -1.
+  int driven_resource(const DecodedOp& d) const {
+    if (d.op.code != tg::OpCode::kLoad && d.op.code != tg::OpCode::kStore &&
+        d.op.code != tg::OpCode::kSend)
+      return -1;
+    return d.bound ? d.resource : binding().driven_resource(d.op);
+  }
+  bool blocked(TaskCtx& c, const DecodedOp& d,
                degrade::StrikeSource evidence);
-  bool await_grant(TaskCtx& c, int resource);
+  bool await_grant(TaskCtx& c, const DecodedOp& d);
   void retired_access(TaskCtx& c, int resource);
+  /// Sets c's Req and pending bits from its `requesting` and
+  /// `retry_resource`, clearing the ones it drove before.  Call after
+  /// every change to either.
+  void drive_lines(TaskCtx& c);
 
   // ---- Set-up and results (system_sim.cpp). ----
   /// Builds the lane for one arbiter instance through the shared factory,
@@ -240,6 +379,10 @@ struct RunState {
   SimResult finish();
   core::Binding& mutable_binding();
   core::ArbitrationPlan& mutable_plan();
+  PortIndex& mutable_port_index();
+  /// Re-decodes the run's programs against the remapped binding, plan and
+  /// resource forwarding.
+  void redecode();
 
   // ---- Degradation supervisor (supervisor.cpp). ----
   /// One piece of permanent-fault evidence against a resource.
@@ -257,15 +400,19 @@ struct RunState {
   // ---- Shared helpers. ----
   [[nodiscard]] const core::Binding& binding() const { return *binding_; }
   [[nodiscard]] const core::ArbitrationPlan& plan() const { return *plan_; }
+  [[nodiscard]] const PortIndex& port_index() const { return *port_index_; }
+  [[nodiscard]] const DecodedProgram& program(tg::TaskId t) const {
+    return (*programs_)[t];
+  }
 
   /// The arbiter index and port of task `t` on `resource`, or {-1, -1}:
-  /// plan().port_lookup's answer, read from port_index.
+  /// plan().port_lookup's answer, read from the port index.
   [[nodiscard]] std::pair<int, int> arbiter_port(tg::TaskId t,
                                                  int resource) const {
     if (resource < 0 ||
-        static_cast<std::size_t>(resource) >= port_index.size())
+        static_cast<std::size_t>(resource) >= port_index().size())
       return {-1, -1};
-    const auto& row = port_index[static_cast<std::size_t>(resource)];
+    const auto& row = port_index()[static_cast<std::size_t>(resource)];
     return t < row.size() ? row[t] : std::pair{-1, -1};
   }
   /// Old resource id -> live resource id after remaps (path-compressed).
@@ -325,27 +472,32 @@ struct RunState {
     if (opt.strict) RCARB_CHECK(false, result.diagnostics.back().detail);
   }
 
-  // ---- The system (borrowed; binding and plan copied on first write). ----
+  // ---- The system (borrowed; the tables a remap rewrites are copied on
+  // first write). ----
   const tg::TaskGraph& graph;
+  const SimTables& tables;
   const SimOptions& opt;
   std::vector<std::vector<std::int64_t>>& memory;
   const std::vector<tg::TaskId>& tasks;
   const core::Binding* binding_;
   const core::ArbitrationPlan* plan_;
+  const PortIndex* port_index_;
+  const std::vector<DecodedProgram>* programs_;
   std::unique_ptr<core::Binding> own_binding;
   std::unique_ptr<core::ArbitrationPlan> own_plan;
+  std::unique_ptr<PortIndex> own_port_index;
+  std::unique_ptr<std::vector<DecodedProgram>> own_programs;
 
   obs::TraceSink* const sink;
   const bool want_detail;
   SimResult result;
 
   std::vector<TaskCtx> ctx;  // per TaskId
+  // Run tasks in run order: not yet started, and started but unfinished as
+  // of the last readiness scan (a task that finishes leaves at the next).
+  std::vector<tg::TaskId> unstarted;
+  std::vector<tg::TaskId> running;
   std::vector<ArbiterLane> lanes;
-  // (arbiter, port) per resource, indexed by TaskId: port_lookup's first
-  // match in arbiters_of_resource order.  add_lane fills its resource's
-  // row and a remap clears the rows whose arbiters it retires; an empty
-  // row means no arbiter guards the resource.
-  std::vector<std::vector<std::pair<int, int>>> port_index;
   FaultSchedule faults;
   std::vector<ChannelReg> chan_reg;  // per logical channel
   std::vector<NaiveReg> naive_reg;   // per physical channel
@@ -366,6 +518,8 @@ struct RunState {
   // Set anywhere in the cycle that degradation affected service; cleared
   // by the serving-cycle accounting at the end of the cycle.
   bool degraded_cycle = false;
+  // A remap moved ports this cycle: reseat_lines runs after phase 3.
+  bool lines_moved = false;
 
   std::uint64_t cycle = 0;
   std::uint64_t last_progress_cycle = 0;

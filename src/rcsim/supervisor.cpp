@@ -207,7 +207,8 @@ void RunState::apply_move(int r) {
   retire_lanes(r);
   if (live != r) retire_lanes(live);
   p.arbiters_of_resource[static_cast<std::size_t>(r)].clear();
-  port_index[static_cast<std::size_t>(r)].clear();
+  PortIndex& index = mutable_port_index();
+  index[static_cast<std::size_t>(r)].clear();
   if (!ports.empty()) {
     // The regenerated arbiter is round-robin and keeps the plan's
     // structure: the latest kind planned for the surviving resource
@@ -222,7 +223,9 @@ void RunState::apply_move(int r) {
                                    : p.arbiters.back().kind;
     for (const core::ArbiterInstance& prev : p.arbiters)
       if (prev.resource == live) inst.kind = prev.kind;
-    port_index[static_cast<std::size_t>(live)].clear();
+    index[static_cast<std::size_t>(live)].clear();
+    index_ports(index, inst, static_cast<int>(lanes.size()),
+                graph.num_tasks());
     add_lane(inst);
     p.arbiters_of_resource[static_cast<std::size_t>(live)].assign(
         1, static_cast<int>(p.arbiters.size()));
@@ -243,6 +246,11 @@ void RunState::apply_move(int r) {
       if (c.dropped_request == r) c.dropped_request = live;
     }
   }
+  // The ports moved: the programs re-decode now, and every task's lines
+  // re-seat after this cycle's phase 3 (the arbiters sample them next
+  // cycle, as they would any line a task drives this cycle).
+  redecode();
+  lines_moved = true;
   diagnose(DiagKind::kRemap, -1, r, [&] {
     return m.kind == FrozenMove::Kind::kInPlace
                ? "arbiter region of " + binding().resource_name(r) +

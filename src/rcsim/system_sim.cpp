@@ -25,6 +25,7 @@ SystemSimulator::SystemSimulator(tg::TaskGraph graph, core::Binding binding,
       plan_(std::move(plan)),
       options_(options) {
   graph_.validate();
+  tables_ = std::make_shared<const detail::SimTables>(graph_, binding_, plan_);
   memory_.resize(graph_.num_segments());
   for (tg::SegmentId s = 0; s < graph_.num_segments(); ++s)
     memory_[s].assign(graph_.segment(s).words, 0);
@@ -136,19 +137,55 @@ T& copy_on_write(std::unique_ptr<T>& own, const T*& view) {
 
 }  // namespace
 
+void index_ports(PortIndex& index, const core::ArbiterInstance& inst, int a,
+                 std::size_t num_tasks) {
+  if (inst.resource < 0 ||
+      static_cast<std::size_t>(inst.resource) >= index.size())
+    return;
+  auto& row = index[static_cast<std::size_t>(inst.resource)];
+  row.resize(num_tasks, {-1, -1});
+  for (std::size_t port = 0; port < inst.ports.size(); ++port) {
+    auto& entry = row[inst.ports[port]];
+    if (entry.first < 0) entry = {a, static_cast<int>(port)};
+  }
+}
+
+SimTables::SimTables(const tg::TaskGraph& g, const core::Binding& b,
+                     const core::ArbitrationPlan& p)
+    : port_index(b.num_resources()),
+      programs(g.num_tasks()),
+      predecessors(g.num_tasks()),
+      successors(g.num_tasks()) {
+  for (std::size_t a = 0; a < p.arbiters.size(); ++a)
+    index_ports(port_index, p.arbiters[a], static_cast<int>(a),
+                g.num_tasks());
+  for (TaskId t = 0; t < g.num_tasks(); ++t)
+    decode_program(programs[t], g.task(t).program, t, b, port_index,
+                   [](int r) { return r; });
+  for (const auto& [pred, succ] : g.control_deps()) {
+    predecessors[succ].push_back(pred);
+    successors[pred].push_back(succ);
+  }
+}
+
 RunState::RunState(const tg::TaskGraph& g, const core::Binding& b,
-                   const core::ArbitrationPlan& p, const SimOptions& options,
+                   const core::ArbitrationPlan& p, const SimTables& t,
+                   const SimOptions& options,
                    std::vector<std::vector<std::int64_t>>& mem,
                    const std::vector<TaskId>& run_tasks)
     : graph(g),
+      tables(t),
       opt(options),
       memory(mem),
       tasks(run_tasks),
       binding_(&b),
       plan_(&p),
+      port_index_(&t.port_index),
+      programs_(&t.programs),
       sink(options.trace_sink),
       want_detail(options.diag_detail || options.strict),
       ctx(g.num_tasks()),
+      unstarted(run_tasks),
       chan_reg(g.num_channels()),
       naive_reg(b.num_phys_channels),
       bank_user(b.num_banks),
@@ -162,14 +199,20 @@ RunState::RunState(const tg::TaskGraph& g, const core::Binding& b,
   // quarantined resource).
   if (opt.arbiter_metrics)
     result.arbiter_obs.reserve(p.arbiters.size() + b.num_resources());
-  port_index.resize(b.num_resources());
   for (const core::ArbiterInstance& inst : p.arbiters) add_lane(inst);
   faults = split_faults(opt.faults, result.arbiters, b);
-  for (TaskId t = 0; t < g.num_tasks(); ++t) ctx[t].id = t;
-  for (TaskId t : tasks) {
-    RCARB_CHECK(t < g.num_tasks(), "task out of range");
-    ctx[t].in_run = true;
+  for (TaskId id = 0; id < g.num_tasks(); ++id) ctx[id].id = id;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const TaskId id = tasks[i];
+    RCARB_CHECK(id < g.num_tasks(), "task out of range");
+    RCARB_CHECK(!ctx[id].in_run, "task listed twice in one run");
+    ctx[id].in_run = true;
+    ctx[id].order = i;
   }
+  for (const TaskId id : tasks)
+    for (const TaskId pred : t.predecessors[id])
+      if (ctx[pred].in_run) ++ctx[id].waiting;
+  running.reserve(tasks.size());
   if (degrade_on && num_res > 0) {
     sup = degrade::ResourceSupervisor(num_res, opt.degrade);
     moves.resize(static_cast<std::size_t>(num_res));
@@ -184,15 +227,6 @@ void RunState::add_lane(const core::ArbiterInstance& inst) {
   spec.harden = opt.harden;
   spec.self_check = opt.self_check;
   spec.seed = opt.seed;
-  const int a = static_cast<int>(lanes.size());
-  if (inst.resource >= 0 && inst.resource < num_res) {
-    auto& row = port_index[static_cast<std::size_t>(inst.resource)];
-    row.resize(graph.num_tasks(), {-1, -1});
-    for (int port = 0; port < n; ++port) {
-      auto& entry = row[inst.ports[static_cast<std::size_t>(port)]];
-      if (entry.first < 0) entry = {a, port};
-    }
-  }
   ArbiterLane& lane = lanes.emplace_back();
   static_cast<core::SystemArbiter&>(lane) = core::make_system_arbiter(n, spec);
   const auto words = static_cast<std::size_t>((n + 63) / 64);
@@ -218,6 +252,18 @@ core::Binding& RunState::mutable_binding() {
 
 core::ArbitrationPlan& RunState::mutable_plan() {
   return copy_on_write(own_plan, plan_);
+}
+
+PortIndex& RunState::mutable_port_index() {
+  return copy_on_write(own_port_index, port_index_);
+}
+
+void RunState::redecode() {
+  std::vector<DecodedProgram>& programs =
+      copy_on_write(own_programs, programs_);
+  for (const TaskId t : tasks)
+    decode_program(programs[t], graph.task(t).program, t, binding(),
+                   port_index(), [this](int r) { return resolve(r); });
 }
 
 SimResult RunState::finish() {

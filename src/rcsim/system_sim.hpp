@@ -32,6 +32,10 @@
 
 namespace rcarb::rcsim {
 
+namespace detail {
+struct SimTables;
+}  // namespace detail
+
 struct SimOptions {
   std::uint64_t max_cycles = 50'000'000;
   std::uint64_t seed = 1;  // random-policy arbiters
@@ -173,6 +177,9 @@ struct SimResult {
   /// Cycles the simulator advanced in quiet-stretch jumps instead of one by
   /// one (its own bookkeeping: every other field is the same either way).
   std::uint64_t skipped_cycles = 0;
+  /// Arbiter steps skipped because the lane sat at a fixed point (its own
+  /// bookkeeping, like skipped_cycles).
+  std::uint64_t skipped_lane_steps = 0;
 
   std::vector<SimDiagnostic> diagnostics;
 
@@ -222,6 +229,8 @@ class SystemSimulator {
   core::Binding binding_;
   core::ArbitrationPlan plan_;
   SimOptions options_;
+  // Port index, decoded programs and control edges, derived once.
+  std::shared_ptr<const detail::SimTables> tables_;
   std::vector<std::vector<std::int64_t>> memory_;  // per segment
   std::vector<std::string> regenerated_arbiters_;  // names, last run
 };

@@ -601,13 +601,22 @@ TEST(RcsimPortIndex, MatchesThePlanLookupAcrossABankRemapPast64Writers) {
   std::vector<std::vector<std::int64_t>> memory;
   std::vector<TaskId> all;
   for (int t = 0; t < writers; ++t) all.push_back(static_cast<TaskId>(t));
-  detail::RunState s(ins.graph, b, ins.plan, options, memory, all);
+  const detail::SimTables tables(ins.graph, b, ins.plan);
+  detail::RunState s(ins.graph, b, ins.plan, tables, options, memory, all);
 
+  // The decoded ops carry the same answer for the resource they drive.
   const auto expect_plan_lookup = [&](const char* when) {
     for (int r = 0; r < static_cast<int>(b.num_resources()); ++r)
       for (TaskId t = 0; t < ins.graph.num_tasks(); ++t)
         EXPECT_EQ(s.arbiter_port(t, r), s.plan().port_lookup(r, t))
             << when << ": resource " << r << ", task " << t;
+    for (TaskId t = 0; t < ins.graph.num_tasks(); ++t)
+      for (const detail::DecodedOp& d : s.program(t)) {
+        if (d.resource < 0) continue;
+        EXPECT_EQ(std::pair(d.arbiter, d.port),
+                  s.plan().port_lookup(d.resource, t))
+            << when << ": task " << t;
+      }
   };
   expect_plan_lookup("after construction");
   EXPECT_EQ(s.arbiter_port(writers - 1, 1), std::pair(1, writers / 2 - 1));

@@ -922,5 +922,156 @@ TEST(RcsimCells, FingerprintsArePinned) {
     EXPECT_EQ(got[i], kPinned[i]) << "cell " << i;
 }
 
+// ---------------------------------------------------------------- lane skip
+
+/// Lane-steps a run stepped one by one: every lane on every cycle the
+/// quiet jump did not skip.
+std::uint64_t stepped_lane_steps(const SimResult& r) {
+  return (r.cycles - r.skipped_cycles) * r.arbiters.size();
+}
+
+// On the FFT partitions most stepped lane-steps sit at a fixed point: an
+// idle arbiter on all-zero words, or a grant held while its Req stays up.
+TEST(LaneSkip, CoversMostFftLaneSteps) {
+  const FftPartitions fx;
+  const std::size_t segments = fx.design.graph.num_segments();
+  std::vector<std::unique_ptr<SystemSimulator>> sims;
+  for (const flow::PartitionReport& pr : fx.report.partitions)
+    sims.push_back(
+        std::make_unique<SystemSimulator>(pr.rewritten, pr.binding, pr.plan));
+  Rng rng(39);
+  std::uint64_t skipped = 0;
+  std::uint64_t stepped = 0;
+  for (int b = 0; b < 4; ++b) {
+    const fft::Block block = random_block(rng);
+    fft::load_block(*sims[0], fx.design, block);
+    for (std::size_t p = 0; p < 3; ++p) {
+      if (p > 0)
+        for (tg::SegmentId s = 0; s < segments; ++s)
+          sims[p]->write_segment(s, sims[p - 1]->segment_data(s));
+      const SimResult r = sims[p]->run(fx.tasks[p]);
+      EXPECT_LE(r.skipped_lane_steps, stepped_lane_steps(r));
+      if (p < 2) {
+        EXPECT_GT(r.skipped_lane_steps, 0u) << "TP" << p;
+      }
+      skipped += r.skipped_lane_steps;
+      stepped += stepped_lane_steps(r);
+    }
+    EXPECT_EQ(fft::read_spectrum(*sims[2], fx.design), fft::fft2d_4x4(block));
+  }
+  EXPECT_GT(2 * skipped, stepped) << skipped << " of " << stepped;
+}
+
+// The supervisor's gating can change a lane's sample on any cycle, so it
+// keeps the lane skip off.
+TEST(LaneSkip, OffUnderTheDegradationSupervisor) {
+  const Mesh fx;
+  SimOptions so;
+  so.degrade.enabled = true;
+  const core::InsertionResult ins = fx.insert(core::ArbiterKind::kFlatFsm);
+  SystemSimulator sim(ins.graph, fx.binding, ins.plan, so);
+  const SimResult r = sim.run(fx.all);
+  EXPECT_FALSE(r.deadlocked);
+  EXPECT_EQ(r.skipped_lane_steps, 0u);
+}
+
+// ------------------------------------------------------------------ reuse
+
+/// Every SimResult field of two runs, the skip counters included.
+void expect_same_result(const SimResult& a, const SimResult& b) {
+  expect_same_run(a, b);
+  for (std::size_t t = 0; t < a.tasks.size() && t < b.tasks.size(); ++t)
+    EXPECT_EQ(a.tasks[t].ops_retired, b.tasks[t].ops_retired) << "task " << t;
+  EXPECT_EQ(a.skipped_cycles, b.skipped_cycles);
+  EXPECT_EQ(a.skipped_lane_steps, b.skipped_lane_steps);
+  for (std::size_t i = 0; i < a.diagnostics.size() && i < b.diagnostics.size();
+       ++i)
+    EXPECT_EQ(a.diagnostics[i].detail, b.diagnostics[i].detail);
+}
+
+// The tables a simulator builds once serve every run: 64 blocks through
+// one simulator per partition give what a fresh simulator per block gives.
+TEST(RcsimReuse, BackToBackRunsMatchFreshSimulators) {
+  const FftPartitions fx;
+  const std::size_t segments = fx.design.graph.num_segments();
+  const auto options = [] {
+    SimOptions so;
+    so.arbiter_metrics = true;
+    so.record_request_trace = true;
+    return so;
+  };
+  std::vector<std::unique_ptr<SystemSimulator>> reused;
+  for (const flow::PartitionReport& pr : fx.report.partitions)
+    reused.push_back(std::make_unique<SystemSimulator>(
+        pr.rewritten, pr.binding, pr.plan, options()));
+  Rng rng(64);
+  for (int b = 0; b < 64; ++b) {
+    SCOPED_TRACE("block " + std::to_string(b));
+    const fft::Block block = random_block(rng);
+    fft::load_block(*reused[0], fx.design, block);
+    const SystemSimulator* prev_fresh = nullptr;
+    std::vector<std::unique_ptr<SystemSimulator>> fresh;
+    for (std::size_t p = 0; p < 3; ++p) {
+      const flow::PartitionReport& pr = fx.report.partitions[p];
+      fresh.push_back(std::make_unique<SystemSimulator>(
+          pr.rewritten, pr.binding, pr.plan, options()));
+      if (p == 0) fft::load_block(*fresh[0], fx.design, block);
+      for (tg::SegmentId s = 0; p > 0 && s < segments; ++s) {
+        reused[p]->write_segment(s, reused[p - 1]->segment_data(s));
+        fresh[p]->write_segment(s, prev_fresh->segment_data(s));
+      }
+      expect_same_result(reused[p]->run(fx.tasks[p]),
+                         fresh[p]->run(fx.tasks[p]));
+      for (tg::SegmentId s = 0; s < segments; ++s)
+        ASSERT_EQ(reused[p]->segment_data(s), fresh[p]->segment_data(s))
+            << "TP" << p << " segment " << s;
+      prev_fresh = fresh[p].get();
+    }
+  }
+
+  // A run that remaps leaves the next run on the system as built: after
+  // B1 fails and its load moves onto B0, a run that ends before the
+  // failure equals that run on a fresh simulator.
+  tg::TaskGraph g("reuse");
+  for (int s = 0; s < 5; ++s)
+    g.add_segment(std::string("s").append(std::to_string(s)), 64, 8);
+  for (int t = 0; t < 5; ++t) {
+    tg::Program p;
+    p.load_imm(0, 0).load_imm(1, 10 * (t + 1));
+    if (t == 4) p.compute(40);  // the slow writer reaches B1 after it fails
+    for (int k = 0; k < 3; ++k) p.store(t, 0, 1, k).compute(1);
+    p.halt();
+    g.add_task(std::string("w").append(std::to_string(t)), p, 1);
+  }
+  core::Binding bind;
+  bind.task_to_pe = {0, 1, 2, 3, 4};
+  bind.segment_to_bank = {0, 0, 1, 1, 1};
+  bind.num_banks = 2;
+  bind.bank_names = {"B0", "B1"};
+  const core::InsertionResult ins = core::insert_arbitration(g, bind, {});
+  SimOptions so = degrading();
+  so.arbiter_metrics = true;
+  so.record_request_trace = true;
+  fault::FaultEvent dead;
+  dead.kind = fault::FaultKind::kBankFailure;
+  dead.cycle = 30;
+  dead.bank = 1;
+  so.faults = {dead};
+  SystemSimulator sim(ins.graph, bind, ins.plan, so);
+  const SimResult remapped = sim.run({0, 1, 2, 3, 4});
+  ASSERT_EQ(remapped.remaps, 1u);
+  ASSERT_FALSE(remapped.deadlocked);
+  for (tg::SegmentId s = 0; s < g.num_segments(); ++s)
+    sim.write_segment(s, {});
+  SystemSimulator clean(ins.graph, bind, ins.plan, so);
+  const SimResult again = sim.run({0, 1, 2, 3});
+  const SimResult want = clean.run({0, 1, 2, 3});
+  EXPECT_EQ(want.remaps, 0u);
+  EXPECT_LT(want.cycles, dead.cycle);
+  expect_same_result(again, want);
+  for (tg::SegmentId s = 0; s < g.num_segments(); ++s)
+    EXPECT_EQ(sim.segment_data(s), clean.segment_data(s)) << "segment " << s;
+}
+
 }  // namespace
 }  // namespace rcarb::rcsim
