@@ -20,9 +20,9 @@
 //     remap re-decodes the run's copy.
 //   - Edge-driven request lines.  A task's Req and pending bits are set
 //     and cleared where its `requesting` or `retry_resource` changes
-//     (drive_lines), not rebuilt from every task each cycle.  A remap
-//     moves ports, so the cycle it lands re-seats every task's lines after
-//     phase 3, where the next sample first sees them.
+//     (drive_lines).  A remap moves ports, so the cycle it lands re-seats
+//     every task's lines after phase 3, where the next sample first sees
+//     them.
 //   - Running tasks only.  Phase 3 walks the running tasks, and a task
 //     counting down a compute costs one branch.  Readiness comes from
 //     each task's count of unfinished in-run predecessors.
